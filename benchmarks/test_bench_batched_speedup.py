@@ -52,7 +52,6 @@ def _record(factor: float, wall: float, stats, kernel: str) -> dict:
         "instructions_per_second": instructions / wall if wall > 0 else 0.0,
         "cache_hits": 0,
         "cache_misses": 0,
-        "trace_path": "prepared",
         "kernel": kernel,
     }
 

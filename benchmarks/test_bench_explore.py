@@ -47,7 +47,6 @@ def _record(result, wall: float) -> dict:
         ),
         "cache_hits": 0,
         "cache_misses": 0,
-        "trace_path": "prepared",
         "kernel": result.kernel,
         "mode": "explore",
         "configs_considered": result.configs_considered,

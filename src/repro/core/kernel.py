@@ -20,16 +20,15 @@ per trace record:
   against real per-config structure objects (write cache, stream-buffer
   pool, BIU, FPU, D-cache port), so
   :class:`~repro.core.stats.SimStats` are byte-identical per config by
-  construction — the same discipline ``REPRO_TRACE_PATH`` holds for
-  trace representations.
+  construction.
 
 Kernel selection: ``REPRO_SIM_KERNEL`` (``scalar`` | ``batched``,
 validated eagerly by :func:`repro.robustness.validation
 .validate_environment`) or the ``--kernel`` flag on ``aurora-sim
 experiments`` / ``run_all`` / ``perf``.  :func:`simulate_many` is the
-grouped entry point the sweep layer calls: it validates the trace once
-(not once per config), records a ``simulate_batch`` span, and dispatches
-to the selected kernel.
+grouped entry point the sweep layer calls: it prepares and validates the
+trace once (not once per config), records a ``simulate_batch`` span, and
+dispatches to the selected kernel.
 
 The batched kernel does **not** emit per-structure telemetry events (the
 event streams would interleave across configs); passing an active
@@ -68,11 +67,10 @@ from repro.core.processor import (
     _K_LOAD,
     _K_NOP,
     _K_STORE,
-    _record_rows,
 )
 from repro.core.stats import SimStats, StallKind
 from repro.core.writecache import WriteCache
-from repro.func.prepared import PreparedTrace
+from repro.func.prepared import as_prepared
 
 #: Environment switch naming the kernel the sweep layer should use.
 ENV_KERNEL = "REPRO_SIM_KERNEL"
@@ -111,8 +109,7 @@ class KernelError(ValueError):
 def kernel_mode(environ: Mapping[str, str] | None = None) -> str:
     """The kernel named by ``REPRO_SIM_KERNEL`` (default ``scalar``).
 
-    Raises :class:`KernelError` naming the variable for any other value,
-    the same eager-validation contract as ``REPRO_TRACE_PATH``.
+    Raises :class:`KernelError` naming the variable for any other value.
     """
     env = os.environ if environ is None else environ
     value = env.get(ENV_KERNEL, "")
@@ -181,6 +178,7 @@ class BatchedKernel:
                 "kernel='scalar' (REPRO_SIM_KERNEL=scalar / --kernel scalar) "
                 "to capture telemetry"
             )
+        trace = as_prepared(trace)
         configs = list(configs)
         for config in configs:
             config.validate()
@@ -234,19 +232,20 @@ def simulate_many(
     """Time one trace on many configs; results align with ``configs``.
 
     The grouped twin of :func:`repro.core.processor.simulate_trace`:
-    validates the trace **once** (not once per configuration — the
-    prepared-trace memo makes re-validation free, and plain record lists
-    skip n-1 redundant sampled passes), records a ``simulate_batch``
-    span, and dispatches to ``kernel`` (a kernel object, a name, or
-    ``None`` for the ``REPRO_SIM_KERNEL`` selection).  Every kernel
-    yields byte-identical per-config :class:`~repro.core.stats.SimStats`
-    — the scalar kernel is the oracle the batched one is tested against.
+    prepares and validates the trace **once** (not once per
+    configuration — the prepared-trace memo makes re-validation free),
+    records a ``simulate_batch`` span, and dispatches to ``kernel`` (a
+    kernel object, a name, or ``None`` for the ``REPRO_SIM_KERNEL``
+    selection).  Every kernel yields byte-identical per-config
+    :class:`~repro.core.stats.SimStats` — the scalar kernel is the oracle
+    the batched one is tested against.
     """
     from repro.robustness.validation import validate_trace
     from repro.telemetry import tracing
 
     if isinstance(kernel, (str, type(None))):
         kernel = get_kernel(kernel)
+    trace = as_prepared(trace)
     validate_trace(trace)
     configs = list(configs)
     tracer = tracing.current_tracer()
@@ -522,15 +521,10 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
     imemo_line = -1
     imemo_fetch: np.ndarray | None = None
 
-    if isinstance(trace, PreparedTrace):
-        rows = trace.rows(line_shift)
-    else:
-        rows = _record_rows(trace, line_shift)
-
     for index, (
         pc, kind, dst, s1, s2, addr, is_mem, is_fp_dispatch,
         iline, dline,
-    ) in enumerate(rows):
+    ) in enumerate(trace.rows(line_shift)):
 
         # ---------------------------------------------------- fetch side
         # Consecutive records on one I-line are memoised: a hit leaves the

@@ -38,7 +38,7 @@ from repro.core.mshr import MSHRFile
 from repro.core.prefetch import SplitStreamBufferPool, StreamBufferPool
 from repro.core.stats import SimStats, StallKind
 from repro.core.writecache import WriteCache
-from repro.func.prepared import PreparedTrace
+from repro.func.prepared import PreparedTrace, as_prepared
 from repro.func.trace import TraceRecord
 from repro.isa.instructions import Kind
 from repro.telemetry.events import EventBus, EventKind
@@ -58,11 +58,7 @@ _K_FP_STORE = int(Kind.FP_STORE)
 _K_FP_MOVE = int(Kind.FP_MOVE)
 _K_HALT = int(Kind.HALT)
 
-_MEM_KINDS = frozenset((_K_LOAD, _K_STORE, _K_FP_LOAD, _K_FP_STORE, _K_FP_MOVE))
 _FP_ARITH_KINDS = frozenset((_K_FP_ADD, _K_FP_MUL, _K_FP_DIV, _K_FP_CVT))
-_FP_DISPATCH_KINDS = _FP_ARITH_KINDS | frozenset(
-    (_K_FP_LOAD, _K_FP_STORE, _K_FP_MOVE)
-)
 
 #: IPU -> FPU transfer latency in cycles (inter-chip queue insertion).
 FPU_TRANSFER = 2
@@ -71,26 +67,6 @@ WC_FORWARD_LATENCY = 2
 #: Entry-count bound on the in-flight D-line fill map; crossing it prunes
 #: entries whose fill has already arrived (never genuinely pending ones).
 INFLIGHT_BOUND = 4096
-
-
-def _record_rows(trace, line_shift: int):
-    """Per-record hot-loop rows derived on the fly from 6-tuple records.
-
-    The tuple-trace twin of :meth:`PreparedTrace.rows`: yields the same
-    ``(pc, kind, dst, src1, src2, addr, is_mem, is_fp_dispatch, iline,
-    dline)`` rows, so the timing loop below is one body for both
-    representations — byte-identical stats by construction.
-    """
-    mem_kinds = _MEM_KINDS
-    fp_dispatch_kinds = _FP_DISPATCH_KINDS
-    for pc, kind, dst, s1, s2, addr in trace:
-        yield (
-            pc, kind, dst, s1, s2, addr,
-            kind in mem_kinds,
-            kind in fp_dispatch_kinds,
-            pc >> line_shift,
-            addr >> line_shift,
-        )
 
 
 @dataclass
@@ -147,11 +123,9 @@ class AuroraProcessor:
     ) -> SimulationResult:
         """Time one trace; returns stats for the whole run.
 
-        ``trace`` may be a plain record list or a
-        :class:`~repro.func.prepared.PreparedTrace`; the prepared form
-        walks precomputed columns (kind classes, cache-line indices)
-        instead of re-deriving them per record, and yields byte-identical
-        :class:`~repro.core.stats.SimStats`.
+        The loop walks a :class:`~repro.func.prepared.PreparedTrace`'s
+        precomputed columns; a plain record list is record-checked and
+        prepared first (:func:`~repro.func.prepared.as_prepared`).
 
         Raises :class:`repro.robustness.guards.SimulationError` if a
         runtime invariant guard trips (wedged pipeline, structure
@@ -159,6 +133,7 @@ class AuroraProcessor:
         """
         from repro.robustness.guards import Watchdog
 
+        trace = as_prepared(trace)
         cfg = self.config
         stats = SimStats()
         biu = BusInterfaceUnit(latency=cfg.mem_latency, occupancy=cfg.bus_occupancy)
@@ -234,18 +209,10 @@ class AuroraProcessor:
 
         stall = stats.stall_cycles  # local alias
 
-        # One loop body for both trace representations: prepared traces
-        # supply precomputed per-record rows, tuple traces derive the
-        # same rows on the fly (see _record_rows).
-        if isinstance(trace, PreparedTrace):
-            rows = trace.rows(line_shift)
-        else:
-            rows = _record_rows(trace, line_shift)
-
         for index, (
             pc, kind, dst, s1, s2, addr, is_mem, is_fp_dispatch,
             iline, dline,
-        ) in enumerate(rows):
+        ) in enumerate(trace.rows(line_shift)):
 
             # ---------------------------------------------------- fetch side
             request_time = last_issue if last_issue > 0 else 0
@@ -587,10 +554,9 @@ def simulate_trace(
 ) -> SimulationResult:
     """Convenience wrapper: time ``trace`` on a machine built from ``config``.
 
-    ``trace`` may be a record list or a columnar
-    :class:`~repro.func.prepared.PreparedTrace` (what
-    :func:`repro.workloads.registry.get_trace` returns); results are
-    byte-identical either way.
+    ``trace`` is normally the :class:`~repro.func.prepared.PreparedTrace`
+    :func:`repro.workloads.registry.get_trace` returns; a plain record
+    list is record-checked and prepared at this boundary.
 
     Eagerly validates the configuration and (a deterministic sample of)
     the trace before spending any simulation time, so impossible machine
@@ -603,6 +569,7 @@ def simulate_trace(
     from repro.robustness.validation import validate_trace
     from repro.telemetry import tracing
 
+    trace = as_prepared(trace)
     validate_trace(trace)
     tracer = tracing.current_tracer()
     if tracer is None:

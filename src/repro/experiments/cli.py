@@ -15,7 +15,7 @@ Subcommands::
                        [--history BENCH_history.json] [--check]
     aurora-sim spans <sweep-trace.json> [--min-ms 0.1]
     aurora-sim perf <workload> [--factor 0.05] [--check] [--seed-baseline]
-                    [--trace-path prepared|tuples] [--kernel scalar|batched]
+                    [--kernel scalar|batched]
     aurora-sim serve [--host 127.0.0.1] [--port 8311] [--jobs 2]
                      [--window 0.01] [--store results/.sim_memo]
                      [--sample-interval 1.0] [--ring-out ring.jsonl]
@@ -334,7 +334,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             ),
             "cache_hits": max(hits - base_hits, 0),
             "cache_misses": max(misses - base_misses, 0),
-            "trace_path": "prepared",
             "kernel": result.kernel,
             "mode": "explore",
             "configs_considered": result.configs_considered,
@@ -423,7 +422,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         sample=not args.no_sample,
         use_cprofile=args.cprofile,
         top=args.top,
-        trace_path=args.trace_path,
         kernel=args.kernel,
     )
     print(report.render())
@@ -758,11 +756,6 @@ def main(argv: list[str] | None = None) -> int:
     p_perf.add_argument("--threshold", type=float, default=0.20,
                         help="regression threshold as a fraction "
                              "(0.20 = fail when >20%% slower)")
-    p_perf.add_argument("--trace-path", choices=("prepared", "tuples"),
-                        default="prepared", dest="trace_path",
-                        help="trace representation to feed the simulator "
-                             "(history records tag it; --check refuses "
-                             "cross-path comparisons)")
     p_perf.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                         help="simulation kernel to profile (history "
                              "records tag it; --check refuses cross-"

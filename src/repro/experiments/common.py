@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.core.config import MachineConfig
 from repro.core.kernel import simulate_many
 from repro.core.stats import SimStats
-from repro.func.trace import TraceRecord
+from repro.func.prepared import PreparedTrace
 from repro.robustness.validation import validate_factor
 from repro.workloads.registry import FP_SUITE, INTEGER_SUITE, get_spec, get_trace
 
@@ -37,7 +37,7 @@ _MIN_SCALES = {
 }
 
 
-def scaled_trace(name: str, factor: float = 1.0) -> list[TraceRecord]:
+def scaled_trace(name: str, factor: float = 1.0) -> PreparedTrace:
     """Trace for ``name`` at ``factor`` x its default scale.
 
     ``factor < 1`` shrinks runs for quick benchmarking; workload-specific

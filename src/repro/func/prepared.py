@@ -1,10 +1,8 @@
 """Columnar prepared traces: derive per-record facts once, sweep many configs.
 
 Every paper result is a sweep — Figure 8 alone times dozens of machine
-configurations over the *same* dynamic traces — yet the timing model used
-to re-walk a Python list of 6-tuples and re-derive config-independent
-facts (kind classes, cache-line indices) for every single configuration.
-:class:`PreparedTrace` is the columnar fix:
+configurations over the *same* dynamic traces — so the timing models
+consume one trace representation, :class:`PreparedTrace`:
 
 * the six record fields held as numpy ``int64`` columns (one ``(n, 6)``
   array, possibly memory-mapped straight out of the trace cache),
@@ -16,14 +14,10 @@ facts (kind classes, cache-line indices) for every single configuration.
   lists (fast C-level indexed access, no per-config tuple unpacking and
   no per-record ``frozenset`` membership tests).
 
-Preparation is **semantics-preserving**: a :class:`PreparedTrace` behaves
-like the ``list[TraceRecord]`` it was built from (``len``, indexing,
-iteration, equality all yield the same records), and
-:meth:`AuroraProcessor.run <repro.core.processor.AuroraProcessor.run>`
-produces byte-identical :class:`~repro.core.stats.SimStats` on either
-representation — ``tests/test_prepared.py`` asserts this over both
-benchmark suites and CI byte-diffs whole experiment reports across the
-two paths (see docs/MODELING.md and docs/PERFORMANCE.md).
+A :class:`PreparedTrace` behaves like the ``list[TraceRecord]`` it was
+built from (``len``, indexing, iteration, equality all yield the same
+records).  The public entry points still accept plain record lists and
+convert them with :func:`as_prepared` (see docs/MODELING.md).
 """
 
 from __future__ import annotations
@@ -239,14 +233,34 @@ def prepare_trace(
     return prepared
 
 
+def as_prepared(
+    trace: "Sequence[TraceRecord] | PreparedTrace",
+) -> PreparedTrace:
+    """Entry-point boundary: pass prepared traces through; record-check
+    anything else with :func:`~repro.robustness.validation.validate_trace`
+    (so a bad record is named, not a numpy shape error), then prepare it.
+    """
+    if isinstance(trace, PreparedTrace):
+        return trace
+    from repro.robustness.validation import validate_trace
+
+    validate_trace(trace)
+    return prepare_trace(trace)
+
+
 def compute_stats_prepared(
     trace: PreparedTrace, line_size: int = 32
 ) -> TraceStats:
     """Vectorized :func:`repro.func.trace.compute_stats` over the columns.
 
-    Exactly equal to the record-loop implementation on the same trace —
-    ``tests/test_prepared.py`` asserts the equivalence over both suites.
+    ``tests/test_prepared.py`` holds it to exact equality with a
+    record-loop oracle over both suites.  Lines are counted by shifting
+    addresses, so ``line_size`` must be a positive power of two.
     """
+    if line_size < 1 or line_size & (line_size - 1):
+        raise ValueError(
+            f"line_size must be a positive power of two, got {line_size!r}"
+        )
     stats = TraceStats(line_size=line_size)
     shift = line_size.bit_length() - 1
     stats.total = len(trace)

@@ -99,35 +99,16 @@ class TraceStats:
 def compute_stats(trace, line_size: int = 32) -> TraceStats:
     """Compute mix and footprint statistics for a trace.
 
-    Accepts a plain ``list[TraceRecord]`` or a
-    :class:`~repro.func.prepared.PreparedTrace`; the prepared form is
-    computed vectorized over its numpy columns (identical results — the
-    regression test in ``tests/test_prepared.py`` holds both
-    implementations to exact equality on both suites).
+    Vectorized over a :class:`~repro.func.prepared.PreparedTrace`'s
+    columns; a plain ``list[TraceRecord]`` is record-checked and
+    prepared first.  Raises :class:`ValueError` unless ``line_size`` is a
+    positive power of two.
     """
     from repro.func import prepared as _prepared
 
-    if isinstance(trace, _prepared.PreparedTrace):
-        return _prepared.compute_stats_prepared(trace, line_size)
-    stats = TraceStats(line_size=line_size)
-    by_kind: dict[int, int] = {}
-    code_lines: set[int] = set()
-    data_lines: set[int] = set()
-    shift = line_size.bit_length() - 1
-    taken = 0
-    for pc, kind, _dst, _s1, _s2, addr in trace:
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        code_lines.add(pc >> shift)
-        if kind in _MEMORY_KINDS and kind != int(Kind.FP_MOVE):
-            data_lines.add(addr >> shift)
-        elif kind in _CONTROL_KINDS and addr:
-            taken += 1
-    stats.total = len(trace)
-    stats.by_kind = {Kind(k): v for k, v in by_kind.items()}
-    stats.taken_branches = taken
-    stats.unique_code_lines = len(code_lines)
-    stats.unique_data_lines = len(data_lines)
-    return stats
+    return _prepared.compute_stats_prepared(
+        _prepared.as_prepared(trace), line_size
+    )
 
 
 #: On-disk trace archive format version (bump on incompatible layout change).

@@ -329,8 +329,9 @@ def plant_stale_v1(v2_path: str | pathlib.Path) -> pathlib.Path | None:
     """Write a stale (valid but outdated) v1 archive next to a v2 entry.
 
     The v1 trace is a tiny well-formed NOP trace that is *wrong* for the
-    workload — if the cache ever preferred it over the v2 entry, the
-    sweep's numbers would silently change.  Tests assert v2 still wins.
+    workload — if the cache ever served it, the sweep's numbers would
+    silently change.  The cache never reads legacy archives; tests
+    assert the archive is not served even when the v2 entry is corrupt.
     """
     from repro.func.trace import save_trace
 

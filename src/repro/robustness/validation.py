@@ -23,7 +23,7 @@ garbage-in paths the experiment layer feeds the simulator:
   ``scaled_trace``.
 * **Environment** — :func:`validate_environment` eagerly checks every
   ``REPRO_*`` switch the sweep stack reads, so a typo like
-  ``REPRO_TRACE_PATH=prepard`` fails at CLI startup with a field-named
+  ``REPRO_SIM_KERNEL=batchd`` fails at CLI startup with a field-named
   usage error instead of mid-sweep (or worse, silently falling back).
 """
 
@@ -184,8 +184,7 @@ class EnvValidationError(ValueError):
 def validate_environment(environ: Mapping[str, str] | None = None) -> None:
     """Eagerly validate the ``REPRO_*`` switches the sweep stack reads.
 
-    Checked: ``REPRO_TRACE_PATH`` (trace representation),
-    ``REPRO_TRACE_MEMO_MAX`` (in-memory trace-memo bound),
+    Checked: ``REPRO_TRACE_MEMO_MAX`` (in-memory trace-memo bound),
     ``REPRO_SIM_KERNEL`` (simulation kernel), ``REPRO_TRACE_CACHE`` /
     ``REPRO_TRACE_CACHE_VERIFY`` (on/off switches),
     ``REPRO_TRACE_CACHE_DIR`` (must not name an existing
@@ -199,13 +198,6 @@ def validate_environment(environ: Mapping[str, str] | None = None) -> None:
 
     env = os.environ if environ is None else environ
     problems: list[str] = []
-
-    trace_path = env.get(registry.ENV_TRACE_PATH, "")
-    if trace_path and trace_path.lower() not in ("prepared", "tuples"):
-        problems.append(
-            f"{registry.ENV_TRACE_PATH}={trace_path!r}: "
-            "expected 'prepared' or 'tuples'"
-        )
 
     try:
         registry.trace_memo_max(env)

@@ -22,19 +22,18 @@ Document format (``version`` 1)::
 
 Comparisons are only meaningful between like runs, so ``compare``
 refuses to judge a record against a baseline with a different
-``(workload, factor, config, trace_path, kernel, mode)`` key — a
-changed sweep is a new series, not a regression.  Several fields are
-optional for compatibility with records written before they existed:
-``trace_path`` ("prepared" | "tuples", which trace representation the
-simulator consumed; absent means "tuples", the only path that existed
-then), ``kernel`` ("scalar" | "batched", which simulation kernel ran;
-absent means "scalar"), and ``mode`` ("simulate" | "serve" |
-"explore"; absent means "simulate").  Serve-mode records come from
+``(workload, factor, config, kernel, mode)`` key — a changed sweep is a
+new series, not a regression.  Several fields are optional for
+compatibility with records written before they existed: ``kernel``
+("scalar" | "batched", which simulation kernel ran; absent means
+"scalar") and ``mode`` ("simulate" | "serve" | "explore"; absent means
+"simulate").  Serve-mode records come from
 ``aurora-sim loadgen`` driving the live query service and additionally
 carry ``requests_per_second`` / ``latency_p50_ms`` / ``latency_p99_ms``;
 explore-mode records come from ``aurora-sim explore`` and additionally
 carry ``configs_considered`` / ``configs_simulated`` /
-``model_mean_rel_error``.
+``model_mean_rel_error``.  Keys outside the schema are ignored, so
+older records that still carry a ``trace_path`` tag load unchanged.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ _SCHEMA: dict[str, tuple[type, ...]] = {
 #: Optional fields (absent in pre-existing records): name -> (accepted
 #: types, allowed values or None).
 _OPTIONAL_SCHEMA: dict[str, tuple[tuple[type, ...], tuple | None]] = {
-    "trace_path": ((str,), ("prepared", "tuples")),
     "kernel": ((str,), ("scalar", "batched")),
     "mode": ((str,), ("simulate", "serve", "explore")),
     "requests_per_second": ((int, float), None),
@@ -82,9 +80,6 @@ _OPTIONAL_SCHEMA: dict[str, tuple[tuple[type, ...], tuple | None]] = {
     "model_mean_rel_error": ((int, float), None),
 }
 
-#: What an absent ``trace_path`` means: every record written before the
-#: field existed came from the plain record-list path.
-LEGACY_TRACE_PATH = "tuples"
 #: What an absent ``kernel`` means: every record written before the
 #: field existed came from the scalar timing loop.
 LEGACY_KERNEL = "scalar"
@@ -94,7 +89,6 @@ LEGACY_MODE = "simulate"
 
 #: Series-key fields whose absence has a defined legacy meaning.
 _LEGACY_DEFAULTS = {
-    "trace_path": LEGACY_TRACE_PATH,
     "kernel": LEGACY_KERNEL,
     "mode": LEGACY_MODE,
 }
@@ -289,11 +283,10 @@ class PerfHistory:
 
         Raises :class:`BaselineError` when no baseline is stored or when
         the baseline belongs to a different (workload, factor, config,
-        trace_path, kernel, mode) series — in particular, a prepared-
-        path run is never judged against a tuple-path baseline, nor a
-        batched-kernel run against a scalar one, nor a serve-mode load
-        run against a simulate-mode profile (or vice versa): those
-        series have different throughput by design.
+        kernel, mode) series — in particular, a batched-kernel run is
+        never judged against a scalar one, nor a serve-mode load run
+        against a simulate-mode profile (or vice versa): those series
+        have different throughput by design.
         """
         if not 0 < threshold < 1:
             raise BaselineError(
@@ -307,16 +300,14 @@ class PerfHistory:
                 "'aurora-sim perf --seed-baseline' first"
             )
         mismatched = []
-        for key in (
-            "workload", "factor", "config", "trace_path", "kernel", "mode",
-        ):
+        for key in ("workload", "factor", "config", "kernel", "mode"):
             legacy = _LEGACY_DEFAULTS.get(key)
             mine = record.get(key, legacy)
             theirs = baseline.get(key, legacy)
             if mine != theirs:
                 mismatched.append((key, theirs, mine))
         if mismatched:
-            # Name *every* offending axis — with six series keys, naming
+            # Name *every* offending axis — with five series keys, naming
             # only the first made "which axis mismatched" a guessing game.
             detail = "; ".join(
                 f"baseline is for {key}={theirs!r} but this run has "

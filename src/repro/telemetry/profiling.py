@@ -142,12 +142,8 @@ class PerfReport:
     trace_seconds: float
     cache_hits: int
     cache_misses: int
-    #: Trace representation the simulator consumed: "prepared" (columnar)
-    #: or "tuples" (plain record lists).  Part of the perf-history series
-    #: key — throughput across the two paths is not comparable.
-    trace_path: str = "prepared"
-    #: Simulation kernel that ran: "scalar" or "batched".  Also part of
-    #: the perf-history series key (see telemetry.baseline's schema note:
+    #: Simulation kernel that ran: "scalar" or "batched".  Part of the
+    #: perf-history series key (see telemetry.baseline's schema note:
     #: records written before this field existed mean "scalar").
     kernel: str = "scalar"
     phase_fractions: dict[str, float] = field(default_factory=dict)
@@ -186,7 +182,6 @@ class PerfReport:
             "instructions_per_second": self.instructions_per_second,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "trace_path": self.trace_path,
             "kernel": self.kernel,
         }
 
@@ -194,7 +189,7 @@ class PerfReport:
         lines = [
             f"perf: {self.workload} @ factor {self.factor:g} "
             f"on {self.config_label} "
-            f"[{self.trace_path} trace path, {self.kernel} kernel]",
+            f"[{self.kernel} kernel]",
             f"  instructions        {self.instructions:>14,}",
             f"  simulated cycles    {self.sim_cycles:>14,}",
             f"  simulate wall       {self.wall_seconds:>14.3f} s"
@@ -233,19 +228,16 @@ def profile_workload(
     sample: bool = True,
     use_cprofile: bool = False,
     top: int = DEFAULT_TOP,
-    trace_path: str = "prepared",
     kernel: str | None = None,
 ) -> PerfReport:
     """Profile one timing-simulation run of ``name`` at ``factor``.
 
     Trace acquisition (build or cache load) is timed separately and
     excluded from throughput; the phase sampler and the optional
-    cProfile wrap only the simulation call.  ``trace_path`` selects the
-    representation fed to the simulator: ``"prepared"`` (the columnar
-    default) or ``"tuples"`` (the plain record-list path, for measuring
-    the columnar speedup).  ``kernel`` selects the simulation kernel
-    (``"scalar"`` | ``"batched"``; ``None`` follows ``REPRO_SIM_KERNEL``)
-    — the history record tags the run so the two series never compare.
+    cProfile wrap only the simulation call.  ``kernel`` selects the
+    simulation kernel (``"scalar"`` | ``"batched"``; ``None`` follows
+    ``REPRO_SIM_KERNEL``) — the history record tags the run so the two
+    series never compare.
     """
     # Local imports: the telemetry package must stay importable from the
     # modules this profiles (processor, trace cache) without a cycle.
@@ -253,25 +245,13 @@ def profile_workload(
     from repro.core.processor import simulate_trace
     from repro.experiments.common import scaled_trace
     from repro.telemetry import tracing
-    from repro.workloads import registry, trace_cache
+    from repro.workloads import trace_cache
 
-    if trace_path not in ("prepared", "tuples"):
-        raise ValueError(
-            f"trace_path must be 'prepared' or 'tuples', got {trace_path!r}"
-        )
     kernel_obj = get_kernel(kernel)
     base_hits, base_misses = trace_cache.snapshot()
     trace_started = time.perf_counter()
-    previous_mode = os.environ.get(registry.ENV_TRACE_PATH)
-    os.environ[registry.ENV_TRACE_PATH] = trace_path
-    try:
-        with tracing.span("trace_acquire", "trace", workload=name):
-            trace = scaled_trace(name, factor)
-    finally:
-        if previous_mode is None:
-            os.environ.pop(registry.ENV_TRACE_PATH, None)
-        else:
-            os.environ[registry.ENV_TRACE_PATH] = previous_mode
+    with tracing.span("trace_acquire", "trace", workload=name):
+        trace = scaled_trace(name, factor)
     trace_seconds = time.perf_counter() - trace_started
     hits, misses = trace_cache.snapshot()
 
@@ -322,7 +302,6 @@ def profile_workload(
         trace_seconds=trace_seconds,
         cache_hits=hits - base_hits,
         cache_misses=misses - base_misses,
-        trace_path=trace_path,
         kernel=kernel_obj.name,
         phase_fractions=sampler.fractions() if sampler else {},
         phase_samples=sampler.total_samples if sampler else 0,

@@ -12,10 +12,6 @@ the memo sits the persistent disk tier of
 process-pool workers) memory-map traces instead of re-running the
 functional simulator.  Lookup order: memory -> disk -> build (and
 populate both).
-
-``REPRO_TRACE_PATH=tuples`` forces :func:`get_trace` to hand out plain
-``list[TraceRecord]`` traces instead (the pre-columnar representation);
-CI uses it to byte-diff whole experiment sweeps across the two paths.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from typing import Callable
 
 from repro.func.machine import run_program
 from repro.func.prepared import PreparedTrace, prepare_trace
-from repro.func.trace import TraceRecord
 from repro.isa.program import Program
 from repro.workloads import trace_cache
 
@@ -59,26 +54,20 @@ class WorkloadSpec:
 
 
 _REGISTRY: dict[str, WorkloadSpec] = {}
-#: (name, scale, representation) -> trace, LRU-ordered (least recently
-#: used first).  The representation key keeps the prepared and tuple
-#: forms from shadowing each other when ``REPRO_TRACE_PATH`` flips
-#: mid-process (tests do this).  The memo is *bounded*: sweep processes
-#: touch a handful of (name, scale) pairs and never noticed, but the
-#: long-lived ``aurora-sim serve`` workers would otherwise accumulate
-#: one multi-megabyte prepared trace per distinct query shape for the
-#: life of the process.  Evictions only drop the in-memory tier — the
+#: (name, scale) -> prepared trace, LRU-ordered (least recently used
+#: first).  The memo is *bounded*: sweep processes touch a handful of
+#: (name, scale) pairs and never noticed, but the long-lived
+#: ``aurora-sim serve`` workers would otherwise accumulate one
+#: multi-megabyte prepared trace per distinct query shape for the life
+#: of the process.  Evictions only drop the in-memory tier — the
 #: disk cache still answers the next ``get_trace`` with an mmap load.
-_TRACE_CACHE: "OrderedDict[tuple[str, int, str], PreparedTrace | list[TraceRecord]]" = (
-    OrderedDict()
-)
+_TRACE_CACHE: "OrderedDict[tuple[str, int], PreparedTrace]" = OrderedDict()
 
-#: Environment toggle: "prepared" (default) or "tuples".
-ENV_TRACE_PATH = "REPRO_TRACE_PATH"
 #: Environment override for the in-memory trace-memo bound.
 ENV_TRACE_MEMO_MAX = "REPRO_TRACE_MEMO_MAX"
-#: Default memo bound: generous for sweeps (the full 15-workload
-#: two-representation matrix fits), small enough that a serve worker
-#: answering diverse (workload, scale) queries stays bounded.
+#: Default memo bound: generous for sweeps (all 15 workloads at two
+#: scales fit), small enough that a serve worker answering diverse
+#: (workload, scale) queries stays bounded.
 DEFAULT_TRACE_MEMO_MAX = 32
 
 #: Process-wide memo accounting (mirrors validation_snapshot()):
@@ -92,8 +81,7 @@ _MEMO_EVICTIONS = 0
 def trace_memo_max(environ=None) -> int:
     """The active trace-memo bound (``REPRO_TRACE_MEMO_MAX`` or default).
 
-    Raises :class:`ValueError` naming the variable for unusable values,
-    the same eager-validation contract as ``REPRO_TRACE_PATH``.
+    Raises :class:`ValueError` naming the variable for unusable values.
     """
     env = os.environ if environ is None else environ
     raw = env.get(ENV_TRACE_MEMO_MAX, "")
@@ -115,16 +103,6 @@ def trace_memo_max(environ=None) -> int:
 def memo_snapshot() -> tuple[int, int, int]:
     """(memory hits, misses, LRU evictions) of the trace memo so far."""
     return (_MEMO_HITS, _MEMO_MISSES, _MEMO_EVICTIONS)
-
-
-def trace_path_mode() -> str:
-    """The active trace representation ("prepared" or "tuples")."""
-    mode = os.environ.get(ENV_TRACE_PATH, "prepared").lower() or "prepared"
-    if mode not in ("prepared", "tuples"):
-        raise ValueError(
-            f"{ENV_TRACE_PATH} must be 'prepared' or 'tuples', got {mode!r}"
-        )
-    return mode
 
 
 class WorkloadError(KeyError):
@@ -176,22 +154,19 @@ def build_program(name: str, scale: int | None = None) -> Program:
     return spec.builder(scale if scale is not None else spec.default_scale)
 
 
-def get_trace(
-    name: str, scale: int | None = None
-) -> "PreparedTrace | list[TraceRecord]":
+def get_trace(name: str, scale: int | None = None) -> PreparedTrace:
     """Dynamic trace for the named kernel (memory -> disk -> build).
 
-    Returns a columnar :class:`~repro.func.prepared.PreparedTrace`
-    (prepared once per process and shared by every configuration that
-    sweeps it), or a plain record list under ``REPRO_TRACE_PATH=tuples``.
+    Returns a columnar :class:`~repro.func.prepared.PreparedTrace`,
+    prepared once per process and shared by every configuration that
+    sweeps it.
     """
     from repro.telemetry import tracing
 
     global _MEMO_HITS, _MEMO_MISSES, _MEMO_EVICTIONS
     spec = get_spec(name)
     effective = scale if scale is not None else spec.default_scale
-    mode = trace_path_mode()
-    key = (name, effective, mode)
+    key = (name, effective)
     trace = _TRACE_CACHE.get(key)
     if trace is not None:
         _MEMO_HITS += 1
@@ -202,10 +177,10 @@ def get_trace(
     with tracing.span(
         "cache_lookup", "trace", workload=name, scale=effective
     ) as lookup_span:
-        prepared = disk.load(name, effective)
+        trace = disk.load(name, effective)
         if lookup_span is not None:
-            lookup_span.annotate(hit=prepared is not None)
-    if prepared is None:
+            lookup_span.annotate(hit=trace is not None)
+    if trace is None:
         with tracing.span(
             "trace_build", "trace", workload=name, scale=effective
         ):
@@ -213,8 +188,7 @@ def get_trace(
             result = run_program(program, max_instructions=50_000_000)
             records = result.trace
             disk.store(name, effective, records)
-        prepared = prepare_trace(records, workload=name, source="build")
-    trace = prepared.to_records() if mode == "tuples" else prepared
+        trace = prepare_trace(records, workload=name, source="build")
     _TRACE_CACHE[key] = trace
     bound = trace_memo_max()
     while len(_TRACE_CACHE) > bound:
@@ -228,15 +202,11 @@ def clear_trace_cache() -> None:
     _TRACE_CACHE.clear()
 
 
-def integer_traces(
-    scale: int | None = None,
-) -> "dict[str, PreparedTrace | list[TraceRecord]]":
+def integer_traces(scale: int | None = None) -> dict[str, PreparedTrace]:
     """Traces for the whole integer suite, in paper order."""
     return {name: get_trace(name, scale) for name in INTEGER_SUITE}
 
 
-def fp_traces(
-    scale: int | None = None,
-) -> "dict[str, PreparedTrace | list[TraceRecord]]":
+def fp_traces(scale: int | None = None) -> dict[str, PreparedTrace]:
     """Traces for the whole FP suite, in paper order."""
     return {name: get_trace(name, scale) for name in FP_SUITE}

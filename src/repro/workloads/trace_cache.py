@@ -17,12 +17,10 @@ inflate before the first record is touched), and parallel sweep workers
 share the file's pages through the OS page cache instead of each
 holding a private decompressed copy.
 
-Format v1 (legacy).  Compressed ``.npz`` archives written by
-:func:`repro.func.trace.save_trace`.  A v1 entry found where no v2
-exists is **transparently rebuilt**: loaded once, rewritten as v2, and
-the v1 file deleted — counted as a hit (``v1_rebuilds`` tracks the
-migration).  A v1 file that fails to load is deleted and counted as a
-miss, exactly like any corrupt entry.
+Legacy archives.  The earlier compressed ``.npz`` format is never read:
+a lookup consults only the v2 entry, so a leftover archive can neither
+answer a miss nor shadow a corrupt v2 entry.  Archives still match the
+eviction and :meth:`TraceCache.clear` globs, so they are reaped.
 
 Invalidation key.  The 16-hex fingerprint in the file name hashes every
 ``.py`` source file of the packages that determine trace content —
@@ -82,7 +80,6 @@ from repro.func.trace import (
     TraceIOError,
     TraceRecord,
     file_crc32,
-    load_trace,
     load_trace_array,
     save_trace_array,
 )
@@ -107,7 +104,8 @@ _OFF_VALUES = ("0", "off", "no", "false", "disabled")
 #: validation rejects anything outside either list).
 _ON_VALUES = ("1", "on", "yes", "true", "enabled")
 
-#: Glob patterns covering every cache generation (eviction, clear).
+#: Glob patterns covering every cache generation (eviction, clear) —
+#: legacy ``.npz`` archives are never read, but they are still reaped.
 _ENTRY_PATTERNS = ("*.npz", "*.npy")
 #: Subdirectory where checksum-failed entries are parked for forensics.
 QUARANTINE_DIR = "quarantine"
@@ -150,13 +148,12 @@ class TraceCache:
     ``hits`` / ``misses`` / ``stores`` count disk lookups in this
     process; the experiment runner snapshots them around each experiment
     so cache behaviour is visible in its :class:`RunReport`.
-    ``mmap_loads`` counts v2 entries served straight off a memory map,
-    and ``v1_rebuilds`` counts legacy entries migrated to v2 on contact
-    — CI's warm-cache check asserts a warm sweep is all mmap loads and
-    zero rebuilds.  The health counters (``degraded`` stores,
-    ``checksum_failures``, ``quarantined`` entries, ``mmap_fallbacks``
-    served eagerly after an mmap failure) feed the runner's
-    ``runner.cache_*`` degradation metrics.
+    ``mmap_loads`` counts v2 entries served straight off a memory map —
+    CI's warm-cache check asserts a warm sweep is all mmap loads.  The
+    health counters (``degraded`` stores, ``checksum_failures``,
+    ``quarantined`` entries, ``mmap_fallbacks`` served eagerly after an
+    mmap failure) feed the runner's ``runner.cache_*`` degradation
+    metrics.
     """
 
     def __init__(
@@ -177,7 +174,6 @@ class TraceCache:
         self.misses = 0
         self.stores = 0
         self.mmap_loads = 0
-        self.v1_rebuilds = 0
         self.degraded = 0
         self.checksum_failures = 0
         self.quarantined = 0
@@ -191,10 +187,6 @@ class TraceCache:
     def path_for(self, name: str, scale: int) -> pathlib.Path:
         """Current-format (v2) entry path."""
         return self.root / f"{name}-s{scale}-{trace_fingerprint()}.v2.npy"
-
-    def v1_path_for(self, name: str, scale: int) -> pathlib.Path:
-        """Legacy compressed-archive (v1) entry path."""
-        return self.root / f"{name}-s{scale}-{trace_fingerprint()}.npz"
 
     @staticmethod
     def sidecar_for(path: pathlib.Path) -> pathlib.Path:
@@ -292,9 +284,9 @@ class TraceCache:
         A disabled cache always misses.  A checksum-failed entry is
         quarantined and counted as a miss; an entry that maps but fails
         numpy validation falls back to an eager load, and only if that
-        fails too is it quarantined.  A legacy v1 entry is migrated to
-        v2 on contact and counted as a hit.  A filesystem fault here
-        (injected or real) degrades to a miss — the trace is rebuilt.
+        fails too is it quarantined.  Legacy ``.npz`` archives are never
+        read.  A filesystem fault here (injected or real) degrades to a
+        miss — the trace is rebuilt.
         """
         if not self.enabled:
             self.misses += 1
@@ -325,27 +317,6 @@ class TraceCache:
                 self.hits += 1
                 self.mmap_loads += 1
                 return prepare_trace(array, workload=name, source="mmap")
-        v1_path = self.v1_path_for(name, scale)
-        if v1_path.exists():
-            try:
-                records = load_trace(v1_path)
-            except TraceIOError:
-                try:
-                    v1_path.unlink()
-                except OSError:
-                    pass
-                self.misses += 1
-                return None
-            # Transparent migration: rewrite as v2, drop the archive.
-            prepared = prepare_trace(records, workload=name, source="v1")
-            self.store(name, scale, prepared)
-            try:
-                v1_path.unlink()
-            except OSError:
-                pass
-            self.hits += 1
-            self.v1_rebuilds += 1
-            return prepared
         self.misses += 1
         return None
 

@@ -206,14 +206,30 @@ class TestCacheIntegrity:
         assert reader.load("w", 4) is None
         assert reader.checksum_failures == 1
 
-    def test_stale_v1_never_shadows_v2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage", ["intact", "bitflip_file", "truncate_file"]
+    )
+    def test_stale_v1_never_shadows_v2(self, tmp_path, damage):
+        # A legacy archive carrying the current fingerprint must never be
+        # served: not beside an intact v2 entry, and not as a fallback
+        # when that entry fails its checksum.
         cache = TraceCache(tmp_path)
-        original = _array(seed=9)
+        original = _array(seed=9, records=5000)
         cache.store("w", 4, original)
-        v1 = chaos.plant_stale_v1(cache.path_for("w", 4))
+        path = cache.path_for("w", 4)
+        v1 = chaos.plant_stale_v1(path)
         assert v1 is not None and v1.exists()
-        loaded = TraceCache(tmp_path).load("w", 4)
-        assert np.array_equal(np.asarray(loaded.array), original)
+        if damage != "intact":
+            assert getattr(chaos, damage)(path, seed=3)
+        reader = TraceCache(tmp_path)
+        loaded = reader.load("w", 4)
+        if damage == "intact":
+            assert np.array_equal(np.asarray(loaded.array), original)
+            assert reader.checksum_failures == 0
+        else:
+            assert loaded is None
+            assert reader.checksum_failures == 1
+            assert reader.hits == 0 and reader.misses == 1
 
     def test_legacy_entry_gets_sidecar_backfilled(self, tmp_path):
         cache = TraceCache(tmp_path)
@@ -668,14 +684,14 @@ class TestEnvValidation:
     def test_clean_environment_passes(self):
         validate_environment({})
 
-    def test_unknown_trace_path_named(self):
-        with pytest.raises(EnvValidationError, match="REPRO_TRACE_PATH"):
-            validate_environment({"REPRO_TRACE_PATH": "prepard"})
+    def test_unknown_kernel_named(self):
+        with pytest.raises(EnvValidationError, match="REPRO_SIM_KERNEL"):
+            validate_environment({"REPRO_SIM_KERNEL": "batchd"})
 
     def test_defaults_and_valid_values_pass(self):
         validate_environment(
             {
-                "REPRO_TRACE_PATH": "tuples",
+                "REPRO_SIM_KERNEL": "batched",
                 "REPRO_TRACE_CACHE": "off",
                 "REPRO_TRACE_CACHE_VERIFY": "1",
                 "REPRO_TRACE_CACHE_DIR": "/tmp/somewhere-new",
@@ -686,14 +702,14 @@ class TestEnvValidation:
         with pytest.raises(EnvValidationError) as caught:
             validate_environment(
                 {
-                    "REPRO_TRACE_PATH": "bogus",
+                    "REPRO_SIM_KERNEL": "bogus",
                     "REPRO_TRACE_CACHE": "maybe",
                     "REPRO_TRACE_CACHE_DIR": "  ",
                 }
             )
         message = str(caught.value)
         for name in (
-            "REPRO_TRACE_PATH",
+            "REPRO_SIM_KERNEL",
             "REPRO_TRACE_CACHE",
             "REPRO_TRACE_CACHE_DIR",
         ):
@@ -708,9 +724,9 @@ class TestEnvValidation:
     def test_run_all_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.run_all import main as run_all_main
 
-        monkeypatch.setenv("REPRO_TRACE_PATH", "bogus")
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "bogus")
         assert run_all_main(["--only", "fig1"]) == EXIT_USAGE
-        assert "REPRO_TRACE_PATH" in capsys.readouterr().err
+        assert "REPRO_SIM_KERNEL" in capsys.readouterr().err
 
     def test_aurora_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.cli import main as cli_main

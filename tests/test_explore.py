@@ -303,7 +303,6 @@ class TestCrossSeriesRefusal:
             "instructions_per_second": 2000.0,
             "cache_hits": 1,
             "cache_misses": 0,
-            "trace_path": "prepared",
             "kernel": "batched",
             "mode": "explore",
         }

@@ -2,10 +2,11 @@
 
 The contract under test is the one docs/MODELING.md states: columnar
 preparation is *semantics-preserving*.  A prepared trace must behave like
-the record list it came from (sequence protocol), the timing model must
-produce byte-identical SimStats on either representation, and the
-vectorized ``compute_stats`` must exactly match the record-loop
-implementation — across every workload in both suites.
+the record list it came from (sequence protocol), the public entry points
+must produce byte-identical SimStats whether handed the prepared trace or
+the plain record list (which they prepare at the boundary), and the
+vectorized ``compute_stats`` must exactly match a record-loop oracle —
+across every workload in both suites.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import baseline_model, large_model, small_model
-from repro.core.processor import simulate_trace
+from repro.core.kernel import simulate_many
+from repro.core.processor import AuroraProcessor, simulate_trace
 from repro.experiments.common import scaled_trace
 from repro.func.prepared import (
     PreparedTrace,
@@ -22,8 +24,14 @@ from repro.func.prepared import (
     prepare_snapshot,
     prepare_trace,
 )
-from repro.func.trace import compute_stats
+from repro.func.trace import (
+    _CONTROL_KINDS,
+    _MEMORY_KINDS,
+    TraceStats,
+    compute_stats,
+)
 from repro.isa.instructions import Kind
+from repro.robustness.validation import TraceValidationError
 from repro.workloads import registry
 from repro.workloads.registry import FP_SUITE, INTEGER_SUITE
 
@@ -86,12 +94,36 @@ def test_simstats_identical_on_synthetic_traces(counting_trace, streaming_trace)
 # ----------------------------------------------------- stats regression
 
 
+def _loop_compute_stats(trace, line_size: int = 32) -> TraceStats:
+    """Record-loop oracle for the vectorized compute_stats."""
+    stats = TraceStats(line_size=line_size)
+    by_kind: dict[int, int] = {}
+    code_lines: set[int] = set()
+    data_lines: set[int] = set()
+    shift = line_size.bit_length() - 1
+    taken = 0
+    for pc, kind, _dst, _s1, _s2, addr in trace:
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        code_lines.add(pc >> shift)
+        if kind in _MEMORY_KINDS and kind != int(Kind.FP_MOVE):
+            data_lines.add(addr >> shift)
+        elif kind in _CONTROL_KINDS and addr:
+            taken += 1
+    stats.total = len(trace)
+    stats.by_kind = {Kind(k): v for k, v in by_kind.items()}
+    stats.taken_branches = taken
+    stats.unique_code_lines = len(code_lines)
+    stats.unique_data_lines = len(data_lines)
+    return stats
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_compute_stats_vectorized_matches_loop(name):
-    """Satellite: vectorized compute_stats == loop compute_stats."""
+    """Satellite: vectorized compute_stats == the record-loop oracle."""
     prepared = scaled_trace(name, FACTOR)
     records = prepared.to_records()
-    assert compute_stats(prepared) == compute_stats(records)
+    assert compute_stats(prepared) == _loop_compute_stats(records)
+    assert compute_stats(records) == _loop_compute_stats(records)
 
 
 def test_compute_stats_dispatches_to_vectorized(monkeypatch):
@@ -115,6 +147,33 @@ def test_compute_stats_empty_and_nondefault_line_size():
     assert compute_stats(prepare_trace(records), line_size=64) == compute_stats(
         records, line_size=64
     )
+
+
+@pytest.mark.parametrize("line_size", [0, -32, 48])
+@pytest.mark.parametrize("form", ["list", "prepared"])
+def test_compute_stats_rejects_non_power_of_two_line_size(line_size, form):
+    records = _tiny_records()
+    trace = records if form == "list" else prepare_trace(records)
+    with pytest.raises(ValueError, match=f"line_size.*{line_size}"):
+        compute_stats(trace, line_size=line_size)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda trace: simulate_trace(trace, baseline_model()),
+        lambda trace: AuroraProcessor(baseline_model()).run(trace),
+        lambda trace: simulate_many(trace, [baseline_model()]),
+        compute_stats,
+    ],
+    ids=["simulate_trace", "run", "simulate_many", "compute_stats"],
+)
+def test_entry_points_name_bad_list_record(entry):
+    """Plain lists are record-checked before they are prepared."""
+    records = _tiny_records()
+    records[2] = (4104, int(Kind.BRANCH), -1, 11)
+    with pytest.raises(TraceValidationError, match="record 2"):
+        entry(records)
 
 
 def test_compute_stats_counts_on_tiny_trace():
@@ -237,21 +296,3 @@ class TestPrepare:
 class TestRegistryTracePath:
     def test_default_returns_prepared(self):
         assert isinstance(registry.get_trace("sc", 7), PreparedTrace)
-
-    def test_tuples_mode_returns_records(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_TRACE_PATH, "tuples")
-        registry.clear_trace_cache()
-        try:
-            trace = registry.get_trace("sc", 7)
-            assert isinstance(trace, list)
-            assert trace and isinstance(trace[0], tuple)
-            monkeypatch.delenv(registry.ENV_TRACE_PATH)
-            registry.clear_trace_cache()
-            assert registry.get_trace("sc", 7) == trace
-        finally:
-            registry.clear_trace_cache()
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_TRACE_PATH, "rows")
-        with pytest.raises(ValueError, match="REPRO_TRACE_PATH"):
-            registry.get_trace("sc", 7)

@@ -100,31 +100,22 @@ class TestTraceCache:
         assert list(tmp_path.glob("*.npz")) == []
 
 
+def _legacy_path(cache, name, scale):
+    """Where the retired compressed-archive format kept an entry."""
+    return cache.root / f"{name}-s{scale}-{trace_fingerprint()}.npz"
+
+
 class TestCacheMigration:
-    """Format v1 -> v2 migration and v2 self-healing."""
+    """Legacy archives are never read; v2 entries self-heal."""
 
-    def test_v1_entry_is_read_and_rebuilt_as_v2(self, tmp_path):
+    def test_lone_legacy_archive_is_a_miss_and_left_on_disk(self, tmp_path):
         cache = TraceCache(tmp_path)
-        v1 = cache.v1_path_for("sc", 8)
-        v1.parent.mkdir(parents=True, exist_ok=True)
-        save_trace(str(v1), _trace())
-        loaded = cache.load("sc", 8)
-        assert loaded == _trace()  # served without error, counted a hit
-        assert cache.hits == 1 and cache.v1_rebuilds == 1
-        assert not v1.exists()  # archive replaced by ...
-        assert cache.path_for("sc", 8).exists()  # ... a v2 entry
-        # The rebuilt entry round-trips through the mmap path.
-        assert cache.load("sc", 8) == _trace()
-        assert cache.mmap_loads == 1
-
-    def test_corrupt_v1_entry_is_dropped(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        v1 = cache.v1_path_for("sc", 8)
-        v1.parent.mkdir(parents=True, exist_ok=True)
-        v1.write_bytes(b"not an archive")
+        legacy = _legacy_path(cache, "sc", 8)
+        save_trace(str(legacy), _trace())
         assert cache.load("sc", 8) is None
-        assert not v1.exists()
-        assert cache.misses == 1 and cache.v1_rebuilds == 0
+        assert cache.hits == 0 and cache.misses == 1
+        assert legacy.exists()
+        assert not cache.path_for("sc", 8).exists()
 
     def test_truncated_v2_self_heals(self, tmp_path):
         cache = TraceCache(tmp_path)
@@ -139,19 +130,18 @@ class TestCacheMigration:
 
     def test_v2_preferred_over_stale_v1(self, tmp_path):
         cache = TraceCache(tmp_path)
-        v1 = cache.v1_path_for("sc", 8)
-        v1.parent.mkdir(parents=True, exist_ok=True)
-        save_trace(str(v1), _trace(10))
+        legacy = _legacy_path(cache, "sc", 8)
+        legacy.parent.mkdir(parents=True, exist_ok=True)
+        save_trace(str(legacy), _trace(10))
         cache.store("sc", 8, _trace(20))
         assert len(cache.load("sc", 8)) == 20  # v2 wins
-        assert cache.v1_rebuilds == 0
 
     def test_env_switch_bypasses_both_formats(self, tmp_path, monkeypatch):
         # Populate entries in both formats, then flip the kill switch:
         # neither may be consulted.
         cache = TraceCache(tmp_path)
         cache.store("sc", 8, _trace())
-        save_trace(str(cache.v1_path_for("li", 8)), _trace())
+        save_trace(str(_legacy_path(cache, "li", 8)), _trace())
         monkeypatch.setenv(trace_cache.ENV_SWITCH, "0")
         monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path))
         monkeypatch.setattr(trace_cache, "_default", None)
@@ -159,7 +149,7 @@ class TestCacheMigration:
         assert not disabled.enabled
         assert disabled.load("sc", 8) is None
         assert disabled.load("li", 8) is None
-        assert disabled.v1_path_for("li", 8).exists()  # untouched
+        assert _legacy_path(disabled, "li", 8).exists()  # untouched
 
 
 class TestDefaultCache:

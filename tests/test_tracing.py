@@ -494,32 +494,15 @@ class TestPerfHistory:
         sha = git_sha()
         assert isinstance(sha, str) and sha
 
-    def test_trace_path_field_optional_but_validated(self):
-        validate_record(_record())  # absent is fine (legacy records)
-        validate_record(_record(trace_path="prepared"))
-        validate_record(_record(trace_path="tuples"))
-        with pytest.raises(BaselineError, match="trace_path"):
-            validate_record(_record(trace_path="columns"))
-        with pytest.raises(BaselineError, match="trace_path"):
-            validate_record(_record(trace_path=7))
-
-    def test_compare_refuses_cross_trace_path(self, tmp_path):
+    def test_records_with_retired_trace_path_tag_still_load(self, tmp_path):
+        # Records written while the history had a trace-representation
+        # axis carry a ``trace_path`` tag; it is ignored, not rejected,
+        # and is no longer part of the series key.
         history = PerfHistory(tmp_path / "h.json")
-        history.seed_baseline(_record(trace_path="tuples"))
-        with pytest.raises(BaselineError, match="trace_path"):
-            history.compare(_record(trace_path="prepared"))
-        # Same path compares fine.
-        assert not history.compare(_record(trace_path="tuples")).regressed
-
-    def test_legacy_records_default_to_tuples_path(self, tmp_path):
-        # A baseline written before the field existed is a tuple-path
-        # series: it may be compared against explicit tuple-path runs
-        # but never against prepared-path runs.
-        history = PerfHistory(tmp_path / "h.json")
-        history.seed_baseline(_record())
-        assert not history.compare(_record(trace_path="tuples")).regressed
-        with pytest.raises(BaselineError, match="trace_path"):
-            history.compare(_record(trace_path="prepared"))
+        history.seed_baseline(_record(trace_path="prepared"))
+        history.append(_record(trace_path="tuples"))
+        assert len(history.records()) == 1
+        assert not history.compare(_record()).regressed
 
 
 # --------------------------------------------------------------- profiling
@@ -537,34 +520,10 @@ class TestProfiling:
         assert report.cycles_per_second > 0
         record = report.as_record(git_sha="abc", recorded_at=1.0)
         assert validate_record(record) == record
+        assert "trace_path" not in record
         text = report.render()
         assert "sim-cycles/s" in text
-
-    def test_trace_path_recorded_and_identical_stats(self):
-        prepared = profile_workload(
-            "compress", BASELINE, factor=0.02, sample=False
-        )
-        tuples = profile_workload(
-            "compress",
-            BASELINE,
-            factor=0.02,
-            sample=False,
-            trace_path="tuples",
-        )
-        assert prepared.trace_path == "prepared"
-        assert tuples.trace_path == "tuples"
-        rec = prepared.as_record(git_sha="abc", recorded_at=1.0)
-        assert rec["trace_path"] == "prepared"
-        # Representation changes wall time only, never simulation output.
-        assert prepared.sim_cycles == tuples.sim_cycles
-        assert prepared.instructions == tuples.instructions
-        assert "[tuples trace path, scalar kernel]" in tuples.render()
-
-    def test_trace_path_validated(self):
-        with pytest.raises(ValueError, match="trace_path"):
-            profile_workload(
-                "compress", BASELINE, factor=0.02, trace_path="rows"
-            )
+        assert f"[{report.kernel} kernel]" in text
 
     def test_cprofile_opt_in(self):
         report = profile_workload(
@@ -620,34 +579,6 @@ class TestPerfCli:
         )
         assert code == 3
         assert "REGRESSION" in capsys.readouterr().out
-
-    def test_perf_trace_path_tagged_and_cross_path_check_refused(
-        self, tmp_path, capsys
-    ):
-        history_path = tmp_path / "BENCH_history.json"
-        assert cli.main(
-            [
-                "perf", "compress", "--factor", "0.02", "--no-sample",
-                "--history", str(history_path), "--seed-baseline",
-                "--trace-path", "tuples",
-            ]
-        ) == 0
-        history = PerfHistory(history_path)
-        assert history.records()[0]["trace_path"] == "tuples"
-        assert history.baseline()["trace_path"] == "tuples"
-        capsys.readouterr()
-        # A prepared-path run may append to the history but --check must
-        # refuse to judge it against the tuple-path baseline.
-        code = cli.main(
-            [
-                "perf", "compress", "--factor", "0.02", "--no-sample",
-                "--history", str(history_path), "--check",
-                "--trace-path", "prepared",
-            ]
-        )
-        assert code == 2
-        assert "trace_path" in capsys.readouterr().err
-        assert history.records()[1]["trace_path"] == "prepared"
 
     def test_perf_check_without_baseline_exits_2(self, tmp_path, capsys):
         code = cli.main(
