@@ -44,11 +44,15 @@ class FPUnit(Enum):
     CVT = "cvt"
 
 
+#: Functional units in enum order; unit state is indexed by position.
+_UNITS = tuple(FPUnit)
+_ADD, _MUL, _DIV, _CVT = range(len(_UNITS))
+
 _KIND_TO_UNIT = {
-    int(Kind.FP_ADD): FPUnit.ADD,
-    int(Kind.FP_MUL): FPUnit.MUL,
-    int(Kind.FP_DIV): FPUnit.DIV,
-    int(Kind.FP_CVT): FPUnit.CVT,
+    int(Kind.FP_ADD): _ADD,
+    int(Kind.FP_MUL): _MUL,
+    int(Kind.FP_DIV): _DIV,
+    int(Kind.FP_CVT): _CVT,
 }
 
 
@@ -59,23 +63,23 @@ class DecoupledFPU:
         self.cfg = config
         self.reg_ready = [0] * 32  # FP register availability (forwarded)
         self.cond_ready = 0  # FP condition flag availability
-        self._unit_free = {unit: 0 for unit in FPUnit}
-        self._unit_latency = {
-            FPUnit.ADD: config.add_latency,
-            FPUnit.MUL: config.mul_latency,
-            FPUnit.DIV: config.div_latency,
-            FPUnit.CVT: config.cvt_latency,
-        }
-        self._unit_pipelined = {
-            FPUnit.ADD: config.add_pipelined,
-            FPUnit.MUL: config.mul_pipelined,
-            FPUnit.DIV: False,  # iterative SRT divider, never pipelined
-            FPUnit.CVT: config.cvt_pipelined,
-        }
+        self._unit_free = [0] * len(_UNITS)
+        self._unit_latency = [
+            config.add_latency,
+            config.mul_latency,
+            config.div_latency,
+            config.cvt_latency,
+        ]
+        self._unit_pipelined = [
+            config.add_pipelined,
+            config.mul_pipelined,
+            False,  # iterative SRT divider, never pipelined
+            config.cvt_pipelined,
+        ]
         # In-order issue bookkeeping.
         self._last_issue = -1
         self._issued_this_cycle = 0
-        self._units_this_cycle: set[FPUnit] = set()
+        self._units_this_cycle: set[int] = set()
         self._prev_completion = 0  # for the in-order-completion policy
         # Queue/ROB occupancy as deques of release times.
         self._iq_releases: deque[int] = deque()  # instruction leaves queue
@@ -264,7 +268,7 @@ class DecoupledFPU:
 
     # ------------------------------------------------------------ internals
 
-    def _issue(self, arrive: int, operand_ready: int, unit: FPUnit | None) -> int:
+    def _issue(self, arrive: int, operand_ready: int, unit: int | None) -> int:
         cfg = self.cfg
         floor = arrive if arrive > operand_ready else operand_ready
         if cfg.issue_policy is FPIssuePolicy.IN_ORDER_COMPLETION:
@@ -284,7 +288,7 @@ class DecoupledFPU:
             self.issue_stall_cycles += issue - arrive
         return issue
 
-    def _apply_width_rules(self, floor: int, unit: FPUnit | None) -> int:
+    def _apply_width_rules(self, floor: int, unit: int | None) -> int:
         policy = self.cfg.issue_policy
         if policy is FPIssuePolicy.IN_ORDER_COMPLETION:
             # Serialised anyway; still at most one per cycle.
@@ -304,13 +308,13 @@ class DecoupledFPU:
                 floor += 1
         return floor
 
-    def _finish(self, issue: int, completion: int, unit: FPUnit | None) -> None:
+    def _finish(self, issue: int, completion: int, unit: int | None) -> None:
         if self.telemetry:
             self.telemetry.emit(
                 issue,
                 "fpu",
                 EventKind.FPQ_ISSUE,
-                unit=unit.value if unit is not None else None,
+                unit=_UNITS[unit].value if unit is not None else None,
             )
             self.telemetry.emit(issue, "fpu", EventKind.FPQ_DEQUEUE, queue="iq")
         if issue == self._last_issue:

@@ -27,8 +27,9 @@ validated eagerly by :func:`repro.robustness.validation
 .validate_environment`) or the ``--kernel`` flag on ``aurora-sim
 experiments`` / ``run_all`` / ``perf``.  :func:`simulate_many` is the
 grouped entry point the sweep layer calls: it prepares and validates the
-trace once (not once per config), records a ``simulate_batch`` span, and
-dispatches to the selected kernel.
+trace once (not once per config), answers configs the trace has already
+been timed on from results stored on it, and dispatches the rest to the
+selected kernel in one ``simulate_batch`` span.
 
 The batched kernel does **not** emit per-structure telemetry events (the
 event streams would interleave across configs); passing an active
@@ -41,6 +42,7 @@ docs/PERFORMANCE.md.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,6 +58,12 @@ from repro.core.processor import (
     WC_FORWARD_LATENCY,
     AuroraProcessor,
     SimulationResult,
+    _C_FPU,
+    _C_ICACHE,
+    _C_LOAD,
+    _C_LSU,
+    _C_PAIRING,
+    _C_ROB_FULL,
     _FP_ARITH_KINDS,
     _K_ALU,
     _K_BRANCH,
@@ -67,8 +75,9 @@ from repro.core.processor import (
     _K_LOAD,
     _K_NOP,
     _K_STORE,
+    _STALL_KINDS,
 )
-from repro.core.stats import SimStats, StallKind
+from repro.core.stats import SimStats
 from repro.core.writecache import WriteCache
 from repro.func.prepared import as_prepared
 
@@ -76,15 +85,6 @@ from repro.func.prepared import as_prepared
 ENV_KERNEL = "REPRO_SIM_KERNEL"
 #: Valid kernel names, in (default, alternative) order.
 KERNEL_NAMES = ("scalar", "batched")
-
-#: Stall kinds in enum order: row index into the batched stall matrix.
-_STALL_KINDS = tuple(StallKind)
-_C_ICACHE = 0
-_C_LOAD = 1
-_C_ROB_FULL = 2
-_C_LSU = 3
-_C_PAIRING = 4
-_C_FPU = 5
 
 #: Padding for unused vector-MSHR slots: effectively +infinity, far above
 #: any reachable cycle count yet safely below int64 overflow under max().
@@ -97,9 +97,28 @@ _BATCH_CALLS = 0
 _BATCH_CONFIGS = 0
 
 
+#: Finished results :func:`simulate_many` keeps per prepared trace.  A
+#: paper sweep stores at most 41 per trace; the cap bounds a
+#: long-running ``serve``.
+RESULT_CAP = 128
+
+#: Process-wide count of configs :func:`simulate_many` answered without
+#: simulating (stored results and in-call duplicates), published by the
+#: experiment runner as ``runner.sim_reused``.
+_SIM_REUSED = 0
+#: Guards every trace's ``sim_results`` and ``_SIM_REUSED``: registry
+#: traces are shared, and callers may simulate from several threads.
+_STORE_LOCK = threading.Lock()
+
+
 def batch_snapshot() -> tuple[int, int]:
     """(batched kernel calls, configs simulated through them) so far."""
     return (_BATCH_CALLS, _BATCH_CONFIGS)
+
+
+def reuse_snapshot() -> int:
+    """Configs :func:`simulate_many` has answered without simulating."""
+    return _SIM_REUSED
 
 
 class KernelError(ValueError):
@@ -233,21 +252,68 @@ def simulate_many(
 
     The grouped twin of :func:`repro.core.processor.simulate_trace`:
     prepares and validates the trace **once** (not once per
-    configuration — the prepared-trace memo makes re-validation free),
-    records a ``simulate_batch`` span, and dispatches to ``kernel`` (a
-    kernel object, a name, or ``None`` for the ``REPRO_SIM_KERNEL``
-    selection).  Every kernel yields byte-identical per-config
-    :class:`~repro.core.stats.SimStats` — the scalar kernel is the oracle
-    the batched one is tested against.
+    configuration — the prepared-trace memo makes re-validation free)
+    and dispatches to ``kernel`` (a kernel object, a name, or ``None``
+    for the ``REPRO_SIM_KERNEL`` selection).  Every kernel yields
+    byte-identical per-config :class:`~repro.core.stats.SimStats` — the
+    scalar kernel is the oracle the batched one is tested against.
+
+    Each (trace, config) is simulated once: finished stats are kept on
+    the prepared trace (``sim_results``), keyed by ``(kernel name,
+    config, policy)`` and capped at :data:`RESULT_CAP` entries, oldest
+    evicted first.  A call simulates only the configs not yet stored,
+    deduplicated, in one kernel call recorded as a ``simulate_batch``
+    span (``configs`` simulated, ``reused`` answered without
+    simulating); every result holds the caller's config and its own
+    copy of the stats.  An active ``telemetry`` bus bypasses the store,
+    so every config is simulated and emits its events.
     """
+    global _SIM_REUSED
     from repro.robustness.validation import validate_trace
-    from repro.telemetry import tracing
 
     if isinstance(kernel, (str, type(None))):
         kernel = get_kernel(kernel)
     trace = as_prepared(trace)
     validate_trace(trace)
     configs = list(configs)
+    if telemetry:
+        return _run_kernel(kernel, trace, configs, policy, telemetry, 0)
+    store = trace.sim_results
+    keys = [(kernel.name, config, policy) for config in configs]
+    known: dict = {}
+    pending: dict = {}
+    with _STORE_LOCK:
+        for key, config in zip(keys, configs):
+            if key not in known and key not in pending:
+                stats = store.get(key)
+                if stats is None:
+                    pending[key] = config
+                else:
+                    known[key] = stats
+    fresh: dict = {}
+    if pending:
+        reused = len(configs) - len(pending)
+        simulated = _run_kernel(
+            kernel, trace, list(pending.values()), policy, None, reused
+        )
+        fresh = {key: r.stats for key, r in zip(pending, simulated)}
+    with _STORE_LOCK:
+        _SIM_REUSED += len(configs) - len(pending)
+        store.update(fresh)
+        while len(store) > RESULT_CAP:
+            del store[next(iter(store))]
+    known.update(fresh)
+    # Stored stats are never handed out, so copying needs no lock.
+    return [
+        SimulationResult(config=config, stats=known[key].copy())
+        for key, config in zip(keys, configs)
+    ]
+
+
+def _run_kernel(kernel, trace, configs, policy, telemetry, reused):
+    """One kernel call, inside a ``simulate_batch`` span when tracing."""
+    from repro.telemetry import tracing
+
     tracer = tracing.current_tracer()
     if tracer is None:
         return kernel.simulate_many(
@@ -258,6 +324,7 @@ def simulate_many(
         "simulate",
         records=len(trace),
         configs=len(configs),
+        reused=reused,
         kernel=kernel.name,
     ):
         return kernel.simulate_many(
@@ -370,7 +437,7 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
     # Shared retire ring: slot (j & mask) holds record j's retire time.
     # Reading at (index - rob_capacity) gives the reorder-buffer head
     # floor, at (index - retire_width) the retire-window floor; unwritten
-    # slots are 0, matching the scalar model's zero-seeded deques.  The
+    # slots are 0, as in the scalar model's own retire ring.  The
     # ring is strictly larger than every capacity, so a slot is never
     # overwritten before its last read.  Index tables are precomputed per
     # (record index mod ring size) as flat offsets for np.take.
@@ -444,10 +511,6 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
     prev_pc = -8
     prev_was_mem = False
     redirects: dict[int, np.ndarray] = {}
-
-    # Shared instruction-class counters: trace-determined, identical for
-    # every config in the batch.
-    loads = stores = branches = taken_branches = fp_instructions = 0
 
     # Watchdog state (vectorized): per-record forward-progress/overflow
     # checks plus the periodic structure-occupancy sweep, at the same
@@ -661,14 +724,12 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
                 reg_from_load[dst] = False
 
         elif kind == _K_BRANCH or kind == _K_JUMP:
-            branches += 1
             np.add(issue, 1, out=complete_buf)
             complete = complete_buf
             if dst >= 0:  # jal/jalr write the link register
                 reg_ready[dst] = complete
                 reg_from_load[dst] = False
             if addr != 0:
-                taken_branches += 1
                 register_jump = kind == _K_JUMP and s1 >= 0
                 if register_jump or any_nonfolding:
                     if register_jump:
@@ -692,7 +753,6 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
             # the interleaved structures are independent.
             issue_list = issue.tolist()
             if kind == _K_LOAD or kind == _K_FP_LOAD:
-                loads += 1
                 starts = port_start_access()
                 # Vector MSHR allocate: free_at[argmin] is the row min.
                 slot = mshr_free.argmin(axis=1)
@@ -737,7 +797,6 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
                         reg_ready[dst] = complete
                         reg_from_load[dst] = True
                 else:
-                    fp_instructions += 1
                     release_list = []
                     for i in range(n):
                         fpu = fpus[i]
@@ -753,7 +812,6 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
                 t_lsu = np.maximum(mshr_min, next_slot) - 1
 
             elif kind == _K_STORE or kind == _K_FP_STORE:
-                stores += 1
                 starts = port_start_access()
                 slot = mshr_free.argmin(axis=1)
                 grant = np.maximum(starts, mshr_min)
@@ -776,14 +834,11 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
                         )
                     else:
                         complete_list.append(wcs[i].store(addr, access))
-                if kind == _K_FP_STORE:
-                    fp_instructions += 1
                 complete = np.array(complete_list, dtype=np.int64)
                 mshr_min = mshr_free.min(axis=1)
                 t_lsu = np.maximum(mshr_min, next_slot) - 1
 
             elif kind in _FP_ARITH_KINDS:
-                fp_instructions += 1
                 fd = dst - 32 if dst >= 32 else -1
                 fs = s1 - 32 if s1 >= 32 else -1
                 ft = s2 - 32 if s2 >= 32 else -1
@@ -799,7 +854,6 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
                 complete = np.array(complete_list, dtype=np.int64)
 
             else:  # _K_FP_MOVE (no MSHR: port access only)
-                fp_instructions += 1
                 starts_arr = port_start_access()
                 if dst >= 32:  # mtc1
                     starts = starts_arr.tolist()
@@ -927,11 +981,13 @@ def _simulate_batch(trace, configs, policy) -> list[SimulationResult]:
         stats.writecache_hits = wc_stats.hits
         stats.store_instructions = wc_stats.store_instructions
         stats.store_transactions = wc_stats.store_transactions
-        stats.loads = loads
-        stats.stores = stores
-        stats.branches = branches
-        stats.taken_branches = taken_branches
-        stats.fp_instructions = fp_instructions
+        (
+            stats.loads,
+            stats.stores,
+            stats.branches,
+            stats.taken_branches,
+            stats.fp_instructions,
+        ) = trace.class_counts()
         stats.dual_issued_pairs = int(dual_pairs[i])
         stats.fpu_instructions = fpus[i].instructions
         stats.fpu_busy_cycles = fpus[i].issue_stall_cycles

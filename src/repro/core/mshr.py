@@ -48,7 +48,8 @@ class MSHRFile:
         ``grant``; the caller must follow with :meth:`set_release` once the
         instruction's LSU-residency end time is known.
         """
-        index = min(range(len(self._free_at)), key=self._free_at.__getitem__)
+        free_at = self._free_at
+        index = free_at.index(min(free_at))
         grant = max(time, self._free_at[index])
         if grant > time:
             self.stall_cycles += grant - time

@@ -27,7 +27,6 @@ tracked separately.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.biu import BusInterfaceUnit
@@ -59,6 +58,15 @@ _K_FP_MOVE = int(Kind.FP_MOVE)
 _K_HALT = int(Kind.HALT)
 
 _FP_ARITH_KINDS = frozenset((_K_FP_ADD, _K_FP_MUL, _K_FP_DIV, _K_FP_CVT))
+
+#: Stall kinds in enum order; the timing loops count stalls by position.
+_STALL_KINDS = tuple(StallKind)
+_C_ICACHE = 0
+_C_LOAD = 1
+_C_ROB_FULL = 2
+_C_LSU = 3
+_C_PAIRING = 4
+_C_FPU = 5
 
 #: IPU -> FPU transfer latency in cycles (inter-chip queue insertion).
 FPU_TRANSFER = 2
@@ -125,7 +133,10 @@ class AuroraProcessor:
 
         The loop walks a :class:`~repro.func.prepared.PreparedTrace`'s
         precomputed columns; a plain record list is record-checked and
-        prepared first (:func:`~repro.func.prepared.as_prepared`).
+        prepared first (:func:`~repro.func.prepared.as_prepared`).  Work
+        that does not depend on timing — I-cache hit/miss and the
+        instruction-class counts — comes from the trace's per-trace
+        memos instead of the loop (docs/PERFORMANCE.md).
 
         Raises :class:`repro.robustness.guards.SimulationError` if a
         runtime invariant guard trips (wedged pipeline, structure
@@ -137,7 +148,6 @@ class AuroraProcessor:
         cfg = self.config
         stats = SimStats()
         biu = BusInterfaceUnit(latency=cfg.mem_latency, occupancy=cfg.bus_occupancy)
-        icache = DirectMappedCache(cfg.icache_bytes, cfg.line_bytes)
         dcache = DirectMappedCache(cfg.dcache_bytes, cfg.line_bytes)
         dport = PipelinedCachePort(access_latency=cfg.dcache_latency)
         mshr = MSHRFile(cfg.mshr_entries)
@@ -168,14 +178,23 @@ class AuroraProcessor:
             writecache.telemetry = tele
             fpu.telemetry = tele
 
+        # Watchdog: the per-record progress/overflow comparisons and the
+        # structure-check countdown run inline below; the Watchdog object
+        # raises the errors (after the stall counters are published to
+        # ``stats`` so its snapshot is exact).
         watchdog: Watchdog | None = None
-        if self.policy.enabled:
+        policy = self.policy
+        if policy.enabled:
             watchdog = Watchdog(
-                cfg, self.policy, stall_source=stats.stall_cycles
+                cfg, policy, stall_source=stats.stall_cycles
             )
             watchdog.watch(mshr)
             watchdog.watch(writecache)
             watchdog.watch(fpu)
+        max_stall_cycles = policy.max_stall_cycles
+        cycle_limit = policy.cycle_limit
+        check_period = policy.check_period
+        countdown = check_period
 
         line_shift = cfg.line_bytes.bit_length() - 1
         dcache_latency = cfg.dcache_latency
@@ -183,6 +202,14 @@ class AuroraProcessor:
         retire_width = cfg.retire_width
         rob_capacity = cfg.rob_entries
         folding = cfg.branch_folding
+        precise = cfg.fpu_precise_exceptions
+
+        # I-cache: hit/miss comes precomputed per record (every miss
+        # fills, so the tag state follows the address stream alone);
+        # only each set's fill-arrival time is timing state.
+        icache_lines = cfg.icache_lines
+        imask = icache_lines - 1
+        iready = [0] * icache_lines
 
         # Scoreboard: availability time of each unified register, plus
         # whether the last writer was a load-class producer (for stall
@@ -190,15 +217,25 @@ class AuroraProcessor:
         reg_ready = [0] * 66
         reg_from_load = [False] * 66
 
-        rob: deque[int] = deque()  # retire times of the last R instructions
-        rob_is_mem: deque[bool] = deque()  # head entry waiting on the LSU?
-        retire_window: deque[int] = deque([0] * retire_width, maxlen=retire_width)
+        # Retire ring: slot (j & ring_mask) holds record j's retire time
+        # and whether it was a missing memory instruction.  Reading at
+        # (index - rob_capacity) gives the reorder-buffer head, at
+        # (index - retire_width) the retire-window floor; unwritten slots
+        # are 0/False, as the zero-seeded reorder buffer and retire
+        # window would give.  The ring is strictly larger than both, so a
+        # slot is never overwritten before its last read.
+        ring_size = 1 << max(rob_capacity, retire_width).bit_length()
+        ring_mask = ring_size - 1
+        ring = [0] * ring_size
+        ring_mem = [False] * ring_size
         last_retire = 0
 
         last_issue = -1
         slots_used = issue_width  # force the first instruction to cycle 0
         prev_pc = -8
         prev_was_mem = False
+        dual_pairs = 0
+        stall = [0] * len(_STALL_KINDS)  # indexed by the _C_* constants
 
         inflight: dict[int, int] = {}  # D-line -> fill arrival time
         # Pending front-end redirects: trace index at which the bubble
@@ -207,27 +244,22 @@ class AuroraProcessor:
         # slot), so this must hold more than one entry.
         redirects: dict[int, int] = {}
 
-        stall = stats.stall_cycles  # local alias
-
         for index, (
             pc, kind, dst, s1, s2, addr, is_mem, is_fp_dispatch,
-            iline, dline,
-        ) in enumerate(trace.rows(line_shift)):
+            iline, dline, imiss,
+        ) in enumerate(trace.timing_rows(line_shift, icache_lines)):
 
             # ---------------------------------------------------- fetch side
-            request_time = last_issue if last_issue > 0 else 0
-            if icache.lookup(pc):
-                t_fetch = icache.ready_time(pc)
-            else:
-                line = iline
-                arrival = pool.lookup(line, request_time, "I")
+            if imiss:
+                request_time = last_issue if last_issue > 0 else 0
+                arrival = pool.lookup(iline, request_time, "I")
                 if arrival is None:
-                    pool.allocate(line, request_time, stream="I")
+                    pool.allocate(iline, request_time, stream="I")
                     arrival = biu.request(request_time, "ifetch")
                 elif arrival < request_time:
                     arrival = request_time
                 t_fetch = arrival + 1
-                icache.fill(pc, t_fetch)
+                iready[iline & imask] = t_fetch
                 if tele is not None:
                     tele.emit(
                         request_time,
@@ -237,6 +269,8 @@ class AuroraProcessor:
                         index=index,
                         arrival=t_fetch,
                     )
+            else:
+                t_fetch = iready[iline & imask]
             if redirects:
                 redirect_floor = redirects.pop(index, 0)
                 if redirect_floor > t_fetch:
@@ -258,7 +292,8 @@ class AuroraProcessor:
                 t_operand = reg_ready[s2]
                 operand_from_load = reg_from_load[s2]
 
-            t_rob = rob[0] if len(rob) >= rob_capacity else 0
+            rob_slot = (index - rob_capacity) & ring_mask
+            t_rob = ring[rob_slot]
 
             t_lsu = 0
             if is_mem:
@@ -289,32 +324,26 @@ class AuroraProcessor:
             # --------------------------------------------- stall attribution
             if issue > floor:
                 if issue == t_fetch:
-                    cause = StallKind.ICACHE
+                    cause = _C_ICACHE
                 elif issue == t_operand:
-                    if operand_from_load:
-                        cause = StallKind.LOAD
-                    else:
-                        cause = StallKind.PAIRING
+                    cause = _C_LOAD if operand_from_load else _C_PAIRING
                 elif issue == t_rob:
                     # The paper charges a full reorder buffer to the LSU
                     # when the entry blocking retirement is a memory
                     # instruction still waiting on its data ("most cycles
                     # are spent waiting for data from the LSU").
-                    if rob_is_mem and rob_is_mem[0]:
-                        cause = StallKind.LSU
-                    else:
-                        cause = StallKind.ROB_FULL
+                    cause = _C_LSU if ring_mem[rob_slot] else _C_ROB_FULL
                 elif issue == t_lsu:
-                    cause = StallKind.LSU
+                    cause = _C_LSU
                 else:
-                    cause = StallKind.FPU
+                    cause = _C_FPU
                 stall[cause] += issue - floor
                 if tele is not None:
                     tele.emit(
                         floor,
                         "issue",
                         EventKind.STALL,
-                        stall=cause.value,
+                        stall=_STALL_KINDS[cause].value,
                         cycles=issue - floor,
                         index=index,
                         pc=pc,
@@ -330,10 +359,10 @@ class AuroraProcessor:
                     and not (is_mem and prev_was_mem)
                 )
                 if pairable:
-                    stats.dual_issued_pairs += 1
+                    dual_pairs += 1
                 else:
                     issue += 1
-                    stall[StallKind.PAIRING] += 1
+                    stall[_C_PAIRING] += 1
                     if tele is not None:
                         tele.emit(
                             issue - 1,
@@ -361,7 +390,6 @@ class AuroraProcessor:
                     reg_from_load[dst] = False
 
             elif kind == _K_LOAD or kind == _K_FP_LOAD:
-                stats.loads += 1
                 access = dport.start_access(issue + 1)
                 grant, slot = mshr.allocate(access)
                 access = grant
@@ -407,10 +435,8 @@ class AuroraProcessor:
                     fpu.load(dst - 32, eff + 1, issue + FPU_TRANSFER)
                     mshr.set_release(slot, eff + 1)
                     complete = access + 1
-                    stats.fp_instructions += 1
 
             elif kind == _K_STORE or kind == _K_FP_STORE:
-                stats.stores += 1
                 access = dport.start_access(issue + 1)
                 grant, slot = mshr.allocate(access)
                 access = grant
@@ -424,19 +450,15 @@ class AuroraProcessor:
                 if kind == _K_FP_STORE:
                     data_out = fpu.store(s2 - 32, issue + FPU_TRANSFER)
                     complete = writecache.store(addr, access, fp_data_at=data_out)
-                    stats.fp_instructions += 1
                 else:
                     complete = writecache.store(addr, access)
 
             elif kind == _K_BRANCH or kind == _K_JUMP:
-                stats.branches += 1
                 complete = issue + 1
                 if dst >= 0:  # jal/jalr write the link register
                     reg_ready[dst] = complete
                     reg_from_load[dst] = False
-                taken = addr != 0
-                if taken:
-                    stats.taken_branches += 1
+                if addr != 0:  # taken
                     register_jump = kind == _K_JUMP and s1 >= 0
                     if register_jump or not folding:
                         # One fetch bubble: the target index is not in the
@@ -461,12 +483,11 @@ class AuroraProcessor:
                                 )
 
             elif kind in _FP_ARITH_KINDS:
-                stats.fp_instructions += 1
                 fd = dst - 32 if dst >= 32 else -1
                 fs = s1 - 32 if s1 >= 32 else -1
                 ft = s2 - 32 if s2 >= 32 else -1
                 fp_done = fpu.arith(kind, fd, fs, ft, issue + FPU_TRANSFER)
-                if cfg.fpu_precise_exceptions:
+                if precise:
                     # Conservative mode: hold the IPU reorder-buffer entry
                     # until the FPU result (and its exception status) is
                     # known — the decoupling queues stop paying off.
@@ -475,7 +496,6 @@ class AuroraProcessor:
                     complete = issue + 1  # transferred; imprecise exceptions
 
             elif kind == _K_FP_MOVE:
-                stats.fp_instructions += 1
                 access = dport.start_access(issue + 1)
                 if dst >= 32:  # mtc1
                     fpu.mtc1(dst - 32, access + 1, issue + FPU_TRANSFER)
@@ -494,19 +514,17 @@ class AuroraProcessor:
             retire = complete
             if last_retire > retire:
                 retire = last_retire
-            window_floor = retire_window[0] + 1
+            window_floor = ring[(index - retire_width) & ring_mask] + 1
             if window_floor > retire:
                 retire = window_floor
-            last_retire = retire
-            retire_window.append(retire)
-            rob.append(retire)
+            ring_slot = index & ring_mask
+            ring[ring_slot] = retire
             # Only a *missing* memory instruction at the ROB head counts as
             # an LSU wait; one completing at cache-hit speed that still
             # backs up retirement is a genuine reorder-buffer-size stall.
-            rob_is_mem.append(is_mem and complete > issue + 1 + dcache_latency)
-            if len(rob) > rob_capacity:
-                rob.popleft()
-                rob_is_mem.popleft()
+            ring_mem[ring_slot] = (
+                is_mem and complete > issue + 1 + dcache_latency
+            )
 
             if tele is not None:
                 tele.emit(
@@ -518,17 +536,32 @@ class AuroraProcessor:
                 )
 
             if watchdog is not None:
-                watchdog.observe(index, retire)
+                if (
+                    retire - last_retire > max_stall_cycles
+                    or retire > cycle_limit
+                ):
+                    stats.stall_cycles.update(zip(_STALL_KINDS, stall))
+                    watchdog.check_progress(index, last_retire, retire)
+                countdown -= 1
+                if countdown <= 0:
+                    countdown = check_period
+                    stats.stall_cycles.update(zip(_STALL_KINDS, stall))
+                    watchdog.check_structures(index, retire)
+            last_retire = retire
 
         # ------------------------------------------------------------ drain
         end = last_retire
         end = max(end, fpu.last_event, mshr.all_free_at)
         end = max(end, writecache.flush(end))
 
-        stats.instructions = len(trace)
+        record_count = len(trace)
+        stats.instructions = record_count
         stats.cycles = end
-        stats.icache_accesses = icache.accesses
-        stats.icache_hits = icache.hits
+        stats.stall_cycles.update(zip(_STALL_KINDS, stall))
+        stats.icache_accesses = record_count
+        stats.icache_hits = (
+            record_count - trace.icache_misses(line_shift, icache_lines)[1]
+        )
         stats.dcache_accesses = dcache.accesses
         stats.dcache_hits = dcache.hits
         pool_stats = pool.stats
@@ -541,6 +574,14 @@ class AuroraProcessor:
         stats.writecache_hits = wc_stats.hits
         stats.store_instructions = wc_stats.store_instructions
         stats.store_transactions = wc_stats.store_transactions
+        (
+            stats.loads,
+            stats.stores,
+            stats.branches,
+            stats.taken_branches,
+            stats.fp_instructions,
+        ) = trace.class_counts()
+        stats.dual_issued_pairs = dual_pairs
         stats.fpu_instructions = fpu.instructions
         stats.fpu_busy_cycles = fpu.issue_stall_cycles
         return SimulationResult(config=self.config, stats=stats)

@@ -12,7 +12,7 @@ backpressure and waits on FPU results, which only occur in FP codes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 
@@ -123,6 +123,10 @@ class SimStats:
         if not self.instructions:
             return 0.0
         return 2 * self.dual_issued_pairs / self.instructions
+
+    def copy(self) -> "SimStats":
+        """An independent copy (the stall-cycle dict is not shared)."""
+        return replace(self, stall_cycles=dict(self.stall_cycles))
 
     # -------------------------------------------------------- round-trip
 

@@ -67,8 +67,9 @@ class PreparedTrace(collections.abc.Sequence):
     __slots__ = (
         "_array", "pc", "kind", "dst", "src1", "src2", "addr",
         "mem_mask", "fp_dispatch_mask", "branch_taken_mask",
-        "_columns", "_flag_lists", "_line_lists",
-        "prepare_seconds", "source", "validated", "__weakref__",
+        "_columns", "_flag_lists", "_line_lists", "_icache_misses",
+        "_class_counts", "prepare_seconds", "source", "validated",
+        "sim_results", "__weakref__",
     )
 
     def __init__(
@@ -106,12 +107,19 @@ class PreparedTrace(collections.abc.Sequence):
         #: line_shift -> (iline list, dline list), memoized because the
         #: paper's models share one 32-byte line size.
         self._line_lists: dict[int, tuple[list[int], list[int]]] = {}
+        #: (line_shift, I-cache lines) -> (miss flags, miss count).
+        self._icache_misses: dict[tuple[int, int], tuple[bytes, int]] = {}
+        self._class_counts: tuple[int, int, int, int, int] | None = None
         self.prepare_seconds = 0.0
         self.source = source
         #: Set by validate_trace after a (vectorized, whole-trace)
         #: structural check, so a sweep validates each trace once
         #: instead of once per configuration.
         self.validated = False
+        #: Finished SimStats keyed by (kernel name, config, policy),
+        #: oldest first; filled and bounded by
+        #: :func:`repro.core.kernel.simulate_many`.
+        self.sim_results: dict = {}
 
     # ------------------------------------------------------ list protocol
 
@@ -181,21 +189,67 @@ class PreparedTrace(collections.abc.Sequence):
             self._line_lists[line_shift] = cached
         return cached
 
+    def icache_misses(self, line_shift: int, lines: int) -> tuple[bytes, int]:
+        """Per-record miss flags (1 = miss) and the miss count of a
+        direct-mapped ``lines``-line I-cache that fills on every miss.
+
+        Such a cache's tag state depends on the address stream alone, so
+        an access misses exactly when the previous access to its set was
+        to another line (or there was none).  Computed with a stable sort
+        by set, memoized per geometry; held as ``bytes`` to stay compact.
+        """
+        key = (line_shift, lines)
+        cached = self._icache_misses.get(key)
+        if cached is None:
+            ilines = np.right_shift(self.pc, line_shift)
+            sets = ilines & (lines - 1)
+            order = np.argsort(sets, kind="stable")
+            set_sorted = sets[order]
+            line_sorted = ilines[order]
+            miss_sorted = np.ones(len(self), dtype=np.uint8)
+            miss_sorted[1:] = (set_sorted[1:] != set_sorted[:-1]) | (
+                line_sorted[1:] != line_sorted[:-1]
+            )
+            miss = np.empty_like(miss_sorted)
+            miss[order] = miss_sorted
+            cached = (miss.tobytes(), int(miss_sorted.sum()))
+            self._icache_misses[key] = cached
+        return cached
+
+    def class_counts(self) -> tuple[int, int, int, int, int]:
+        """(loads, stores, branches, taken branches, FP instructions) —
+        the instruction-class counters of SimStats, counted once."""
+        if self._class_counts is None:
+            by_kind = np.bincount(self.kind, minlength=len(Kind)).tolist()
+            self._class_counts = (
+                by_kind[Kind.LOAD] + by_kind[Kind.FP_LOAD],
+                by_kind[Kind.STORE] + by_kind[Kind.FP_STORE],
+                by_kind[Kind.BRANCH] + by_kind[Kind.JUMP],
+                int(self.branch_taken_mask.sum()),
+                int(self.fp_dispatch_mask.sum()),
+            )
+        return self._class_counts
+
     def rows(self, line_shift: int) -> Iterator[tuple]:
         """Hot-loop iterator: ``(pc, kind, dst, src1, src2, addr, is_mem,
         is_fp_dispatch, iline, dline)`` per record, all plain Python
         scalars out of precomputed lists."""
-        pc, kind, dst, src1, src2, addr = self._field_columns()
+        return zip(*self._row_columns(line_shift))
+
+    def timing_rows(self, line_shift: int, icache_lines: int) -> Iterator[tuple]:
+        """:meth:`rows` plus each record's I-cache miss flag for a
+        ``icache_lines``-line cache (see :meth:`icache_misses`)."""
+        flags, _ = self.icache_misses(line_shift, icache_lines)
+        return zip(*self._row_columns(line_shift), flags)
+
+    def _row_columns(self, line_shift: int) -> tuple[list, ...]:
         if self._flag_lists is None:
             self._flag_lists = (
                 self.mem_mask.tolist(),
                 self.fp_dispatch_mask.tolist(),
             )
-        mem_flags, fp_dispatch_flags = self._flag_lists
-        ilines, dlines = self.lines(line_shift)
-        return zip(
-            pc, kind, dst, src1, src2, addr,
-            mem_flags, fp_dispatch_flags, ilines, dlines,
+        return (
+            *self._field_columns(), *self._flag_lists, *self.lines(line_shift)
         )
 
 

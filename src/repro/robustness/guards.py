@@ -121,9 +121,11 @@ DISABLED_POLICY = RobustnessPolicy(enabled=False)
 class Watchdog:
     """Forward-progress and overflow watchdog for one timing run.
 
-    The processor feeds it every instruction's retire time via
-    :meth:`observe`; occupancy-checked structures are registered and
-    polled every ``policy.check_period`` instructions.
+    :meth:`observe` takes every instruction's retire time;
+    occupancy-checked structures are registered and polled every
+    ``policy.check_period`` instructions.  The timing loop runs the same
+    per-instruction comparisons and countdown inline, and calls
+    :meth:`check_progress` and :meth:`check_structures` to raise.
     """
 
     config: MachineConfig
@@ -141,8 +143,19 @@ class Watchdog:
 
     def observe(self, index: int, retire: int) -> None:
         """Feed one instruction's retire time; raises on violations."""
+        self.check_progress(index, self._last_retire, retire)
+        if retire > self._last_retire:
+            self._last_retire = retire
+        self._countdown -= 1
+        if self._countdown <= 0:
+            self._countdown = self.policy.check_period
+            self.check_structures(index, retire)
+
+    def check_progress(self, index: int, last_retire: int, retire: int) -> None:
+        """Forward-progress and overflow tests for one retire time;
+        ``last_retire`` is the latest retire time before it."""
         policy = self.policy
-        gap = retire - self._last_retire
+        gap = retire - last_retire
         if gap > policy.max_stall_cycles:
             raise self._error(
                 "forward-progress",
@@ -158,12 +171,6 @@ class Watchdog:
                 cycle=retire,
                 index=index,
             )
-        if retire > self._last_retire:
-            self._last_retire = retire
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = policy.check_period
-            self.check_structures(index, retire)
 
     def check_structures(self, index: int, cycle: int) -> None:
         """Run every registered structure's occupancy assertion."""

@@ -86,7 +86,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.core.kernel import batch_snapshot, kernel_mode
+from repro.core.kernel import batch_snapshot, kernel_mode, reuse_snapshot
 from repro.func.prepared import prepare_snapshot
 from repro.robustness.faults import FaultPlan, TransientFault, _CorruptResult
 from repro.robustness.signals import GracefulSignals
@@ -155,6 +155,9 @@ class ExperimentOutcome:
     #: scalar kernel).
     batched_calls: int = 0
     batched_configs: int = 0
+    #: Configs simulate_many answered from results already stored on
+    #: the trace (or duplicated within one call) instead of simulating.
+    sim_reused: int = 0
 
     @property
     def succeeded(self) -> bool:
@@ -311,6 +314,7 @@ def _pool_worker(fn, factor: float, trace_id: str | None = None) -> dict:
     base_degraded, base_checksum = trace_cache.health_snapshot()
     base_prepares, base_prepare_seconds = prepare_snapshot()
     base_batch_calls, base_batch_configs = batch_snapshot()
+    base_reused = reuse_snapshot()
     started = time.monotonic()
 
     def _envelope(payload: dict) -> dict:
@@ -329,6 +333,7 @@ def _pool_worker(fn, factor: float, trace_id: str | None = None) -> dict:
             prepare_seconds=prepare_seconds - base_prepare_seconds,
             batched_calls=batch_calls - base_batch_calls,
             batched_configs=batch_configs - base_batch_configs,
+            sim_reused=reuse_snapshot() - base_reused,
         )
         if worker_tracer is not None:
             payload["spans"] = worker_tracer.finished_records()
@@ -637,6 +642,8 @@ class ResilientRunner:
                 registry.counter("runner.batched_configs").inc(
                     outcome.batched_configs
                 )
+            if outcome.sim_reused:
+                registry.counter("runner.sim_reused").inc(outcome.sim_reused)
             if outcome.status == "ok":
                 registry.histogram("runner.elapsed_seconds").observe(
                     outcome.elapsed
@@ -675,6 +682,7 @@ class ResilientRunner:
             per_exp.counter("runner.batched_configs").inc(
                 outcome.batched_configs
             )
+            per_exp.counter("runner.sim_reused").inc(outcome.sim_reused)
             per_exp.gauge("runner.elapsed_seconds").set(outcome.elapsed)
             per_exp.gauge("runner.ok").set(1.0 if outcome.succeeded else 0.0)
             stats = getattr(result, "stats", None)
@@ -864,6 +872,7 @@ class ResilientRunner:
         base_degraded, base_checksum = trace_cache.health_snapshot()
         base_prepares, base_prepare_seconds = prepare_snapshot()
         base_batch_calls, base_batch_configs = batch_snapshot()
+        base_reused = reuse_snapshot()
 
         def cache_delta() -> dict:
             hits, misses = trace_cache.snapshot()
@@ -887,6 +896,7 @@ class ResilientRunner:
             return {
                 "batched_calls": batch_calls - base_batch_calls,
                 "batched_configs": batch_configs - base_batch_configs,
+                "sim_reused": reuse_snapshot() - base_reused,
             }
 
         while True:
@@ -1250,6 +1260,7 @@ class ResilientRunner:
                                 batched_configs=envelope.get(
                                     "batched_configs", 0
                                 ),
+                                sim_reused=envelope.get("sim_reused", 0),
                             ),
                             envelope["text"],
                             envelope["result"],
@@ -1299,6 +1310,7 @@ class ResilientRunner:
                             batched_configs=envelope.get(
                                 "batched_configs", 0
                             ),
+                            sim_reused=envelope.get("sim_reused", 0),
                         ),
                         None,
                         None,

@@ -259,11 +259,21 @@ def profile_workload(
         simulate = simulate_trace
     else:
         # Mirrors simulate_trace (validate + span + run) so the two
-        # kernels' throughput series measure the same pipeline.
+        # kernels' throughput series measure the same pipeline; the
+        # kernel is called directly, so a result simulate_many stored on
+        # the trace is never what gets timed.
         def simulate(trace, config):
-            from repro.core.kernel import simulate_many
+            from repro.robustness.validation import validate_trace
 
-            return simulate_many(trace, [config], kernel=kernel_obj)[0]
+            validate_trace(trace)
+            with tracing.span(
+                "simulate",
+                "simulate",
+                records=len(trace),
+                config=config.label,
+                kernel=kernel_obj.name,
+            ):
+                return kernel_obj.simulate(trace, config)
 
     sampler = (
         PhaseSampler(interval=interval).start() if sample else None

@@ -5,15 +5,20 @@ The contract under test is the one the module docstring of
 per-config :class:`~repro.core.stats.SimStats`, with the scalar kernel
 as the oracle.  The oracle suite runs both benchmark suites (one small
 trace each) across the three paper models at batch widths 1, 3 and a
-full mixed grid.
+full mixed grid, through the kernel objects themselves.  ``TestReuse``
+covers :func:`~repro.core.kernel.simulate_many`'s per-trace result
+store: each (trace, config) is simulated once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 
+import repro.core.kernel as kernel_module
 from repro.core.kernel import (
     ENV_KERNEL,
     KERNEL_NAMES,
@@ -23,10 +28,14 @@ from repro.core.kernel import (
     batch_snapshot,
     get_kernel,
     kernel_mode,
+    reuse_snapshot,
     simulate_many,
 )
+from repro.core.stats import StallKind
+from repro.func.prepared import prepare_trace
+from repro.robustness.guards import RobustnessPolicy, SimulationError
 from repro.telemetry import tracing
-from repro.telemetry.events import EventBus
+from repro.telemetry.events import EventBus, RingBufferSink
 
 
 def _full_grid(models):
@@ -56,27 +65,32 @@ def suite_trace(request):
     return request.getfixturevalue(request.param)
 
 
+def _kernel_run(name, trace, configs):
+    """Simulate through the kernel object itself: the module-level
+    simulate_many would answer repeats from results stored on the
+    session-scoped traces, so the batched side would not be tested."""
+    return get_kernel(name).simulate_many(trace, list(configs))
+
+
 class TestOracle:
     """Batched stats must equal the scalar kernel's, config for config."""
 
     def test_width_one(self, suite_trace, models):
         for config in _full_grid(models):
-            expected = simulate_many(
-                suite_trace, [config], kernel="scalar"
-            )[0]
-            got = simulate_many(suite_trace, [config], kernel="batched")[0]
+            expected = _kernel_run("scalar", suite_trace, [config])[0]
+            got = _kernel_run("batched", suite_trace, [config])[0]
             assert got.stats == expected.stats, config.label
             assert got.config is config
 
     def test_width_three(self, suite_trace, models):
-        oracle = simulate_many(suite_trace, list(models), kernel="scalar")
-        batch = simulate_many(suite_trace, list(models), kernel="batched")
+        oracle = _kernel_run("scalar", suite_trace, models)
+        batch = _kernel_run("batched", suite_trace, models)
         assert [r.stats for r in batch] == [r.stats for r in oracle]
 
     def test_full_grid(self, suite_trace, models):
         grid = _full_grid(models)
-        oracle = simulate_many(suite_trace, grid, kernel="scalar")
-        batch = simulate_many(suite_trace, grid, kernel="batched")
+        oracle = _kernel_run("scalar", suite_trace, grid)
+        batch = _kernel_run("batched", suite_trace, grid)
         assert [r.stats for r in batch] == [r.stats for r in oracle]
         # Results stay index-aligned with the configs passed in.
         for config, result in zip(grid, batch):
@@ -84,8 +98,8 @@ class TestOracle:
 
     def test_plain_record_lists(self, counting_trace, models):
         # The batched kernel must also accept the tuple representation.
-        oracle = simulate_many(counting_trace, list(models), kernel="scalar")
-        batch = simulate_many(counting_trace, list(models), kernel="batched")
+        oracle = _kernel_run("scalar", counting_trace, models)
+        batch = _kernel_run("batched", counting_trace, models)
         assert [r.stats for r in batch] == [r.stats for r in oracle]
 
     def test_empty_trace(self, models):
@@ -182,3 +196,139 @@ class TestAccounting:
         assert fields["records"] == len(counting_trace)
         assert fields["configs"] == 3
         assert fields["kernel"] == "batched"
+
+
+class TestReuse:
+    """simulate_many times each (trace, config) once per trace."""
+
+    def test_repeat_reuses_while_kernel_object_resimulates(
+        self, counting_trace, models
+    ):
+        trace = prepare_trace(counting_trace)
+        first = simulate_many(trace, list(models), kernel="batched")
+        calls, configs = batch_snapshot()
+        reused = reuse_snapshot()
+        again = simulate_many(trace, list(models), kernel="batched")
+        assert batch_snapshot() == (calls, configs)
+        assert reuse_snapshot() - reused == len(models)
+        assert [r.stats for r in again] == [r.stats for r in first]
+        # The kernel object itself keeps no store: full width again.
+        BatchedKernel().simulate_many(trace, list(models))
+        assert batch_snapshot() == (calls + 1, configs + len(models))
+
+    def test_duplicates_in_one_call_simulate_once(self, counting_trace, models):
+        trace = prepare_trace(counting_trace)
+        small, baseline, _ = models
+        twin = baseline.with_()  # equal to baseline, another object
+        calls, configs = batch_snapshot()
+        results = simulate_many(
+            trace, [small, baseline, twin, small], kernel="batched"
+        )
+        assert batch_snapshot() == (calls + 1, configs + 2)
+        assert [r.config for r in results] == [small, baseline, twin, small]
+        assert results[2].config is twin
+        assert results[1].stats == results[2].stats
+        assert results[0].stats == results[3].stats
+
+    def test_telemetry_bypasses_reuse(self, counting_trace, models):
+        trace = prepare_trace(counting_trace)
+        baseline = models[1]
+        simulate_many(trace, [baseline], kernel="scalar")
+        for _ in range(2):
+            sink = RingBufferSink()
+            result = simulate_many(
+                trace, [baseline], kernel="scalar", telemetry=EventBus(sink)
+            )[0]
+            assert sink.recorded > 0
+            assert result.stats.instructions == len(trace)
+
+    def test_results_are_independent_copies(self, counting_trace, models):
+        trace = prepare_trace(counting_trace)
+        baseline = models[1]
+        first = simulate_many(trace, [baseline, baseline])
+        assert first[0].stats is not first[1].stats
+        assert first[0].stats.stall_cycles is not first[1].stats.stall_cycles
+        expected = first[1].stats.copy()
+        first[0].stats.cycles = -1
+        first[0].stats.stall_cycles[StallKind.LOAD] = -1
+        assert first[1].stats == expected
+        assert simulate_many(trace, [baseline])[0].stats == expected
+
+    def test_failed_batch_stores_nothing(self, espresso_trace_small, models):
+        trace = prepare_trace(espresso_trace_small.array)
+        wedged = RobustnessPolicy(max_stall_cycles=1)
+        for kernel in KERNEL_NAMES:
+            with pytest.raises(SimulationError):
+                simulate_many(
+                    trace, list(models), kernel=kernel, policy=wedged
+                )
+        assert trace.sim_results == {}
+
+    def test_key_separates_kernels_and_policies(self, counting_trace, models):
+        trace = prepare_trace(counting_trace)
+        baseline = models[1]
+        loose = RobustnessPolicy(check_period=64)
+        scalar = simulate_many(trace, [baseline], kernel="scalar")[0]
+        calls, configs = batch_snapshot()
+        batched = simulate_many(trace, [baseline], kernel="batched")[0]
+        assert batch_snapshot() == (calls + 1, configs + 1)
+        reused = reuse_snapshot()
+        other = simulate_many(trace, [baseline], kernel="scalar", policy=loose)
+        assert reuse_snapshot() == reused
+        assert batched.stats == scalar.stats == other[0].stats
+        assert {key[:1] + key[2:] for key in trace.sim_results} == {
+            ("scalar", None),
+            ("batched", None),
+            ("scalar", loose),
+        }
+
+    def test_cap_evicts_oldest_and_stays_correct(
+        self, counting_trace, models, monkeypatch
+    ):
+        monkeypatch.setattr(kernel_module, "RESULT_CAP", 4)
+        trace = prepare_trace(counting_trace)
+        grid = [models[1].with_(mem_latency=17 + k) for k in range(6)]
+        got = [simulate_many(trace, [config])[0] for config in grid]
+        assert [key[1] for key in trace.sim_results] == grid[2:]
+        oracle = _kernel_run("scalar", trace, grid)
+        assert [r.stats for r in got] == [r.stats for r in oracle]
+        # An evicted config is simulated again, correctly, and stored.
+        assert simulate_many(trace, grid[:1])[0].stats == oracle[0].stats
+        assert [key[1] for key in trace.sim_results] == grid[3:] + grid[:1]
+
+    def test_threads_sharing_a_trace_stay_consistent(
+        self, counting_trace, models, monkeypatch
+    ):
+        # More threads than cores, a tiny cap and a short switch interval
+        # keep lookups, stores and evictions racing on one trace's store.
+        monkeypatch.setattr(kernel_module, "RESULT_CAP", 2)
+        trace = prepare_trace(counting_trace)
+        grid = [models[1].with_(mem_latency=17 + k) for k in range(4)]
+        oracle = [r.stats for r in _kernel_run("scalar", trace, grid)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for round_ in range(25):
+                    pick = [(offset + round_ + k) % len(grid) for k in (0, 1)]
+                    got = simulate_many(trace, [grid[k] for k in pick])
+                    if [r.stats for r in got] != [oracle[k] for k in pick]:
+                        errors.append(f"wrong stats for {pick}")
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(repr(error))
+
+        threads = [
+            threading.Thread(target=worker, args=(k,)) for k in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(trace.sim_results) <= 2

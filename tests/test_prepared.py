@@ -14,7 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import baseline_model, large_model, small_model
+from repro.core.caches import DirectMappedCache
+from repro.core.config import (
+    MachineConfig,
+    baseline_model,
+    large_model,
+    small_model,
+)
 from repro.core.kernel import simulate_many
 from repro.core.processor import AuroraProcessor, simulate_trace
 from repro.experiments.common import scaled_trace
@@ -124,6 +130,71 @@ def test_compute_stats_vectorized_matches_loop(name):
     records = prepared.to_records()
     assert compute_stats(prepared) == _loop_compute_stats(records)
     assert compute_stats(records) == _loop_compute_stats(records)
+
+
+# ------------------------------------------------ hoisted per-trace columns
+
+
+def _replay_icache_misses(trace, size_bytes, line_bytes):
+    """Reference: replay the pcs through a DirectMappedCache that fills
+    on every miss, as the timing loop used to per record."""
+    cache = DirectMappedCache(size_bytes, line_bytes)
+    flags = bytearray()
+    for pc in trace.pc.tolist():
+        hit = cache.lookup(pc)
+        if not hit:
+            cache.fill(pc, 0)
+        flags.append(0 if hit else 1)
+    return bytes(flags), cache.accesses - cache.hits
+
+
+#: (I-cache bytes, line bytes): the three models' I-caches and a 1-line
+#: cache at each line size, plus the largest size config.validate()
+#: accepts (at 64-byte lines only: the reference cache allocates two
+#: Python lists of one slot per line).
+ICACHE_GEOMETRIES = [
+    (size_bytes, line_bytes)
+    for line_bytes in (16, 32, 64)
+    for size_bytes in (
+        small_model().icache_bytes,
+        baseline_model().icache_bytes,
+        large_model().icache_bytes,
+        line_bytes,
+    )
+] + [(MachineConfig.MAX_CACHE_BYTES, 64)]
+
+
+@pytest.mark.parametrize("size_bytes, line_bytes", ICACHE_GEOMETRIES)
+@pytest.mark.parametrize("suite", ["espresso_trace_small", "fp_trace_small"])
+def test_icache_misses_match_replay(suite, size_bytes, line_bytes, request):
+    trace = request.getfixturevalue(suite)
+    shift = line_bytes.bit_length() - 1
+    flags, misses = trace.icache_misses(shift, size_bytes // line_bytes)
+    assert (flags, misses) == _replay_icache_misses(
+        trace, size_bytes, line_bytes
+    )
+    assert misses == sum(flags)
+
+
+def test_icache_misses_empty_trace():
+    assert prepare_trace([]).icache_misses(5, 64) == (b"", 0)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_class_counts_match_compute_stats(name):
+    prepared = scaled_trace(name, FACTOR)
+    by_kind = compute_stats_prepared(prepared).by_kind
+    count = lambda *kinds: sum(by_kind.get(kind, 0) for kind in kinds)
+    assert prepared.class_counts() == (
+        count(Kind.LOAD, Kind.FP_LOAD),
+        count(Kind.STORE, Kind.FP_STORE),
+        count(Kind.BRANCH, Kind.JUMP),
+        compute_stats_prepared(prepared).taken_branches,
+        count(
+            Kind.FP_ADD, Kind.FP_MUL, Kind.FP_DIV, Kind.FP_CVT,
+            Kind.FP_LOAD, Kind.FP_STORE, Kind.FP_MOVE,
+        ),
+    )
 
 
 def test_compute_stats_dispatches_to_vectorized(monkeypatch):

@@ -283,6 +283,38 @@ class TestInflightFillTracking:
         assert counted["dread"] == len(lines)
 
 
+class TestConflictReMiss:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known model bug: a D-cache conflict re-miss of a line "
+        "filled earlier is served from the stale in-flight fill map, "
+        "with no memory access and no refill",
+    )
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    def test_conflict_remiss_costs_a_full_miss(self, kernel):
+        # Load A, evict it with B (same set), reload A; the reload must
+        # cost what a miss to a never-touched line C costs.
+        from repro.core.kernel import get_kernel
+
+        line_a = 0x100000
+        line_b = line_a + BASELINE.dcache_bytes
+        line_c = line_a + 4096
+
+        def load_stalls(third):
+            trace = [
+                load(0, 8, NO_REG, line_a),
+                alu(1, dst=20, s1=8),
+                load(2, 9, NO_REG, line_b),
+                alu(3, dst=20, s1=9),
+                load(4, 10, NO_REG, third),
+                alu(5, dst=20, s1=10),
+            ]
+            stats = get_kernel(kernel).simulate_many(trace, [BASELINE])[0].stats
+            return stats.stall_cycles[StallKind.LOAD]
+
+        assert load_stalls(line_a) == load_stalls(line_c)
+
+
 class TestStatsIntegrity:
     @pytest.mark.parametrize("model_name", ["small", "baseline", "large"])
     def test_invariants_on_real_workload(

@@ -312,6 +312,27 @@ class TestWatchdog:
         assert error.config_label == BASELINE.label
         assert isinstance(error.stall_snapshot, dict)
 
+    def test_stall_snapshot_is_exact(self, small_trace, monkeypatch):
+        # The snapshot holds the stall counters through the failing
+        # instruction: those of an unguarded run of the records up to it.
+        original = MSHRFile.allocate
+
+        def wedged(self, when):
+            grant, slot = original(self, when)
+            return grant + 10_000_000_000, slot
+
+        monkeypatch.setattr(MSHRFile, "allocate", wedged)
+        policy = RobustnessPolicy(max_stall_cycles=50_000)
+        with pytest.raises(SimulationError) as excinfo:
+            AuroraProcessor(BASELINE, policy).run(small_trace)
+        index = excinfo.value.instruction_index
+        prefix = small_trace[: index + 1]
+        unguarded = AuroraProcessor(
+            BASELINE, RobustnessPolicy(enabled=False)
+        ).run(prefix)
+        assert excinfo.value.stall_snapshot == unguarded.stats.stall_cycles
+        assert any(excinfo.value.stall_snapshot.values())
+
     def test_cycle_overflow_trips(self, small_trace, monkeypatch):
         original = MSHRFile.allocate
 
@@ -680,6 +701,21 @@ def _par_trace_user(factor):
     return _FakeResult(f"trace of {len(get_trace('sc', 9))} records")
 
 
+def _par_repeat_sweep(factor):
+    # A fresh prepared trace per attempt, so a reused worker process
+    # holds no results for it yet: the second sweep reuses both configs.
+    from repro.core.config import baseline_model, small_model
+    from repro.core.kernel import simulate_many
+    from repro.func.prepared import prepare_trace
+    from repro.workloads.registry import get_trace
+
+    trace = prepare_trace(get_trace("espresso", 12).array)
+    configs = [small_model(), baseline_model()]
+    simulate_many(trace, configs)
+    simulate_many(trace, configs)
+    return _FakeResult("swept twice")
+
+
 class TestParallelRunner:
     def test_jobs_validation(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -787,6 +823,16 @@ class TestParallelRunner:
         assert entry["worker"].startswith("pid-")
         assert isinstance(entry["trace_cache_hits"], int)
         assert isinstance(entry["trace_cache_misses"], int)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reused_configs_published_as_runner_sim_reused(
+        self, tmp_path, jobs
+    ):
+        runner = ResilientRunner(tmp_path / "m.json", jobs=jobs)
+        _results, report = runner.run({"r": _par_repeat_sweep})
+        assert report.ok
+        assert report.outcomes[0].sim_reused == 2
+        assert report.metrics.counter("runner.sim_reused").value == 2
 
     def test_warm_disk_cache_visible_in_outcomes(self, tmp_path):
         # Workers are fresh processes: the first parallel run must build

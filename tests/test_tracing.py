@@ -537,6 +537,45 @@ class TestProfiling:
         assert report.cprofile_top
         assert "cumulative" in report.render()
 
+    def test_batched_profile_never_times_a_stored_result(self):
+        from repro.core.kernel import batch_snapshot, simulate_many
+        from repro.experiments.common import scaled_trace
+
+        trace = scaled_trace("compress", 0.02)
+        simulate_many(trace, [BASELINE], kernel="batched")
+        calls, configs = batch_snapshot()
+        tracer = SpanTracer()
+        with tracing.use_tracer(tracer):
+            report = profile_workload(
+                "compress", BASELINE, factor=0.02, sample=False,
+                kernel="batched",
+            )
+        assert batch_snapshot() == (calls + 1, configs + 1)
+        assert report.instructions == len(trace)
+        (span,) = _by_name(tracer.spans(), "simulate")
+        assert span.args["kernel"] == "batched"
+        assert span.args["config"] == BASELINE.label
+
+
+class TestSimulateBatchSpan:
+    def test_span_counts_simulated_and_reused_configs(self, models):
+        from repro.core.kernel import simulate_many
+        from repro.func.prepared import prepare_trace
+        from repro.workloads.registry import get_trace
+
+        small, baseline, large = models
+        trace = prepare_trace(get_trace("espresso", 12).array)
+        tracer = SpanTracer()
+        with tracing.use_tracer(tracer):
+            simulate_many(trace, [small, baseline, small])
+            simulate_many(trace, [small, baseline, large])
+            # Everything stored: no kernel call, so no span.
+            simulate_many(trace, [large, small])
+        spans = _by_name(tracer.spans(), "simulate_batch")
+        assert [
+            (span.args["configs"], span.args["reused"]) for span in spans
+        ] == [(2, 1), (1, 2)]
+
 
 # --------------------------------------------------------------- CLI verbs
 
