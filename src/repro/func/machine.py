@@ -7,6 +7,13 @@ machine models architectural state only — registers, HI/LO, the FP register
 file, the FP condition flag, and memory — the timing models live in
 :mod:`repro.core`.
 
+A run decodes ``program.text`` once into one step closure per static
+instruction, bound to this run's registers and memory, with the record's
+static fields resolved at decode time: most steps append one shared record,
+a conditional branch picks one of two, and only loads, stores, ``jr`` and
+``jalr`` build one around a dynamic address.  A step returns ``None`` to
+fall through, a taken target, or ``_HALT``.
+
 FP values are held as Python floats in the register file and converted to
 IEEE-754 bit patterns only at memory boundaries; the paper's study is a
 timing study, so rounding-mode fidelity inside the register file is not
@@ -15,7 +22,9 @@ required (documented in DESIGN.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.func.memory import SparseMemory
 from repro.func.trace import FP_REG_BASE, HI_REG, NO_REG, TraceRecord, TraceStats, compute_stats
@@ -23,6 +32,10 @@ from repro.isa.instructions import Instruction, Kind
 from repro.isa.program import STACK_TOP, TEXT_BASE, WORD, Program
 
 _MASK32 = 0xFFFFFFFF
+_SIGN32 = 0x8000_0000
+
+#: Step return value that stops the run after the current instruction.
+_HALT = -1
 
 
 class SimulationError(Exception):
@@ -31,8 +44,7 @@ class SimulationError(Exception):
 
 def _s32(value: int) -> int:
     """Wrap to signed 32-bit."""
-    value &= _MASK32
-    return value - 0x1_0000_0000 if value >= 0x8000_0000 else value
+    return ((value + _SIGN32) & _MASK32) - _SIGN32
 
 
 def _u32(value: int) -> int:
@@ -71,7 +83,6 @@ class Machine:
         self.fp_cond = False
         self.regs[29] = STACK_TOP  # $sp
         self.memory.load_initial(self.program.data)
-        self._halted = False
 
     # ------------------------------------------------------------------ run
 
@@ -80,8 +91,11 @@ class Machine:
         text = self.program.text
         base = TEXT_BASE
         trace: list[TraceRecord] = []
-        append = trace.append
-        collect = self.collect_trace
+        append = trace.append if self.collect_trace else lambda record: None
+        steps = [
+            _DECODERS[ins.op](self, ins, base + WORD * index, append)
+            for index, ins in enumerate(text)
+        ]
         pc = self.program.entry
         npc = pc + WORD
         executed = 0
@@ -89,22 +103,19 @@ class Machine:
         text_end = base + len(text) * WORD
         while True:
             if not base <= pc < text_end:
-                raise SimulationError(
-                    f"control flow left the text segment: pc={pc:#x}"
-                )
-            ins = text[(pc - base) >> 2]
-            record = self._execute(ins, pc)
+                raise SimulationError(f"control flow left the text segment: pc={pc:#x}")
+            if pc & 3:
+                raise SimulationError(f"misaligned pc={pc:#x}: instructions are word-aligned")
+            target = steps[(pc - base) >> 2]()
             executed += 1
-            if collect:
-                append(record)
-            if self._halted:
+            if target is None:
+                pc = npc
+                npc += WORD
+            elif target == _HALT:
                 break
-            target = self._branch_target
-            if target is not None:
-                pc, npc = npc, target
-                self._branch_target = None
             else:
-                pc, npc = npc, npc + WORD
+                pc = npc
+                npc = target
             if executed >= limit:
                 raise SimulationError(
                     f"exceeded max_instructions={max_instructions} "
@@ -120,45 +131,42 @@ class Machine:
             program=self.program,
         )
 
-    # ---------------------------------------------------------------- execute
 
-    _branch_target: int | None = None
-
-    def _execute(self, ins: Instruction, pc: int) -> TraceRecord:
-        handler = _HANDLERS[ins.op]
-        return handler(self, ins, pc)
+def _to_int(value: float, ins: Instruction, pc: int) -> int:
+    """Truncate an FP register value to an integer, as the conversions do."""
+    if not math.isfinite(value):
+        raise SimulationError(f"{ins.op} at pc={pc:#x}: {value} has no integer value")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
-# Handlers.  Each returns the trace record for the executed instruction.
-# The handler table is built once at import time.
+# Decoders.  ``_DECODERS[op](machine, ins, pc, append)`` returns the step
+# closure of one static instruction; the table is built once at import.
 # ---------------------------------------------------------------------------
 
-_HANDLERS: dict = {}
+_DECODERS: dict = {}
+
+_ALU = int(Kind.ALU)
+_BRANCH = int(Kind.BRANCH)
+_JUMP = int(Kind.JUMP)
 
 
-def _handler(name: str):
-    def wrap(fn):
-        _HANDLERS[name] = fn
-        return fn
-
-    return wrap
-
-
-def _dst_id(rd: int) -> int:
-    return rd if rd != 0 else NO_REG
-
-
-def _src_id(r: int) -> int:
+def _reg(r: int) -> int:
+    """Unified id of integer register ``r`` ($zero is no dependency)."""
     return r if r != 0 else NO_REG
 
 
-def _wr(machine: Machine, rd: int, value: int) -> None:
-    if rd != 0:
-        machine.regs[rd] = _s32(value)
+def _fp_id(f: int) -> int:
+    return FP_REG_BASE + f
 
 
-# -- three-register ALU ------------------------------------------------------
+def _dest(machine: Machine, rd: int) -> tuple[list[int], int]:
+    """(register file, index) an integer write to ``rd`` lands in; writes
+    to $zero land in a throwaway cell."""
+    return (machine.regs, rd) if rd != 0 else ([0], 0)
+
+
+# -- integer ALU ---------------------------------------------------------------
 
 _ALU_RRR = {
     "addu": lambda a, b: a + b,
@@ -174,27 +182,6 @@ _ALU_RRR = {
     "srav": lambda a, b: a >> (b & 31),
 }
 
-for _name, _fn in _ALU_RRR.items():
-
-    def _make_rrr(fn):
-        def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-            regs = machine.regs
-            _wr(machine, ins.rd, fn(regs[ins.rs], regs[ins.rt]))
-            return (
-                pc,
-                int(Kind.ALU),
-                _dst_id(ins.rd),
-                _src_id(ins.rs),
-                _src_id(ins.rt),
-                0,
-            )
-
-        return run
-
-    _HANDLERS[_name] = _make_rrr(_fn)
-
-# -- immediate ALU -------------------------------------------------------------
-
 _ALU_RRI = {
     "addiu": lambda a, imm: a + imm,
     "andi": lambda a, imm: a & (imm & 0xFFFF),
@@ -207,222 +194,289 @@ _ALU_RRI = {
     "sra": lambda a, imm: a >> (imm & 31),
 }
 
+
+def _make_rrr(fn):
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
+        regs = machine.regs
+        out, rd = _dest(machine, ins.rd)
+        rs, rt = ins.rs, ins.rt
+        record = (pc, _ALU, _reg(rd), _reg(rs), _reg(rt), 0)
+
+        def step():
+            # _s32 inlined: ALU steps are nearly half of all instructions.
+            out[rd] = ((fn(regs[rs], regs[rt]) + _SIGN32) & _MASK32) - _SIGN32
+            append(record)
+
+        return step
+
+    return decode
+
+
+def _make_rri(fn):
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
+        regs = machine.regs
+        out, rd = _dest(machine, ins.rd)
+        rs, imm = ins.rs, ins.imm
+        record = (pc, _ALU, _reg(rd), _reg(rs), NO_REG, 0)
+
+        def step():
+            out[rd] = ((fn(regs[rs], imm) + _SIGN32) & _MASK32) - _SIGN32
+            append(record)
+
+        return step
+
+    return decode
+
+
+for _name, _fn in _ALU_RRR.items():
+    _DECODERS[_name] = _make_rrr(_fn)
 for _name, _fn in _ALU_RRI.items():
-
-    def _make_rri(fn):
-        def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-            _wr(machine, ins.rd, fn(machine.regs[ins.rs], ins.imm))
-            return (
-                pc,
-                int(Kind.ALU),
-                _dst_id(ins.rd),
-                _src_id(ins.rs),
-                NO_REG,
-                0,
-            )
-
-        return run
-
-    _HANDLERS[_name] = _make_rri(_fn)
+    _DECODERS[_name] = _make_rri(_fn)
 
 
-@_handler("lui")
-def _lui(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    _wr(machine, ins.rd, (ins.imm & 0xFFFF) << 16)
-    return (pc, int(Kind.ALU), _dst_id(ins.rd), NO_REG, NO_REG, 0)
+def _lui(machine: Machine, ins: Instruction, pc: int, append):
+    out, rd = _dest(machine, ins.rd)
+    value = _s32((ins.imm & 0xFFFF) << 16)
+    record = (pc, _ALU, _reg(rd), NO_REG, NO_REG, 0)
 
+    def step():
+        out[rd] = value
+        append(record)
+
+    return step
+
+
+_DECODERS["lui"] = _lui
 
 # -- HI/LO multiply and divide --------------------------------------------------
 
 
-@_handler("mult")
-def _mult(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    product = machine.regs[ins.rs] * machine.regs[ins.rt]
-    machine.lo = _s32(product)
-    machine.hi = _s32(product >> 32)
-    return (pc, int(Kind.ALU), HI_REG, _src_id(ins.rs), _src_id(ins.rt), 0)
+def _mult(a: int, b: int) -> tuple[int, int]:
+    product = a * b
+    return _s32(product), _s32(product >> 32)
 
 
-@_handler("multu")
-def _multu(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    product = _u32(machine.regs[ins.rs]) * _u32(machine.regs[ins.rt])
-    machine.lo = _s32(product)
-    machine.hi = _s32(product >> 32)
-    return (pc, int(Kind.ALU), HI_REG, _src_id(ins.rs), _src_id(ins.rt), 0)
+def _multu(a: int, b: int) -> tuple[int, int]:
+    return _mult(_u32(a), _u32(b))
 
 
-@_handler("div")
-def _div(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    divisor = machine.regs[ins.rt]
-    dividend = machine.regs[ins.rs]
+def _div(dividend: int, divisor: int) -> tuple[int, int]:
     if divisor == 0:
-        machine.lo, machine.hi = 0, 0  # R3000 leaves these undefined
-    else:
-        quotient = abs(dividend) // abs(divisor)
-        if (dividend < 0) != (divisor < 0):
-            quotient = -quotient
-        machine.lo = _s32(quotient)
-        machine.hi = _s32(dividend - quotient * divisor)
-    return (pc, int(Kind.ALU), HI_REG, _src_id(ins.rs), _src_id(ins.rt), 0)
+        return 0, 0  # R3000 leaves these undefined
+    quotient = abs(dividend) // abs(divisor)
+    if (dividend < 0) != (divisor < 0):
+        quotient = -quotient
+    return _s32(quotient), _s32(dividend - quotient * divisor)
 
 
-@_handler("divu")
-def _divu(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    divisor = _u32(machine.regs[ins.rt])
-    dividend = _u32(machine.regs[ins.rs])
+def _divu(dividend: int, divisor: int) -> tuple[int, int]:
+    dividend, divisor = _u32(dividend), _u32(divisor)
     if divisor == 0:
-        machine.lo, machine.hi = 0, 0
-    else:
-        machine.lo = _s32(dividend // divisor)
-        machine.hi = _s32(dividend % divisor)
-    return (pc, int(Kind.ALU), HI_REG, _src_id(ins.rs), _src_id(ins.rt), 0)
+        return 0, 0
+    return _s32(dividend // divisor), _s32(dividend % divisor)
 
 
-@_handler("mfhi")
-def _mfhi(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    _wr(machine, ins.rd, machine.hi)
-    return (pc, int(Kind.ALU), _dst_id(ins.rd), HI_REG, NO_REG, 0)
+def _make_hilo(fn):
+    """``fn(rs value, rt value) -> (lo, hi)``."""
+
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
+        regs = machine.regs
+        rs, rt = ins.rs, ins.rt
+        record = (pc, _ALU, HI_REG, _reg(rs), _reg(rt), 0)
+
+        def step():
+            machine.lo, machine.hi = fn(regs[rs], regs[rt])
+            append(record)
+
+        return step
+
+    return decode
 
 
-@_handler("mflo")
-def _mflo(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    _wr(machine, ins.rd, machine.lo)
-    return (pc, int(Kind.ALU), _dst_id(ins.rd), HI_REG, NO_REG, 0)
+for _name, _fn in (("mult", _mult), ("multu", _multu), ("div", _div), ("divu", _divu)):
+    _DECODERS[_name] = _make_hilo(_fn)
+
+
+def _move_from_hilo(machine: Machine, ins: Instruction, pc: int, append):
+    out, rd = _dest(machine, ins.rd)
+    attribute = ins.op[2:]  # mfhi / mflo
+    record = (pc, _ALU, _reg(rd), HI_REG, NO_REG, 0)
+
+    def step():
+        out[rd] = getattr(machine, attribute)
+        append(record)
+
+    return step
+
+
+_DECODERS["mfhi"] = _DECODERS["mflo"] = _move_from_hilo
 
 
 # -- loads and stores -------------------------------------------------------------
 
 
-def _make_load(reader_name: str, **reader_kwargs):
-    def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-        address = _u32(machine.regs[ins.rs] + ins.imm)
-        reader = getattr(machine.memory, reader_name)
-        _wr(machine, ins.rd, reader(address, **reader_kwargs))
-        return (
-            pc,
-            int(Kind.LOAD),
-            _dst_id(ins.rd),
-            _src_id(ins.rs),
-            NO_REG,
-            address,
-        )
+def _make_load(reader_name: str, kind: Kind = Kind.LOAD, **reader_kwargs):
+    fp = kind is Kind.FP_LOAD
 
-    return run
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
+        regs = machine.regs
+        read = getattr(machine.memory, reader_name)
+        if reader_kwargs:
+            read = partial(read, **reader_kwargs)
+        if fp:
+            out, rd, dst = machine.fregs, ins.fd, _fp_id(ins.fd)
+        else:
+            (out, rd), dst = _dest(machine, ins.rd), _reg(ins.rd)
+        rs, imm, src, code = ins.rs, ins.imm, _reg(ins.rs), int(kind)
 
+        def step():
+            address = (regs[rs] + imm) & _MASK32
+            out[rd] = read(address)
+            append((pc, code, dst, src, NO_REG, address))
 
-_HANDLERS["lw"] = _make_load("read_word")
-_HANDLERS["lh"] = _make_load("read_half", signed=True)
-_HANDLERS["lhu"] = _make_load("read_half", signed=False)
-_HANDLERS["lb"] = _make_load("read_byte", signed=True)
-_HANDLERS["lbu"] = _make_load("read_byte", signed=False)
+        return step
 
-
-def _make_store(writer_name: str):
-    def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-        address = _u32(machine.regs[ins.rs] + ins.imm)
-        writer = getattr(machine.memory, writer_name)
-        writer(address, machine.regs[ins.rt])
-        return (
-            pc,
-            int(Kind.STORE),
-            NO_REG,
-            _src_id(ins.rs),
-            _src_id(ins.rt),
-            address,
-        )
-
-    return run
+    return decode
 
 
-_HANDLERS["sw"] = _make_store("write_word")
-_HANDLERS["sh"] = _make_store("write_half")
-_HANDLERS["sb"] = _make_store("write_byte")
+def _make_store(writer_name: str, kind: Kind = Kind.STORE):
+    fp = kind is Kind.FP_STORE
+
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
+        regs = machine.regs
+        write = getattr(machine.memory, writer_name)
+        values, rt = (machine.fregs, ins.ft) if fp else (regs, ins.rt)
+        rs, imm, code = ins.rs, ins.imm, int(kind)
+        src1, src2 = _reg(rs), _fp_id(rt) if fp else _reg(rt)
+
+        def step():
+            address = (regs[rs] + imm) & _MASK32
+            write(address, values[rt])
+            append((pc, code, NO_REG, src1, src2, address))
+
+        return step
+
+    return decode
+
+
+_DECODERS["lw"] = _make_load("read_word")
+_DECODERS["lh"] = _make_load("read_half", signed=True)
+_DECODERS["lhu"] = _make_load("read_half", signed=False)
+_DECODERS["lb"] = _make_load("read_byte", signed=True)
+_DECODERS["lbu"] = _make_load("read_byte", signed=False)
+_DECODERS["lwc1"] = _make_load("read_float", Kind.FP_LOAD)
+_DECODERS["ldc1"] = _make_load("read_double", Kind.FP_LOAD)
+_DECODERS["sw"] = _make_store("write_word")
+_DECODERS["sh"] = _make_store("write_half")
+_DECODERS["sb"] = _make_store("write_byte")
+_DECODERS["swc1"] = _make_store("write_float", Kind.FP_STORE)
+_DECODERS["sdc1"] = _make_store("write_double", Kind.FP_STORE)
 
 
 # -- control flow -------------------------------------------------------------------
 
 
-def _branch_record(pc: int, taken: bool, program_target: int, rs: int, rt: int) -> TraceRecord:
-    return (
-        pc,
-        int(Kind.BRANCH),
-        NO_REG,
-        _src_id(rs),
-        _src_id(rt) if rt is not None else NO_REG,
-        program_target if taken else 0,
-    )
-
-
 def _make_cond_branch(test, uses_rt: bool):
-    def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
         regs = machine.regs
-        taken = test(regs[ins.rs], regs[ins.rt]) if uses_rt else test(regs[ins.rs])
+        rs, rt = ins.rs, ins.rt if uses_rt else 0
         target = TEXT_BASE + WORD * ins.target
-        if taken:
-            machine._branch_target = target
-        return _branch_record(pc, taken, target, ins.rs, ins.rt if uses_rt else 0)
+        taken = (pc, _BRANCH, NO_REG, _reg(rs), _reg(rt), target)
+        untaken = taken[:5] + (0,)
 
-    return run
+        def step():
+            if test(regs[rs], regs[rt]):
+                append(taken)
+                return target
+            append(untaken)
+            return None
+
+        return step
+
+    return decode
 
 
-_HANDLERS["beq"] = _make_cond_branch(lambda a, b: a == b, True)
-_HANDLERS["bne"] = _make_cond_branch(lambda a, b: a != b, True)
-_HANDLERS["blez"] = _make_cond_branch(lambda a: a <= 0, False)
-_HANDLERS["bgtz"] = _make_cond_branch(lambda a: a > 0, False)
-_HANDLERS["bltz"] = _make_cond_branch(lambda a: a < 0, False)
-_HANDLERS["bgez"] = _make_cond_branch(lambda a: a >= 0, False)
+_DECODERS["beq"] = _make_cond_branch(lambda a, b: a == b, True)
+_DECODERS["bne"] = _make_cond_branch(lambda a, b: a != b, True)
+_DECODERS["blez"] = _make_cond_branch(lambda a, _: a <= 0, False)
+_DECODERS["bgtz"] = _make_cond_branch(lambda a, _: a > 0, False)
+_DECODERS["bltz"] = _make_cond_branch(lambda a, _: a < 0, False)
+_DECODERS["bgez"] = _make_cond_branch(lambda a, _: a >= 0, False)
 
 
-@_handler("j")
-def _j(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
+def _make_fp_branch(wanted: bool):
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
+        target = TEXT_BASE + WORD * ins.target
+        taken = (pc, _BRANCH, NO_REG, NO_REG, NO_REG, target)
+        untaken = taken[:5] + (0,)
+
+        def step():
+            if machine.fp_cond is wanted:
+                append(taken)
+                return target
+            append(untaken)
+            return None
+
+        return step
+
+    return decode
+
+
+_DECODERS["bc1t"] = _make_fp_branch(True)
+_DECODERS["bc1f"] = _make_fp_branch(False)
+
+
+def _jump(machine: Machine, ins: Instruction, pc: int, append):
+    regs, link = machine.regs, ins.op == "jal"
     target = TEXT_BASE + WORD * ins.target
-    machine._branch_target = target
-    return (pc, int(Kind.JUMP), NO_REG, NO_REG, NO_REG, target)
+    record = (pc, _JUMP, 31 if link else NO_REG, NO_REG, NO_REG, target)
+
+    def step():
+        if link:
+            regs[31] = pc + 2 * WORD  # return past the delay slot
+        append(record)
+        return target
+
+    return step
 
 
-@_handler("jal")
-def _jal(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    target = TEXT_BASE + WORD * ins.target
-    _wr(machine, 31, pc + 2 * WORD)  # return past the delay slot
-    machine._branch_target = target
-    return (pc, int(Kind.JUMP), 31, NO_REG, NO_REG, target)
+def _jump_register(machine: Machine, ins: Instruction, pc: int, append):
+    regs = machine.regs
+    out, rd = _dest(machine, ins.rd if ins.op == "jalr" else 0)
+    rs = ins.rs
+    dst, src = _reg(rd), _reg(rs)
+
+    def step():
+        target = regs[rs] & _MASK32
+        out[rd] = pc + 2 * WORD
+        append((pc, _JUMP, dst, src, NO_REG, target))
+        return target
+
+    return step
 
 
-@_handler("jr")
-def _jr(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    target = _u32(machine.regs[ins.rs])
-    machine._branch_target = target
-    return (pc, int(Kind.JUMP), NO_REG, _src_id(ins.rs), NO_REG, target)
-
-
-@_handler("jalr")
-def _jalr(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    target = _u32(machine.regs[ins.rs])
-    _wr(machine, ins.rd, pc + 2 * WORD)
-    machine._branch_target = target
-    return (pc, int(Kind.JUMP), _dst_id(ins.rd), _src_id(ins.rs), NO_REG, target)
+_DECODERS["j"] = _DECODERS["jal"] = _jump
+_DECODERS["jr"] = _DECODERS["jalr"] = _jump_register
 
 
 # -- floating point -----------------------------------------------------------------
 
 
-def _fp_id(f: int) -> int:
-    return FP_REG_BASE + f
+def _make_fp_arith(kind: Kind, fn, unary: bool = False):
+    """``fn(fs value, ft value)``; a unary op ignores (and records no) ft."""
 
-
-def _make_fp_arith(kind: Kind, fn, unary: bool):
-    def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
         fregs = machine.fregs
-        if unary:
-            result = fn(fregs[ins.fs])
-            src2 = NO_REG
-        else:
-            result = fn(fregs[ins.fs], fregs[ins.ft])
-            src2 = _fp_id(ins.ft)
-        fregs[ins.fd] = result
-        return (pc, int(kind), _fp_id(ins.fd), _fp_id(ins.fs), src2, 0)
+        fd, fs, ft = ins.fd, ins.fs, ins.ft
+        record = (pc, int(kind), _fp_id(fd), _fp_id(fs), NO_REG if unary else _fp_id(ft), 0)
 
-    return run
+        def step():
+            fregs[fd] = fn(fregs[fs], fregs[ft])
+            append(record)
+
+        return step
+
+    return decode
 
 
 def _safe_div(a: float, b: float) -> float:
@@ -431,118 +485,109 @@ def _safe_div(a: float, b: float) -> float:
     return a / b
 
 
-def _safe_sqrt(a: float) -> float:
+def _safe_sqrt(a: float, _: float) -> float:
     return a**0.5 if a >= 0.0 else 0.0
 
 
 for _suffix in (".s", ".d"):
-    _HANDLERS["add" + _suffix] = _make_fp_arith(Kind.FP_ADD, lambda a, b: a + b, False)
-    _HANDLERS["sub" + _suffix] = _make_fp_arith(Kind.FP_ADD, lambda a, b: a - b, False)
-    _HANDLERS["abs" + _suffix] = _make_fp_arith(Kind.FP_ADD, abs, True)
-    _HANDLERS["neg" + _suffix] = _make_fp_arith(Kind.FP_ADD, lambda a: -a, True)
-    _HANDLERS["mul" + _suffix] = _make_fp_arith(Kind.FP_MUL, lambda a, b: a * b, False)
-    _HANDLERS["div" + _suffix] = _make_fp_arith(Kind.FP_DIV, _safe_div, False)
-    _HANDLERS["sqrt" + _suffix] = _make_fp_arith(Kind.FP_DIV, _safe_sqrt, True)
-    _HANDLERS["mov" + _suffix] = _make_fp_arith(Kind.FP_CVT, lambda a: a, True)
+    _DECODERS["add" + _suffix] = _make_fp_arith(Kind.FP_ADD, lambda a, b: a + b)
+    _DECODERS["sub" + _suffix] = _make_fp_arith(Kind.FP_ADD, lambda a, b: a - b)
+    _DECODERS["abs" + _suffix] = _make_fp_arith(Kind.FP_ADD, lambda a, _: abs(a), True)
+    _DECODERS["neg" + _suffix] = _make_fp_arith(Kind.FP_ADD, lambda a, _: -a, True)
+    _DECODERS["mul" + _suffix] = _make_fp_arith(Kind.FP_MUL, lambda a, b: a * b)
+    _DECODERS["div" + _suffix] = _make_fp_arith(Kind.FP_DIV, _safe_div)
+    _DECODERS["sqrt" + _suffix] = _make_fp_arith(Kind.FP_DIV, _safe_sqrt, True)
+    _DECODERS["mov" + _suffix] = _make_fp_arith(Kind.FP_CVT, lambda a, _: a, True)
+for _name in ("cvt.d.s", "cvt.s.d"):
+    _DECODERS[_name] = _make_fp_arith(Kind.FP_CVT, lambda a, _: float(a), True)
 
 
 def _make_fp_compare(test):
-    def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-        machine.fp_cond = test(machine.fregs[ins.fs], machine.fregs[ins.ft])
-        return (pc, int(Kind.FP_ADD), NO_REG, _fp_id(ins.fs), _fp_id(ins.ft), 0)
+    def decode(machine: Machine, ins: Instruction, pc: int, append):
+        fregs = machine.fregs
+        fs, ft = ins.fs, ins.ft
+        record = (pc, int(Kind.FP_ADD), NO_REG, _fp_id(fs), _fp_id(ft), 0)
 
-    return run
+        def step():
+            machine.fp_cond = test(fregs[fs], fregs[ft])
+            append(record)
+
+        return step
+
+    return decode
 
 
 for _suffix in (".s", ".d"):
-    _HANDLERS["c.eq" + _suffix] = _make_fp_compare(lambda a, b: a == b)
-    _HANDLERS["c.lt" + _suffix] = _make_fp_compare(lambda a, b: a < b)
-    _HANDLERS["c.le" + _suffix] = _make_fp_compare(lambda a, b: a <= b)
+    _DECODERS["c.eq" + _suffix] = _make_fp_compare(lambda a, b: a == b)
+    _DECODERS["c.lt" + _suffix] = _make_fp_compare(lambda a, b: a < b)
+    _DECODERS["c.le" + _suffix] = _make_fp_compare(lambda a, b: a <= b)
 
 
-def _make_fp_convert(fn):
-    def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-        machine.fregs[ins.fd] = fn(machine.fregs[ins.fs])
-        return (pc, int(Kind.FP_CVT), _fp_id(ins.fd), _fp_id(ins.fs), NO_REG, 0)
+def _convert_word(machine: Machine, ins: Instruction, pc: int, append):
+    """cvt.d.w / cvt.s.w / cvt.w.s / cvt.w.d: truncate to an integer value."""
+    fregs = machine.fregs
+    fd, fs = ins.fd, ins.fs
+    record = (pc, int(Kind.FP_CVT), _fp_id(fd), _fp_id(fs), NO_REG, 0)
 
-    return run
+    def step():
+        fregs[fd] = float(_to_int(fregs[fs], ins, pc))
+        append(record)
 
-
-for _name in ("cvt.d.s", "cvt.s.d"):
-    _HANDLERS[_name] = _make_fp_convert(float)
-for _name in ("cvt.d.w", "cvt.s.w"):
-    _HANDLERS[_name] = _make_fp_convert(lambda raw: float(int(raw)))
-for _name in ("cvt.w.s", "cvt.w.d"):
-    _HANDLERS[_name] = _make_fp_convert(lambda value: float(int(value)))
+    return step
 
 
-def _make_fp_branch(wanted: bool):
-    def run(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-        taken = machine.fp_cond is wanted
-        target = TEXT_BASE + WORD * ins.target
-        if taken:
-            machine._branch_target = target
-        return (pc, int(Kind.BRANCH), NO_REG, NO_REG, NO_REG, target if taken else 0)
-
-    return run
+for _name in ("cvt.d.w", "cvt.s.w", "cvt.w.s", "cvt.w.d"):
+    _DECODERS[_name] = _convert_word
 
 
-_HANDLERS["bc1t"] = _make_fp_branch(True)
-_HANDLERS["bc1f"] = _make_fp_branch(False)
+def _mtc1(machine: Machine, ins: Instruction, pc: int, append):
+    regs, fregs = machine.regs, machine.fregs
+    fd, rt = ins.fd, ins.rt
+    record = (pc, int(Kind.FP_MOVE), _fp_id(fd), _reg(rt), NO_REG, 0)
+
+    def step():
+        fregs[fd] = float(regs[rt])
+        append(record)
+
+    return step
 
 
-@_handler("lwc1")
-def _lwc1(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    address = _u32(machine.regs[ins.rs] + ins.imm)
-    machine.fregs[ins.fd] = machine.memory.read_float(address)
-    return (pc, int(Kind.FP_LOAD), _fp_id(ins.fd), _src_id(ins.rs), NO_REG, address)
+def _mfc1(machine: Machine, ins: Instruction, pc: int, append):
+    fregs = machine.fregs
+    out, rd = _dest(machine, ins.rd)
+    fs = ins.fs
+    record = (pc, int(Kind.FP_MOVE), _reg(rd), _fp_id(fs), NO_REG, 0)
+
+    def step():
+        out[rd] = _s32(_to_int(fregs[fs], ins, pc))
+        append(record)
+
+    return step
 
 
-@_handler("swc1")
-def _swc1(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    address = _u32(machine.regs[ins.rs] + ins.imm)
-    machine.memory.write_float(address, machine.fregs[ins.ft])
-    return (pc, int(Kind.FP_STORE), NO_REG, _src_id(ins.rs), _fp_id(ins.ft), address)
-
-
-@_handler("ldc1")
-def _ldc1(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    address = _u32(machine.regs[ins.rs] + ins.imm)
-    machine.fregs[ins.fd] = machine.memory.read_double(address)
-    return (pc, int(Kind.FP_LOAD), _fp_id(ins.fd), _src_id(ins.rs), NO_REG, address)
-
-
-@_handler("sdc1")
-def _sdc1(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    address = _u32(machine.regs[ins.rs] + ins.imm)
-    machine.memory.write_double(address, machine.fregs[ins.ft])
-    return (pc, int(Kind.FP_STORE), NO_REG, _src_id(ins.rs), _fp_id(ins.ft), address)
-
-
-@_handler("mtc1")
-def _mtc1(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    machine.fregs[ins.fd] = float(machine.regs[ins.rt])
-    return (pc, int(Kind.FP_MOVE), _fp_id(ins.fd), _src_id(ins.rt), NO_REG, 0)
-
-
-@_handler("mfc1")
-def _mfc1(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    _wr(machine, ins.rd, int(machine.fregs[ins.fs]))
-    return (pc, int(Kind.FP_MOVE), _dst_id(ins.rd), _fp_id(ins.fs), NO_REG, 0)
+_DECODERS["mtc1"] = _mtc1
+_DECODERS["mfc1"] = _mfc1
 
 
 # -- miscellaneous ---------------------------------------------------------------------
 
 
-@_handler("nop")
-def _nop(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    return (pc, int(Kind.NOP), NO_REG, NO_REG, NO_REG, 0)
+def _nop(machine: Machine, ins: Instruction, pc: int, append):
+    return partial(append, (pc, int(Kind.NOP), NO_REG, NO_REG, NO_REG, 0))
 
 
-@_handler("halt")
-def _halt(machine: Machine, ins: Instruction, pc: int) -> TraceRecord:
-    machine._halted = True
-    return (pc, int(Kind.HALT), NO_REG, NO_REG, NO_REG, 0)
+def _halt(machine: Machine, ins: Instruction, pc: int, append):
+    record = (pc, int(Kind.HALT), NO_REG, NO_REG, NO_REG, 0)
+
+    def step():
+        append(record)
+        return _HALT
+
+    return step
+
+
+_DECODERS["nop"] = _nop
+_DECODERS["halt"] = _halt
 
 
 def run_program(

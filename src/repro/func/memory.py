@@ -14,6 +14,13 @@ PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 
+_WORD = struct.Struct("<i")
+_UWORD = struct.Struct("<I")
+_HALF = struct.Struct("<h")
+_UHALF = struct.Struct("<H")
+_FLOAT = struct.Struct("<f")
+_DOUBLE = struct.Struct("<d")
+
 
 class MemoryError_(Exception):
     """Raised on unaligned or otherwise illegal accesses."""
@@ -58,35 +65,34 @@ class SparseMemory:
             a = address + i
             self._page(a)[a & PAGE_MASK] = byte
 
-    # ------------------------------------------------------------ integers
+    # ------------------------------------------------------------ aligned
+    # An aligned access of 8 bytes or fewer never crosses a page, so these
+    # work in place on one page; reading an untouched page allocates nothing.
 
     def read_word(self, address: int) -> int:
         """Read a signed 32-bit word (naturally aligned)."""
         if address & 3:
             raise MemoryError_(f"unaligned word read at {address:#x}")
         page = self._pages.get(address >> PAGE_SHIFT)
-        if page is None:
-            return 0
-        offset = address & PAGE_MASK
-        return int.from_bytes(page[offset : offset + 4], "little", signed=True)
+        return 0 if page is None else _WORD.unpack_from(page, address & PAGE_MASK)[0]
 
     def write_word(self, address: int, value: int) -> None:
         if address & 3:
             raise MemoryError_(f"unaligned word write at {address:#x}")
-        page = self._page(address)
-        offset = address & PAGE_MASK
-        page[offset : offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+        _UWORD.pack_into(self._page(address), address & PAGE_MASK, value & 0xFFFFFFFF)
 
     def read_half(self, address: int, signed: bool = True) -> int:
         if address & 1:
             raise MemoryError_(f"unaligned halfword read at {address:#x}")
-        raw = self.read_bytes(address, 2)
-        return int.from_bytes(raw, "little", signed=signed)
+        page = self._pages.get(address >> PAGE_SHIFT)
+        if page is None:
+            return 0
+        return (_HALF if signed else _UHALF).unpack_from(page, address & PAGE_MASK)[0]
 
     def write_half(self, address: int, value: int) -> None:
         if address & 1:
             raise MemoryError_(f"unaligned halfword write at {address:#x}")
-        self.write_bytes(address, (value & 0xFFFF).to_bytes(2, "little"))
+        _UHALF.pack_into(self._page(address), address & PAGE_MASK, value & 0xFFFF)
 
     def read_byte(self, address: int, signed: bool = True) -> int:
         page = self._pages.get(address >> PAGE_SHIFT)
@@ -98,24 +104,24 @@ class SparseMemory:
     def write_byte(self, address: int, value: int) -> None:
         self._page(address)[address & PAGE_MASK] = value & 0xFF
 
-    # ------------------------------------------------------------ floating
-
     def read_float(self, address: int) -> float:
         if address & 3:
             raise MemoryError_(f"unaligned float read at {address:#x}")
-        return struct.unpack("<f", self.read_bytes(address, 4))[0]
+        page = self._pages.get(address >> PAGE_SHIFT)
+        return 0.0 if page is None else _FLOAT.unpack_from(page, address & PAGE_MASK)[0]
 
     def write_float(self, address: int, value: float) -> None:
         if address & 3:
             raise MemoryError_(f"unaligned float write at {address:#x}")
-        self.write_bytes(address, struct.pack("<f", value))
+        _FLOAT.pack_into(self._page(address), address & PAGE_MASK, value)
 
     def read_double(self, address: int) -> float:
         if address & 7:
             raise MemoryError_(f"unaligned double read at {address:#x}")
-        return struct.unpack("<d", self.read_bytes(address, 8))[0]
+        page = self._pages.get(address >> PAGE_SHIFT)
+        return 0.0 if page is None else _DOUBLE.unpack_from(page, address & PAGE_MASK)[0]
 
     def write_double(self, address: int, value: float) -> None:
         if address & 7:
             raise MemoryError_(f"unaligned double write at {address:#x}")
-        self.write_bytes(address, struct.pack("<d", value))
+        _DOUBLE.pack_into(self._page(address), address & PAGE_MASK, value)

@@ -34,6 +34,7 @@ from repro.func.trace import (
     _CONTROL_KINDS,
     _FP_KINDS,
     _MEMORY_KINDS,
+    records_array,
 )
 from repro.isa.instructions import Kind
 
@@ -278,7 +279,7 @@ def prepare_trace(
             if array.dtype != np.int64:
                 array = array.astype(np.int64)
         else:
-            array = np.asarray(trace, dtype=np.int64).reshape(len(trace), 6)
+            array = records_array(trace)
         prepared = PreparedTrace(array, source=source)
     elapsed = time.perf_counter() - started
     prepared.prepare_seconds = elapsed

@@ -22,6 +22,7 @@ Unified register-id space (so one scoreboard array covers all namespaces):
 
 from __future__ import annotations
 
+import itertools
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -111,6 +112,19 @@ def compute_stats(trace, line_size: int = 32) -> TraceStats:
     )
 
 
+def records_array(records) -> np.ndarray:
+    """The ``(n, 6)`` int64 array of ``n`` records, built in one pass.
+
+    Raises :class:`ValueError` unless the records hold ``6 * n`` fields.
+    """
+    count = len(records)
+    fields = itertools.chain.from_iterable(records)
+    array = np.fromiter(fields, np.int64, 6 * count)
+    if next(fields, None) is not None:
+        raise ValueError(f"{count} trace records hold more than {6 * count} fields")
+    return array.reshape(count, 6)
+
+
 #: On-disk trace archive format version (bump on incompatible layout change).
 TRACE_FILE_VERSION = 1
 
@@ -121,7 +135,7 @@ class TraceIOError(ValueError):
 
 def save_trace(path: str, trace: list[TraceRecord]) -> None:
     """Persist a trace as a compressed, versioned numpy archive."""
-    array = np.asarray(trace, dtype=np.int64).reshape(len(trace), 6)
+    array = records_array(trace)
     np.savez_compressed(
         path,
         trace=array,

@@ -185,10 +185,9 @@ def get_trace(name: str, scale: int | None = None) -> PreparedTrace:
             "trace_build", "trace", workload=name, scale=effective
         ):
             program = spec.builder(effective)
-            result = run_program(program, max_instructions=50_000_000)
-            records = result.trace
-            disk.store(name, effective, records)
-        trace = prepare_trace(records, workload=name, source="build")
+            records = run_program(program, max_instructions=50_000_000).trace
+            trace = prepare_trace(records, workload=name, source="build")
+            disk.store(name, effective, trace)
     _TRACE_CACHE[key] = trace
     bound = trace_memo_max()
     while len(_TRACE_CACHE) > bound:

@@ -81,6 +81,7 @@ from repro.func.trace import (
     TraceRecord,
     file_crc32,
     load_trace_array,
+    records_array,
     save_trace_array,
 )
 from repro.telemetry.logging import get_logger
@@ -340,7 +341,7 @@ class TraceCache:
         elif isinstance(trace, np.ndarray):
             array = trace
         else:
-            array = np.asarray(trace, dtype=np.int64).reshape(len(trace), 6)
+            array = records_array(trace)
         path = self.path_for(name, scale)
         with tracing.span(
             "cache_store", "trace", workload=name, scale=scale

@@ -300,6 +300,30 @@ class TestControlFlow:
         with pytest.raises(SimulationError):
             run_program(asm.assemble())
 
+    def test_misaligned_jump_target_detected(self):
+        """A jump into the text segment off a word boundary faults at
+        the misaligned pc instead of running the instruction below it."""
+        asm = Assembler()
+        asm.la("t0", "func")
+        asm.addiu("t0", "t0", 2)
+        asm.li("v0", 0)
+        asm.jr("t0")
+        asm.halt()
+        asm.label("func")
+        asm.li("v0", 9)
+        asm.halt()
+        program = asm.assemble()
+        bad_pc = program.symbol("func") + 2
+        with pytest.raises(SimulationError, match=f"misaligned pc={bad_pc:#x}"):
+            run_program(program)
+
+    def test_jump_to_address_zero_leaves_text(self):
+        asm = Assembler()
+        asm.jr("zero")
+        asm.halt()
+        with pytest.raises(SimulationError, match="pc=0x0"):
+            run_program(asm.assemble())
+
 
 class TestFloatingPoint:
     def test_double_arithmetic(self):
@@ -373,6 +397,33 @@ class TestFloatingPoint:
         asm.halt()
         result = run_program(asm.assemble())
         assert result.registers[2] == 42
+
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("op", ["cvt.w.d", "cvt.w.s", "mfc1"])
+    def test_non_finite_to_integer_raises(self, op, value):
+        """inf (int() would raise OverflowError) and NaN (ValueError)
+        have no integer value: the conversion is a SimulationError
+        naming the op and its pc."""
+        asm = Assembler()
+        asm.data_label("vals")
+        asm.float_double(1.0, 0.0)
+        asm.la("t0", "vals")
+        asm.ldc1("f2", 0, "t0")
+        asm.ldc1("f4", 8, "t0")
+        asm.div_d("f6", "f2", "f4")  # +inf
+        if value == "nan":
+            asm.sub_d("f6", "f6", "f6")
+        if op == "mfc1":
+            asm.mfc1("v0", "f6")
+        else:
+            asm.op(op, "f8", "f6")
+        asm.halt()
+        program = asm.assemble()
+        index = next(i for i, ins in enumerate(program.text) if ins.op == op)
+        pc = program.address_of(index)
+        with pytest.raises(SimulationError, match=rf"{op} at pc={pc:#x}: {value}"):
+            run_program(program)
 
 
 class TestTraceRecords:

@@ -1,5 +1,6 @@
 """Unit tests for trace infrastructure (stats, persistence, encodings)."""
 
+import numpy as np
 import pytest
 
 from repro.func.trace import (
@@ -10,6 +11,7 @@ from repro.func.trace import (
     is_fp_kind,
     is_memory_kind,
     load_trace,
+    records_array,
     save_trace,
 )
 from repro.isa.instructions import Kind
@@ -85,6 +87,28 @@ class TestPersistence:
         path = str(tmp_path / "empty.npz")
         save_trace(path, [])
         assert load_trace(path) == []
+
+
+class TestRecordsArray:
+    def test_matches_row_by_row_conversion(self):
+        trace = [
+            rec(0x400000, Kind.ALU, dst=8, s1=9, s2=10),
+            rec(0x400004, Kind.LOAD, dst=11, s1=29, addr=0xFFFF_FFFC),
+            rec(0x400008, Kind.BRANCH, s1=8, addr=0x400000),
+        ]
+        array = records_array(trace)
+        assert array.dtype == np.int64 and array.shape == (3, 6)
+        assert np.array_equal(array, np.array(trace, dtype=np.int64))
+
+    def test_empty(self):
+        assert records_array([]).shape == (0, 6)
+
+    @pytest.mark.parametrize(
+        "trace", [[(1, 2, 3, 4, 5)], [(1, 2, 3, 4, 5, 6, 7)], [rec(0, Kind.ALU), (1, 2)]]
+    )
+    def test_wrong_field_count_raises(self, trace):
+        with pytest.raises(ValueError):
+            records_array(trace)
 
 
 class TestKindHelpers:

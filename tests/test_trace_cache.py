@@ -196,6 +196,28 @@ class TestRegistryDiskTier:
         assert second == first
         assert trace_cache.snapshot() == (1, 1)
 
+    def test_cold_build_prepares_once_and_stores_that_array(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.func.prepared import prepare_snapshot
+
+        monkeypatch.setattr(trace_cache, "_default", TraceCache(tmp_path))
+        registry.clear_trace_cache()
+        stored = []
+        store = TraceCache.store
+        monkeypatch.setattr(
+            TraceCache,
+            "store",
+            lambda self, name, scale, trace: (
+                stored.append(trace), store(self, name, scale, trace)
+            ),
+        )
+        before, _ = prepare_snapshot()
+        trace = registry.get_trace("sc", 7)
+        assert prepare_snapshot()[0] == before + 1
+        assert len(stored) == 1 and stored[0] is trace
+        assert trace.source == "build"
+
     def test_corrupt_disk_entry_falls_back_to_build(
         self, tmp_path, monkeypatch
     ):
