@@ -25,6 +25,10 @@ from dataclasses import dataclass, field
 from repro.telemetry.events import EventKind
 
 
+#: The transaction classes :class:`BIUStats` counts, one field each.
+TXN_KINDS = frozenset(("ifetch", "dread", "write", "prefetch", "mmu"))
+
+
 @dataclass
 class BIUStats:
     """Transaction counts by class."""
@@ -61,12 +65,11 @@ class BusInterfaceUnit:
         """
         if time < 0:
             raise ValueError(f"negative request time {time}")
+        if kind not in TXN_KINDS:
+            raise ValueError(f"unknown transaction kind {kind!r}")
         grant = time if time >= self._transmit_free else self._transmit_free
         self._transmit_free = grant + self.occupancy
-        count = getattr(self.stats, kind, None)
-        if count is None:
-            raise ValueError(f"unknown transaction kind {kind!r}")
-        setattr(self.stats, kind, count + 1)
+        self.stats.__dict__[kind] += 1
         if self.telemetry:
             self.telemetry.emit(
                 grant,

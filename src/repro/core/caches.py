@@ -115,7 +115,8 @@ class PipelinedCachePort:
     def start_access(self, time: int) -> int:
         """Earliest cycle >= time the port can initiate an access."""
         start = time if time >= self._next_slot else self._next_slot
-        start = self._skip_fill_windows(start)
+        if start < self._max_end:
+            start = self._skip_fill_windows(start)
         self._next_slot = start + 1
         return start
 
@@ -151,8 +152,3 @@ class PipelinedCachePort:
                     time = end
                     moved = True
         return time
-
-    @property
-    def next_slot(self) -> int:
-        """Next pipelined issue slot (ignores future fill windows)."""
-        return self._next_slot

@@ -93,10 +93,14 @@ class DecoupledFPU:
         # fully-serialised machines have one (paper Section 5.8 lists the
         # extra busses among dual issue's hardware costs).
         self._bus_slots: dict[int, int] = {}
-        if config.issue_policy is FPIssuePolicy.DUAL_ISSUE:
-            self._write_ports = min(2, config.result_buses)
-        else:
-            self._write_ports = min(1, config.result_buses)
+        # Config-fixed choices, resolved once instead of once per op.
+        self._in_order = config.issue_policy is FPIssuePolicy.IN_ORDER_COMPLETION
+        self._dual = config.issue_policy is FPIssuePolicy.DUAL_ISSUE
+        self._write_ports = min(2 if self._dual else 1, config.result_buses)
+        self._iq_capacity = config.instruction_queue
+        self._lq_capacity = config.load_queue
+        self._sq_capacity = config.store_queue
+        self._rob_capacity = config.rob_entries
         self.instructions = 0
         self.issue_stall_cycles = 0
         self.last_event = 0
@@ -111,18 +115,20 @@ class DecoupledFPU:
         The instruction queue has ``cfg.instruction_queue`` entries; entry
         *n* frees when instruction *n* issues into a functional unit.
         """
-        if len(self._iq_releases) >= self.cfg.instruction_queue:
+        if len(self._iq_releases) >= self._iq_capacity:
             return self._iq_releases[0]
         return 0
 
     def load_data_floor(self) -> int:
         """Earliest time the LSU may deliver the next FP load's data
         (load-queue backpressure)."""
-        if len(self._lq_releases) >= self.cfg.load_queue:
+        if len(self._lq_releases) >= self._lq_capacity:
             return self._lq_releases[0]
         return 0
 
     # ------------------------------------------------------------ dispatch
+    # Each operation does its issue floor, width rules, result-bus slot
+    # and in-order retirement through the FPU reorder buffer in one body.
 
     def arith(self, kind: int, fd: int, fs: int, ft: int, arrive: int) -> int:
         """Process an arithmetic/convert/compare op arriving at ``arrive``.
@@ -132,26 +138,81 @@ class DecoupledFPU:
         Returns the completion time.
         """
         unit = _KIND_TO_UNIT[kind]
-        if self.telemetry:
-            self.telemetry.emit(arrive, "fpu", EventKind.FPQ_ENQUEUE, queue="iq")
-        operand_ready = 0
-        if fs >= 0:
-            operand_ready = self.reg_ready[fs]
-        if ft >= 0 and self.reg_ready[ft] > operand_ready:
-            operand_ready = self.reg_ready[ft]
-        issue = self._issue(arrive, operand_ready, unit)
-        latency = self._unit_latency[unit]
-        completion = issue + latency
+        tele = self.telemetry
+        if tele:
+            tele.emit(arrive, "fpu", EventKind.FPQ_ENQUEUE, queue="iq")
+        reg_ready = self.reg_ready
+        floor = self._unit_free[unit]
+        if arrive > floor:
+            floor = arrive
+        if fs >= 0 and reg_ready[fs] > floor:
+            floor = reg_ready[fs]
+        if ft >= 0 and reg_ready[ft] > floor:
+            floor = reg_ready[ft]
+        if self._prev_completion > floor:  # 0 unless fully serialised
+            floor = self._prev_completion
+        rob = self._rob_retires
+        if len(rob) >= self._rob_capacity and rob[0] > floor:
+            floor = rob[0]
+        # In-order issue, one per cycle; dual issue pairs two units.
+        last = self._last_issue
+        if floor <= last:
+            if (
+                self._dual
+                and self._issued_this_cycle < 2
+                and unit not in self._units_this_cycle
+            ):
+                floor = last
+            else:
+                floor = last + 1
+        issue = floor
+        if issue > arrive:
+            self.issue_stall_cycles += issue - arrive
+        # The result busses are shared with load-queue drains.
+        completion = issue + self._unit_latency[unit]
+        slots = self._bus_slots
+        taken = slots.get(completion, 0)
+        while taken >= self._write_ports:
+            completion += 1
+            taken = slots.get(completion, 0)
+        slots[completion] = taken + 1
+        if len(slots) > 4096:
+            # Prune slots far in the past to bound memory.
+            horizon = completion - 64
+            for key in [k for k in slots if k < horizon]:
+                del slots[key]
         if fd >= 0:
-            completion = self._claim_result_bus(completion)
-            self.reg_ready[fd] = completion
+            reg_ready[fd] = completion
         else:
-            completion = self._claim_result_bus(completion)
             self.cond_ready = completion
         self._unit_free[unit] = (
             issue + 1 if self._unit_pipelined[unit] else completion
         )
-        self._finish(issue, completion, unit)
+        if tele:
+            tele.emit(issue, "fpu", EventKind.FPQ_ISSUE, unit=_UNITS[unit].value)
+            tele.emit(issue, "fpu", EventKind.FPQ_DEQUEUE, queue="iq")
+        if issue == last:
+            self._issued_this_cycle += 1
+        else:
+            self._last_issue = issue
+            self._issued_this_cycle = 1
+            self._units_this_cycle.clear()
+        self._units_this_cycle.add(unit)
+        iq = self._iq_releases
+        iq.append(issue)
+        if len(iq) > self._iq_capacity:
+            iq.popleft()
+        retire = self._last_retire
+        if completion > retire:
+            retire = self._last_retire = completion
+        rob.append(retire)
+        if len(rob) > self._rob_capacity:
+            rob.popleft()
+        if self._in_order:
+            self._prev_completion = completion
+        if retire > self.last_event:
+            self.last_event = retire
+        self.instructions += 1
         return completion
 
     def load(self, fd: int, data_arrival: int, arrive: int) -> int:
@@ -167,41 +228,63 @@ class DecoupledFPU:
 
         Returns the register-file write time.
         """
-        if self.cfg.issue_policy is FPIssuePolicy.IN_ORDER_COMPLETION:
+        tele = self.telemetry
+        if self._in_order:
             # The fully serialised policy has no decoupled write port:
             # the load's RF write is an instruction like any other.
-            if self.telemetry:
-                self.telemetry.emit(
-                    arrive, "fpu", EventKind.FPQ_ENQUEUE, queue="iq"
-                )
-            issue = self._issue(arrive, data_arrival, unit=None)
+            if tele:
+                tele.emit(arrive, "fpu", EventKind.FPQ_ENQUEUE, queue="iq")
+            issue = arrive if arrive > data_arrival else data_arrival
+            if self._prev_completion > issue:
+                issue = self._prev_completion
+            rob = self._rob_retires
+            if len(rob) >= self._rob_capacity and rob[0] > issue:
+                issue = rob[0]
+            if issue <= self._last_issue:
+                issue = self._last_issue + 1
+            if issue > arrive:
+                self.issue_stall_cycles += issue - arrive
             write_time = issue + 1
-            self.reg_ready[fd] = write_time
-            self._lq_releases.append(write_time)
-            if len(self._lq_releases) > self.cfg.load_queue:
-                self._lq_releases.popleft()
-            if self.telemetry:
-                self.telemetry.emit(
-                    data_arrival, "fpu", EventKind.FPQ_ENQUEUE, queue="lq"
-                )
-                self.telemetry.emit(
-                    write_time, "fpu", EventKind.FPQ_DEQUEUE, queue="lq"
-                )
-            self._finish(issue, write_time, unit=None)
-            return write_time
-        write_time = self._claim_result_bus(data_arrival)
+        else:
+            write_time = data_arrival
+            slots = self._bus_slots
+            taken = slots.get(write_time, 0)
+            while taken >= self._write_ports:
+                write_time += 1
+                taken = slots.get(write_time, 0)
+            slots[write_time] = taken + 1
+            if len(slots) > 4096:
+                # Prune slots far in the past to bound memory.
+                horizon = write_time - 64
+                for key in [k for k in slots if k < horizon]:
+                    del slots[key]
         self.reg_ready[fd] = write_time
-        self._lq_releases.append(write_time)
-        if len(self._lq_releases) > self.cfg.load_queue:
-            self._lq_releases.popleft()
-        if self.telemetry:
-            self.telemetry.emit(
-                data_arrival, "fpu", EventKind.FPQ_ENQUEUE, queue="lq"
-            )
-            self.telemetry.emit(
-                write_time, "fpu", EventKind.FPQ_DEQUEUE, queue="lq"
-            )
-        if write_time > self.last_event:
+        lq = self._lq_releases
+        lq.append(write_time)
+        if len(lq) > self._lq_capacity:
+            lq.popleft()
+        if tele:
+            tele.emit(data_arrival, "fpu", EventKind.FPQ_ENQUEUE, queue="lq")
+            tele.emit(write_time, "fpu", EventKind.FPQ_DEQUEUE, queue="lq")
+        if self._in_order:
+            if tele:
+                tele.emit(issue, "fpu", EventKind.FPQ_ISSUE, unit=None)
+                tele.emit(issue, "fpu", EventKind.FPQ_DEQUEUE, queue="iq")
+            self._last_issue = issue
+            self._prev_completion = write_time
+            iq = self._iq_releases
+            iq.append(issue)
+            if len(iq) > self._iq_capacity:
+                iq.popleft()
+            retire = self._last_retire
+            if write_time > retire:
+                retire = self._last_retire = write_time
+            rob.append(retire)
+            if len(rob) > self._rob_capacity:
+                rob.popleft()
+            if retire > self.last_event:
+                self.last_event = retire
+        elif write_time > self.last_event:
             self.last_event = write_time
         self.instructions += 1
         return write_time
@@ -216,24 +299,59 @@ class DecoupledFPU:
         Issue therefore stalls only when the store queue itself is full,
         never on the store's operand.
         """
-        sq_floor = 0
-        if len(self._sq_releases) >= self.cfg.store_queue:
-            sq_floor = self._sq_releases[0]
-        if self.telemetry:
-            self.telemetry.emit(arrive, "fpu", EventKind.FPQ_ENQUEUE, queue="iq")
-        issue = self._issue(arrive, sq_floor, unit=None)
+        tele = self.telemetry
+        if tele:
+            tele.emit(arrive, "fpu", EventKind.FPQ_ENQUEUE, queue="iq")
+        sq = self._sq_releases
+        floor = arrive
+        if len(sq) >= self._sq_capacity and sq[0] > floor:
+            floor = sq[0]
+        if self._prev_completion > floor:
+            floor = self._prev_completion
+        rob = self._rob_retires
+        if len(rob) >= self._rob_capacity and rob[0] > floor:
+            floor = rob[0]
+        last = self._last_issue
+        if floor <= last:
+            if self._dual and self._issued_this_cycle < 2:
+                floor = last
+            else:
+                floor = last + 1
+        issue = floor
+        if issue > arrive:
+            self.issue_stall_cycles += issue - arrive
         operand_ready = self.reg_ready[ft] if ft >= 0 else 0
         # Data leaves over the data-cache input busses once produced.
         data_out = max(issue, operand_ready) + 1
-        self._sq_releases.append(data_out)
-        if len(self._sq_releases) > self.cfg.store_queue:
-            self._sq_releases.popleft()
-        if self.telemetry:
-            self.telemetry.emit(issue, "fpu", EventKind.FPQ_ENQUEUE, queue="sq")
-            self.telemetry.emit(
-                data_out, "fpu", EventKind.FPQ_DEQUEUE, queue="sq"
-            )
-        self._finish(issue, data_out, unit=None)
+        sq.append(data_out)
+        if len(sq) > self._sq_capacity:
+            sq.popleft()
+        if tele:
+            tele.emit(issue, "fpu", EventKind.FPQ_ENQUEUE, queue="sq")
+            tele.emit(data_out, "fpu", EventKind.FPQ_DEQUEUE, queue="sq")
+            tele.emit(issue, "fpu", EventKind.FPQ_ISSUE, unit=None)
+            tele.emit(issue, "fpu", EventKind.FPQ_DEQUEUE, queue="iq")
+        if issue == last:
+            self._issued_this_cycle += 1
+        else:
+            self._last_issue = issue
+            self._issued_this_cycle = 1
+            self._units_this_cycle.clear()
+        iq = self._iq_releases
+        iq.append(issue)
+        if len(iq) > self._iq_capacity:
+            iq.popleft()
+        retire = self._last_retire
+        if data_out > retire:
+            retire = self._last_retire = data_out
+        rob.append(retire)
+        if len(rob) > self._rob_capacity:
+            rob.popleft()
+        if self._in_order:
+            self._prev_completion = data_out
+        if retire > self.last_event:
+            self.last_event = retire
+        self.instructions += 1
         return data_out
 
     def mtc1(self, fd: int, data_arrival: int, arrive: int) -> int:
@@ -265,97 +383,3 @@ class DecoupledFPU:
                     f"FPU {name} holds {len(queue)} entries; configured "
                     f"capacity is {capacity}"
                 )
-
-    # ------------------------------------------------------------ internals
-
-    def _issue(self, arrive: int, operand_ready: int, unit: int | None) -> int:
-        cfg = self.cfg
-        floor = arrive if arrive > operand_ready else operand_ready
-        if cfg.issue_policy is FPIssuePolicy.IN_ORDER_COMPLETION:
-            if self._prev_completion > floor:
-                floor = self._prev_completion
-        # Reorder-buffer entry must be free (frees at in-order retire).
-        if len(self._rob_retires) >= cfg.rob_entries:
-            rob_floor = self._rob_retires[0]
-            if rob_floor > floor:
-                floor = rob_floor
-        # Functional unit availability (iterative units block).
-        if unit is not None and self._unit_free[unit] > floor:
-            floor = self._unit_free[unit]
-        # In-order issue + per-cycle width.
-        issue = self._apply_width_rules(floor, unit)
-        if issue > arrive:
-            self.issue_stall_cycles += issue - arrive
-        return issue
-
-    def _apply_width_rules(self, floor: int, unit: int | None) -> int:
-        policy = self.cfg.issue_policy
-        if policy is FPIssuePolicy.IN_ORDER_COMPLETION:
-            # Serialised anyway; still at most one per cycle.
-            if floor <= self._last_issue:
-                floor = self._last_issue + 1
-            return floor
-        if floor < self._last_issue:
-            floor = self._last_issue
-        if policy is FPIssuePolicy.SINGLE_ISSUE:
-            if floor == self._last_issue:
-                floor += 1
-            return floor
-        # DUAL_ISSUE: two per cycle, to two different functional units.
-        if floor == self._last_issue:
-            same_unit = unit is not None and unit in self._units_this_cycle
-            if self._issued_this_cycle >= 2 or same_unit:
-                floor += 1
-        return floor
-
-    def _finish(self, issue: int, completion: int, unit: int | None) -> None:
-        if self.telemetry:
-            self.telemetry.emit(
-                issue,
-                "fpu",
-                EventKind.FPQ_ISSUE,
-                unit=_UNITS[unit].value if unit is not None else None,
-            )
-            self.telemetry.emit(issue, "fpu", EventKind.FPQ_DEQUEUE, queue="iq")
-        if issue == self._last_issue:
-            self._issued_this_cycle += 1
-        else:
-            self._last_issue = issue
-            self._issued_this_cycle = 1
-            self._units_this_cycle.clear()
-        if unit is not None:
-            self._units_this_cycle.add(unit)
-        # Instruction queue entry frees at issue.
-        self._iq_releases.append(issue)
-        if len(self._iq_releases) > self.cfg.instruction_queue:
-            self._iq_releases.popleft()
-        # In-order retirement through the FPU reorder buffer.
-        retire = completion if completion > self._last_retire else self._last_retire
-        self._last_retire = retire
-        self._rob_retires.append(retire)
-        if len(self._rob_retires) > self.cfg.rob_entries:
-            self._rob_retires.popleft()
-        if self.cfg.issue_policy is FPIssuePolicy.IN_ORDER_COMPLETION:
-            self._prev_completion = completion
-        if retire > self.last_event:
-            self.last_event = retire
-        self.instructions += 1
-
-    def _claim_result_bus(self, completion: int) -> int:
-        """Delay an RF write until a result-bus slot is free.
-
-        Both functional-unit completions and load-data drains go through
-        these busses (``_write_ports`` of them per cycle).
-        """
-        buses = self._write_ports
-        slots = self._bus_slots
-        cycle = completion
-        while slots.get(cycle, 0) >= buses:
-            cycle += 1
-        slots[cycle] = slots.get(cycle, 0) + 1
-        if len(slots) > 4096:
-            # Prune slots far in the past to bound memory.
-            horizon = cycle - 64
-            for key in [k for k in slots if k < horizon]:
-                del slots[key]
-        return cycle

@@ -20,11 +20,15 @@ instruction reserves one).
 
 from __future__ import annotations
 
-from repro.telemetry.events import EventKind
-
 
 class MSHRFile:
-    """Fixed pool of MSHR entries tracked as busy-until timestamps."""
+    """Fixed pool of MSHR entries tracked as busy-until timestamps.
+
+    The scalar timing loop applies :meth:`allocate` and
+    :meth:`set_release` inline on ``_free_at`` (sharing one ``min`` per
+    memory instruction with its LSU hazard floor) and emits their
+    ``mshr`` telemetry events itself.
+    """
 
     def __init__(self, entries: int) -> None:
         if entries < 1:
@@ -33,13 +37,6 @@ class MSHRFile:
         self.entries = entries
         self.allocations = 0
         self.stall_cycles = 0
-        #: Optional :class:`repro.telemetry.events.EventBus`; falsy = off.
-        self.telemetry = None
-
-    def earliest_grant(self, time: int) -> int:
-        """Earliest cycle >= time at which some entry is free."""
-        best = min(self._free_at)
-        return time if time >= best else best
 
     def allocate(self, time: int) -> tuple[int, int]:
         """Reserve the earliest-free entry at or after ``time``.
@@ -55,25 +52,12 @@ class MSHRFile:
             self.stall_cycles += grant - time
         self._free_at[index] = grant
         self.allocations += 1
-        if self.telemetry:
-            self.telemetry.emit(
-                grant,
-                "mshr",
-                EventKind.MSHR_ALLOC,
-                slot=index,
-                requested=time,
-                wait=grant - time,
-            )
         return grant, index
 
     def set_release(self, index: int, release: int) -> None:
         """Record when the entry at ``index`` frees."""
         if release > self._free_at[index]:
             self._free_at[index] = release
-        if self.telemetry:
-            self.telemetry.emit(
-                self._free_at[index], "mshr", EventKind.MSHR_RELEASE, slot=index
-            )
 
     @property
     def all_free_at(self) -> int:

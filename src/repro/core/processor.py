@@ -173,7 +173,6 @@ class AuroraProcessor:
         tele = self.telemetry if self.telemetry else None
         if tele is not None:
             biu.telemetry = tele
-            mshr.telemetry = tele
             pool.telemetry = tele
             writecache.telemetry = tele
             fpu.telemetry = tele
@@ -203,6 +202,19 @@ class AuroraProcessor:
         rob_capacity = cfg.rob_entries
         folding = cfg.branch_folding
         precise = cfg.fpu_precise_exceptions
+
+        # Per-record structure state the loop reads and updates in place
+        # (the watchdog polls the same objects): MSHR busy-until times,
+        # D-cache tags and fill-ready times, and the FPU instruction and
+        # load queues for the IPU-side backpressure floors.
+        mshr_free = mshr._free_at
+        dtags = dcache._tags
+        dready = dcache._ready
+        dset_mask = dcache._index_mask
+        fpu_iq = fpu._iq_releases
+        fpu_iq_capacity = cfg.fpu.instruction_queue
+        fpu_lq = fpu._lq_releases
+        fpu_lq_capacity = cfg.fpu.load_queue
 
         # I-cache: hit/miss comes precomputed per record (every miss
         # fills, so the tag state follows the address stream alone);
@@ -297,14 +309,19 @@ class AuroraProcessor:
 
             t_lsu = 0
             if is_mem:
-                t_lsu = mshr.earliest_grant(0) - 1
-                port_floor = dport.next_slot - 1
+                # One min per memory instruction, shared with the MSHR
+                # allocation below (nothing touches the file in between).
+                mshr_min = min(mshr_free)
+                t_lsu = mshr_min - 1
+                port_floor = dport._next_slot - 1
                 if port_floor > t_lsu:
                     t_lsu = port_floor
 
             t_fpu = 0
             if is_fp_dispatch:
-                t_fpu = fpu.dispatch_floor() - FPU_TRANSFER
+                t_fpu = -FPU_TRANSFER  # a full queue frees at its head's issue
+                if len(fpu_iq) >= fpu_iq_capacity:
+                    t_fpu += fpu_iq[0]
             elif kind == _K_BRANCH and s1 < 0 and s2 < 0:
                 # bc1t/bc1f: wait for the FP condition flag from the FPU.
                 t_fpu = fpu.cond_ready + 1
@@ -383,6 +400,24 @@ class AuroraProcessor:
             prev_was_mem = is_mem
 
             # ------------------------------------------------------ execute
+            if is_mem and kind != _K_FP_MOVE:
+                # Every load and store reserves the earliest-free MSHR
+                # while it is active in the LSU (``mshr_min`` is still
+                # that entry's busy-until time).
+                requested = dport.start_access(issue + 1)
+                access = requested if requested > mshr_min else mshr_min
+                slot = mshr_free.index(mshr_min)
+                mshr_free[slot] = access
+                if tele is not None:
+                    tele.emit(
+                        access,
+                        "mshr",
+                        EventKind.MSHR_ALLOC,
+                        slot=slot,
+                        requested=requested,
+                        wait=access - requested,
+                    )
+
             if kind == _K_ALU or kind == _K_NOP or kind == _K_HALT:
                 complete = issue + 1
                 if dst >= 0:
@@ -390,29 +425,31 @@ class AuroraProcessor:
                     reg_from_load[dst] = False
 
             elif kind == _K_LOAD or kind == _K_FP_LOAD:
-                access = dport.start_access(issue + 1)
-                grant, slot = mshr.allocate(access)
-                access = grant
                 # The write cache is on chip and probed first; a forward
                 # from it never goes out to the external data cache.
+                dset = dline & dset_mask
                 if writecache.load_lookup(addr, access):
                     data_ready = access + WC_FORWARD_LATENCY
-                elif dcache.lookup(addr):
-                    ready_at = dcache.ready_time(addr)
-                    data_ready = max(access, ready_at) + dcache_latency
+                elif dtags[dset] == dline:
+                    dcache.accesses += 1
+                    dcache.hits += 1
+                    ready_at = dready[dset]
+                    data_ready = (
+                        access if access > ready_at else ready_at
+                    ) + dcache_latency
                 else:
-                    line = dline
-                    arrival = inflight.get(line)
+                    dcache.accesses += 1
+                    arrival = inflight.get(dline)
                     if arrival is None:
-                        parr = pool.lookup(line, access, "D")
+                        parr = pool.lookup(dline, access, "D")
                         if parr is None:
-                            pool.allocate(line, access, stream="D")
+                            pool.allocate(dline, access, stream="D")
                             arrival = biu.request(access, "dread")
                         else:
                             arrival = parr if parr > access else access
-                        fill_done = dport.occupy_for_fill(arrival)
-                        dcache.fill(addr, fill_done)
-                        inflight[line] = arrival
+                        dtags[dset] = dline
+                        dready[dset] = dport.occupy_for_fill(arrival)
+                        inflight[dline] = arrival
                         if len(inflight) > INFLIGHT_BOUND:
                             # Evict only fills that have already arrived;
                             # wholesale clearing would forget genuinely
@@ -424,28 +461,40 @@ class AuroraProcessor:
                             }
                     data_ready = arrival + 1
                 if kind == _K_LOAD:
-                    mshr.set_release(slot, data_ready)
-                    complete = data_ready
+                    release = complete = data_ready
                     if dst >= 0:
                         reg_ready[dst] = data_ready
                         reg_from_load[dst] = True
                 else:
                     # FP load: honour load-queue backpressure, hand to FPU.
-                    eff = max(data_ready, fpu.load_data_floor())
-                    fpu.load(dst - 32, eff + 1, issue + FPU_TRANSFER)
-                    mshr.set_release(slot, eff + 1)
+                    if len(fpu_lq) >= fpu_lq_capacity and fpu_lq[0] > data_ready:
+                        data_ready = fpu_lq[0]
+                    release = data_ready + 1
+                    fpu.load(dst - 32, release, issue + FPU_TRANSFER)
                     complete = access + 1
+                if release > access:  # a release never shortens the hold
+                    mshr_free[slot] = release
+                if tele is not None:
+                    tele.emit(
+                        mshr_free[slot], "mshr", EventKind.MSHR_RELEASE, slot=slot
+                    )
 
             elif kind == _K_STORE or kind == _K_FP_STORE:
-                access = dport.start_access(issue + 1)
-                grant, slot = mshr.allocate(access)
-                access = grant
-                mshr.set_release(slot, access + dcache_latency)
-                if not dcache.lookup(addr):
+                mshr_free[slot] = access + dcache_latency
+                if tele is not None:
+                    tele.emit(
+                        mshr_free[slot], "mshr", EventKind.MSHR_RELEASE, slot=slot
+                    )
+                dcache.accesses += 1
+                dset = dline & dset_mask
+                if dtags[dset] == dline:
+                    dcache.hits += 1
+                else:
                     # Write-validate allocation: the coalescing write cache
                     # assembles whole lines, so a store miss installs the
                     # line without a memory fetch when the line drains.
-                    dcache.fill(addr, access + dcache_latency)
+                    dtags[dset] = dline
+                    dready[dset] = access + dcache_latency
                 pool.drop_line(dline)
                 if kind == _K_FP_STORE:
                     data_out = fpu.store(s2 - 32, issue + FPU_TRANSFER)
@@ -501,7 +550,7 @@ class AuroraProcessor:
                     fpu.mtc1(dst - 32, access + 1, issue + FPU_TRANSFER)
                     complete = access + 1
                 else:  # mfc1
-                    value_at = max(fpu.reg_read_floor(s1 - 32), issue) + 2
+                    value_at = max(fpu.reg_ready[s1 - 32], issue) + 2
                     complete = value_at
                     if dst >= 0:
                         reg_ready[dst] = value_at

@@ -80,6 +80,7 @@ class WriteCache:
             raise ValueError("write cache needs at least one line")
         self.line_bytes = line_bytes
         self._line_shift = line_bytes.bit_length() - 1
+        self._word_bits = (line_bytes >> 2) - 1  # word index within a line
         self._page_shift = page_bytes.bit_length() - 1
         self._biu = biu
         self.write_validation = write_validation
@@ -100,44 +101,60 @@ class WriteCache:
         stores, ``fp_data_at`` is when the data will arrive from the FPU;
         the line is held un-evictable until then.
         """
-        self.stats.accesses += 1
-        self.stats.store_instructions += 1
+        stats = self.stats
+        stats.accesses += 1
+        stats.store_instructions += 1
         line_number = address >> self._line_shift
-        word = (address >> 2) & ((self.line_bytes >> 2) - 1)
-        entry = self._find(line_number)
-        if entry is not None:
-            self.stats.hits += 1
-            entry.word_mask |= 1 << word
-            entry.dirty = True
-            entry.last_used = self._bump()
-            if fp_data_at > entry.data_ready_at:
-                entry.data_ready_at = fp_data_at
-            if self.telemetry:
-                self.telemetry.emit(
-                    time,
-                    "writecache",
-                    EventKind.WC_STORE,
-                    line=line_number,
-                    hit=True,
-                    allocated=False,
-                )
-            return max(time + 1, entry.validated_at)
+        lines = self._lines
+        # Invalid entries hold line == -1 and line numbers are derived
+        # from non-negative addresses, so equality alone is a hit test.
+        for entry in lines:
+            if entry.line == line_number:
+                stats.hits += 1
+                entry.word_mask |= 1 << ((address >> 2) & self._word_bits)
+                entry.dirty = True
+                self._clock += 1
+                entry.last_used = self._clock
+                if fp_data_at > entry.data_ready_at:
+                    entry.data_ready_at = fp_data_at
+                if self.telemetry:
+                    self.telemetry.emit(
+                        time,
+                        "writecache",
+                        EventKind.WC_STORE,
+                        line=line_number,
+                        hit=True,
+                        allocated=False,
+                    )
+                return max(time + 1, entry.validated_at)
 
-        victim = min(self._lines, key=lambda ln: ln.last_used)
-        evict_done = self._evict(victim, time)
+        # Miss: the victim is the least recently used line (the first in
+        # array order on a tie).  Page match runs on the array before the
+        # victim is replaced, so the victim's own page still validates;
+        # a flushed entry keeps a stale page field, so validity is
+        # checked too.
         page = address >> self._page_shift
+        victim = lines[0]
+        resident = False
+        for entry in lines:
+            if entry.last_used < victim.last_used:
+                victim = entry
+            if entry.page == page and entry.line >= 0:
+                resident = True
+        evict_done = self._evict(victim, time)
         validated_at = time + 1
-        if self.write_validation and not self._page_resident(page):
+        if self.write_validation and not resident:
             # MMU round trip before the store may retire.
             validated_at = self._biu.request(time, "mmu")
-            self.stats.validation_misses += 1
+            stats.validation_misses += 1
         victim.line = line_number
         victim.page = page
-        victim.word_mask = 1 << word
+        victim.word_mask = 1 << ((address >> 2) & self._word_bits)
         victim.dirty = True
         victim.validated_at = validated_at
         victim.data_ready_at = fp_data_at
-        victim.last_used = self._bump()
+        self._clock += 1
+        victim.last_used = self._clock
         if self.telemetry:
             self.telemetry.emit(
                 time,
@@ -158,16 +175,18 @@ class WriteCache:
         """
         self.stats.accesses += 1
         line_number = address >> self._line_shift
-        word = (address >> 2) & ((self.line_bytes >> 2) - 1)
-        entry = self._find(line_number)
-        if entry is not None and entry.word_mask & (1 << word):
-            self.stats.hits += 1
-            entry.last_used = self._bump()
-            return True
+        for entry in self._lines:
+            if entry.line == line_number:
+                if not entry.word_mask >> ((address >> 2) & self._word_bits) & 1:
+                    return False
+                self.stats.hits += 1
+                self._clock += 1
+                entry.last_used = self._clock
+                return True
         return False
 
     def contains_line(self, line_number: int) -> bool:
-        return self._find(line_number) is not None
+        return any(entry.line == line_number for entry in self._lines)
 
     def flush(self, time: int) -> int:
         """Evict every dirty line (end-of-run drain). Returns drain time."""
@@ -219,21 +238,6 @@ class WriteCache:
 
     # ------------------------------------------------------------- internals
 
-    def _find(self, line_number: int) -> _WCLine | None:
-        # Invalid entries hold line == -1 and line numbers are derived
-        # from non-negative addresses, so equality alone is a hit test.
-        for entry in self._lines:
-            if entry.line == line_number:
-                return entry
-        return None
-
-    def _page_resident(self, page: int) -> bool:
-        # An evicted entry keeps its stale page field, so validity must
-        # be checked here (unlike _find).
-        return any(
-            entry.line >= 0 and entry.page == page for entry in self._lines
-        )
-
     def _evict(self, entry: _WCLine, time: int) -> int:
         """Write the victim line back over the BIU. Returns completion."""
         if not entry.valid or not entry.dirty:
@@ -251,7 +255,3 @@ class WriteCache:
                 done=done,
             )
         return done
-
-    def _bump(self) -> int:
-        self._clock += 1
-        return self._clock

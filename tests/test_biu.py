@@ -37,8 +37,15 @@ class TestBIU:
         assert biu.stats.total == 5
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            BusInterfaceUnit(latency=17).request(0, "teleport")
+        # "total" is a BIUStats property, not a transaction class; a
+        # rejected request must leave the transmit path untouched.
+        biu = BusInterfaceUnit(latency=17, occupancy=4)
+        biu.request(10, "dread")
+        for kind in ("teleport", "total"):
+            with pytest.raises(ValueError, match="unknown transaction kind"):
+                biu.request(0, kind)
+            assert biu.transmit_free == 14
+        assert biu.stats.total == 1
 
     def test_negative_time_raises(self):
         with pytest.raises(ValueError):

@@ -34,20 +34,12 @@ class TestMSHRFile:
         g3, _ = mshr.allocate(2)
         assert g3 == 20  # back to waiting on the earliest release
 
-    def test_earliest_grant_is_side_effect_free(self):
-        mshr = MSHRFile(1)
-        _, slot = mshr.allocate(0)
-        mshr.set_release(slot, 50)
-        assert mshr.earliest_grant(10) == 50
-        assert mshr.earliest_grant(60) == 60
-        assert mshr.allocations == 1  # probing didn't allocate
-
     def test_set_release_never_shrinks(self):
         mshr = MSHRFile(1)
         _, slot = mshr.allocate(0)
         mshr.set_release(slot, 30)
         mshr.set_release(slot, 10)  # ignored
-        assert mshr.earliest_grant(0) == 30
+        assert mshr.all_free_at == 30
 
     def test_all_free_at(self):
         mshr = MSHRFile(2)

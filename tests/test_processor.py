@@ -4,9 +4,13 @@ Synthetic traces with known properties pin down issue, stall and memory
 behaviour; the workload fixtures exercise the full machine.
 """
 
+import hashlib
+import io
+import json
+
 import pytest
 
-from repro.core.config import BASELINE, LARGE, SMALL, MachineConfig
+from repro.core.config import BASELINE, LARGE, SMALL, FPIssuePolicy, MachineConfig
 from repro.core.processor import simulate_trace
 from repro.core.stats import StallKind
 from repro.func.trace import NO_REG
@@ -380,3 +384,324 @@ class TestStatsIntegrity:
         result = simulate_trace(counting_trace, SMALL)
         assert result.config is SMALL
         assert result.cpi == result.stats.cpi
+
+
+# ------------------------------------------------------------ pinned digests
+#
+# SHA-256 of ``SimStats.to_dict()`` JSON and of full NDJSON telemetry
+# streams on machine points the paper sweep never reaches, generated
+# before the timing loop's structure calls were folded and required to
+# stay identical on both kernels.  A digest change means the model's
+# timing changed.
+
+_PINNED_FACTOR = 0.05
+_PINNED_INT = ("espresso", "li")
+_PINNED_FP = ("ear", "mdljdp2", "ora")
+
+
+def _fpu_point(**changes):
+    # Tight FPU queues put every backpressure path on the timing path.
+    fpu = BASELINE.fpu.with_(
+        instruction_queue=2, load_queue=1, store_queue=1, rob_entries=3
+    )
+    return BASELINE.with_(fpu=fpu.with_(**changes))
+
+
+_PINNED_FP_CONFIGS = {
+    f"fpu-{policy.value}-buses{buses}": _fpu_point(
+        issue_policy=policy, result_buses=buses
+    )
+    for policy in FPIssuePolicy
+    for buses in (1, 2)
+}
+_PINNED_FP_CONFIGS["fpu-precise"] = _fpu_point().with_(
+    fpu_precise_exceptions=True
+)
+_PINNED_FP_CONFIGS["fpu-unpipelined"] = _fpu_point(
+    add_pipelined=False, mul_pipelined=False, cvt_pipelined=False
+)
+_PINNED_MEM_CONFIGS = {
+    "mshr1-wc1": BASELINE.with_(mshr_entries=1, writecache_lines=1),
+    "no-validation": BASELINE.with_(write_validation=False),
+    "no-prefetch": BASELINE.without_prefetch().with_latency(35),
+    "split-pool": BASELINE.with_(split_prefetch_pool=True),
+    "line16": BASELINE.with_(line_bytes=16),
+    "line64": BASELINE.with_(line_bytes=64, mshr_entries=3),
+    "width1": BASELINE.single_issue().with_(writecache_lines=2),
+}
+
+
+def _pinned_points():
+    """(trace name, config name, config) for every pinned run."""
+    points = []
+    for trace_name in _PINNED_INT + _PINNED_FP:
+        for name, config in _PINNED_MEM_CONFIGS.items():
+            points.append((trace_name, name, config))
+    for trace_name in _PINNED_FP:
+        for name, config in _PINNED_FP_CONFIGS.items():
+            points.append((trace_name, name, config))
+    return points
+
+
+def _stats_digest(stats):
+    return hashlib.sha256(json.dumps(stats.to_dict()).encode()).hexdigest()
+
+
+def _pinned_stats_digests(kernel_name, trace_names):
+    from repro.core.kernel import get_kernel
+    from repro.experiments.common import scaled_trace
+
+    kernel = get_kernel(kernel_name)
+    digests = {}
+    points = _pinned_points()
+    for trace_name in trace_names:
+        mine = [(n, c) for t, n, c in points if t == trace_name]
+        results = kernel.simulate_many(
+            scaled_trace(trace_name, _PINNED_FACTOR), [c for _, c in mine]
+        )
+        for (name, _), result in zip(mine, results):
+            digests[f"{trace_name}/{name}"] = _stats_digest(result.stats)
+    return digests
+
+
+_TELEMETRY_POINTS = {
+    "espresso/baseline": ("espresso", BASELINE),
+    "ear/baseline": ("ear", BASELINE),
+    "ear/fpu-in_order": (
+        "ear",
+        BASELINE.with_(
+            fpu=BASELINE.fpu.with_(
+                issue_policy=FPIssuePolicy.IN_ORDER_COMPLETION
+            )
+        ),
+    ),
+}
+
+
+def _telemetry_digest(trace_name, config):
+    from repro.experiments.common import scaled_trace
+    from repro.telemetry.events import EventBus, NDJSONSink
+
+    buffer = io.StringIO()
+    simulate_trace(
+        scaled_trace(trace_name, _PINNED_FACTOR),
+        config,
+        telemetry=EventBus(NDJSONSink(buffer)),
+    )
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+
+
+PINNED_STATS_DIGESTS = {
+    "espresso/mshr1-wc1": (
+        "f5ce47ac61cee29867e77b93d5888644d7b3fbe7e129e68ba4377d3a0f22ebac"
+    ),
+    "espresso/no-validation": (
+        "4504fa0c9d66c70405327855ac36a562785274c8ebf3c5423ba97eb80ebce13d"
+    ),
+    "espresso/no-prefetch": (
+        "7fc3e37bfd4d740944aaf6851cb7119a8671ab5b4536fa9cf9128cba291a1243"
+    ),
+    "espresso/split-pool": (
+        "f2539c89ce502db5e135152960075bfe72699abb1aae8c991d83828231b17a5c"
+    ),
+    "espresso/line16": (
+        "969a79da5906f3256e88e7256274f5e5ce0c290abb2592aabed1a3fe38245beb"
+    ),
+    "espresso/line64": (
+        "bafb8cd56a9e8ee7ba0e8e381ea427506d0e47a6e33d3a809051dfe953db156f"
+    ),
+    "espresso/width1": (
+        "573daf9d7145a5bfb6ca5dbbb28bb97c8245e1c2af5e9ad5fef89e448c170a6b"
+    ),
+    "li/mshr1-wc1": (
+        "1f66ba4c2a1417a23175efc6767cfa4eb02d48eed15859c9c2a3ad7a48202dad"
+    ),
+    "li/no-validation": (
+        "0a8f5c78f532e8800fb4c923804694724baaf06a90f183bf1fca751aa949f9b1"
+    ),
+    "li/no-prefetch": (
+        "6e840f7a7fa0eadb19d2e079453555e5a38afb6773db23566f7b178be9aede20"
+    ),
+    "li/split-pool": (
+        "6709c5fc617081a8e5f75cc0ad82ed4dfb7edbb8aa20f387ffeab0fe43957477"
+    ),
+    "li/line16": (
+        "9c7ad530f8c7c090462b46cf43425a517c3de27444c316d4b242910dfaa88d04"
+    ),
+    "li/line64": (
+        "b685a9e38b6d446821d73d69e990a0e70e077902480c8a09726a48210541540a"
+    ),
+    "li/width1": (
+        "68569b0f4878b1918a061aa82cf8473a7d0a98e40ee028ee443b3e40b0ad7272"
+    ),
+    "ear/mshr1-wc1": (
+        "b727ae134b43b19bbaa6197a0f3c7f1e036fc3a4eba4f41e0839953dc4d942be"
+    ),
+    "ear/no-validation": (
+        "df2b953c115e369ec2af3214991a0e822fabd2a1f3034fd56997ba257c99531f"
+    ),
+    "ear/no-prefetch": (
+        "166931d02094b22607936e87559edc951ba0cef3a54e6504f0704f8664b76aa5"
+    ),
+    "ear/split-pool": (
+        "41c5269273c1c13f0ce9ef82868ec6aa072eebd8d8919f94e98d98bce97cc019"
+    ),
+    "ear/line16": (
+        "55ae58a26a62bd81b224e66215f7fe4d6895b62f97117f10d9b9bffb5ec38b95"
+    ),
+    "ear/line64": (
+        "0377ed4e31f3b80b9c10aaf76b80ea2aa93b690be0301fe48cc79b050878ca6d"
+    ),
+    "ear/width1": (
+        "e07c52435c59017919ec1b42739c2ab0ddf3ebb6051c0427601bae3d2a0e3aac"
+    ),
+    "ear/fpu-in_order-buses1": (
+        "60b52d346ead910b88e5a17ae8694727166d38754dff6999b74fef6078b05fad"
+    ),
+    "ear/fpu-in_order-buses2": (
+        "60b52d346ead910b88e5a17ae8694727166d38754dff6999b74fef6078b05fad"
+    ),
+    "ear/fpu-single-buses1": (
+        "f8a7843814ecc0a805079c21e9b1535bb55dd75d04de0495d3734ff45666e081"
+    ),
+    "ear/fpu-single-buses2": (
+        "f8a7843814ecc0a805079c21e9b1535bb55dd75d04de0495d3734ff45666e081"
+    ),
+    "ear/fpu-dual-buses1": (
+        "8aad0b13435931f527d7d3681095a91a901cfc516cb727d2611dd01d9f2b5132"
+    ),
+    "ear/fpu-dual-buses2": (
+        "8aad0b13435931f527d7d3681095a91a901cfc516cb727d2611dd01d9f2b5132"
+    ),
+    "ear/fpu-precise": (
+        "8468a87733b412897de16aea593cbf7b468d62b0a1d456607ee87e525094c0f0"
+    ),
+    "ear/fpu-unpipelined": (
+        "8aad0b13435931f527d7d3681095a91a901cfc516cb727d2611dd01d9f2b5132"
+    ),
+    "mdljdp2/mshr1-wc1": (
+        "bd8377c5bcde09e22a083be039f81e41e7e85dd28fe91dbb62835f922fbe7609"
+    ),
+    "mdljdp2/no-validation": (
+        "a008b0d2a276c582e8c1cf56b2b8fcb149356c59f4da1a063a2a40a332a87175"
+    ),
+    "mdljdp2/no-prefetch": (
+        "c27da41ab8966deea9d01691a5073f02907c153172c90c0f7fd254e38262e65c"
+    ),
+    "mdljdp2/split-pool": (
+        "a008b0d2a276c582e8c1cf56b2b8fcb149356c59f4da1a063a2a40a332a87175"
+    ),
+    "mdljdp2/line16": (
+        "69de85efba8a59831c406cf788667d30c8b48d271e4a9d60c79ad1aa7c32142f"
+    ),
+    "mdljdp2/line64": (
+        "5082f5ecd74bba1fa675f0c3ac69112e35f61706d65cbce67bf950c21b49f0ce"
+    ),
+    "mdljdp2/width1": (
+        "210fb756634cefea864133c8ccfeb202850fca9d67000bdb6fdec6e0ff9e955c"
+    ),
+    "mdljdp2/fpu-in_order-buses1": (
+        "df7c53c5cd53ba5e643235d4fb61770d96056b3d4278f9511949154f4dc5f634"
+    ),
+    "mdljdp2/fpu-in_order-buses2": (
+        "df7c53c5cd53ba5e643235d4fb61770d96056b3d4278f9511949154f4dc5f634"
+    ),
+    "mdljdp2/fpu-single-buses1": (
+        "167b7544d601a8616c1c92ec9fceeff58e827069ed8c58287d8740560eb53450"
+    ),
+    "mdljdp2/fpu-single-buses2": (
+        "167b7544d601a8616c1c92ec9fceeff58e827069ed8c58287d8740560eb53450"
+    ),
+    "mdljdp2/fpu-dual-buses1": (
+        "8010921dbd02168ddd575c32d96489e2a6efae080a5ee8897338f2e4b429ce70"
+    ),
+    "mdljdp2/fpu-dual-buses2": (
+        "491c8ef025beb7176c8a4728d80aed7f9196de042121ba5eff6039389215839f"
+    ),
+    "mdljdp2/fpu-precise": (
+        "f5f4eb798c5fd1a417308a65648fc954522a513003a1c23ff125e6b50c3520b8"
+    ),
+    "mdljdp2/fpu-unpipelined": (
+        "d8d2c16e1022bd7eaf9114ac062db20a60c2b0fdc5e65bfd3a4dccc20d09d0bf"
+    ),
+    "ora/mshr1-wc1": (
+        "c2007688fbb619e57eb41c44a6260c51c5818afdc806c69ca7c6273953cd31cf"
+    ),
+    "ora/no-validation": (
+        "d22f2a2a1ffef75070eb6ac69f88b8017273826cf3edc975b46e653a980fb032"
+    ),
+    "ora/no-prefetch": (
+        "a2b8e833b4a13a63074b57aa9803931db6de2a165f4a3e71cb5fb4b8d6529827"
+    ),
+    "ora/split-pool": (
+        "f0c97376ca2586afd8ecdc7a77ea402dd5da03d16068ba2d8657e3678015e95c"
+    ),
+    "ora/line16": (
+        "a1118a40c55a97cf005b6de89a8330ed1c49785d6428fa22f3f8c23201f04879"
+    ),
+    "ora/line64": (
+        "335f6e2164ae7cfb1081320a88ceb52967ec26725ac5bb8ade13c63c865ed63c"
+    ),
+    "ora/width1": (
+        "ff1a4d4dd3c5934c9f98af07e41b687375cdfcba90c619fefdd1b15e462fd0d0"
+    ),
+    "ora/fpu-in_order-buses1": (
+        "8cc806122011d100e0d7d0c86781d8b3bd7533a9461e17d15f8d8ef324495de0"
+    ),
+    "ora/fpu-in_order-buses2": (
+        "8cc806122011d100e0d7d0c86781d8b3bd7533a9461e17d15f8d8ef324495de0"
+    ),
+    "ora/fpu-single-buses1": (
+        "16068e50c14a02f6598967f6e1f684528bb60f57e94e8b56802f4a3562bf2bad"
+    ),
+    "ora/fpu-single-buses2": (
+        "16068e50c14a02f6598967f6e1f684528bb60f57e94e8b56802f4a3562bf2bad"
+    ),
+    "ora/fpu-dual-buses1": (
+        "7dfec17e56c48a355ee77d47f425153ae33a60e347bcf2459b1c5b4be119527c"
+    ),
+    "ora/fpu-dual-buses2": (
+        "a9fa54222476f1493395e3263baae6ac1368e9dc5314b071814b3dc786b59e3d"
+    ),
+    "ora/fpu-precise": (
+        "f5cd21761bd025472dd5373c4f2101104481e7845c32841497500aae62021998"
+    ),
+    "ora/fpu-unpipelined": (
+        "a0e6b19233419fb1f260ece8675c42c516084aa87f122de7dbb48b50717b596e"
+    ),
+}
+
+PINNED_TELEMETRY_DIGESTS = {
+    "ear/baseline": (
+        "e05c2ce2848aa8a1b245e99ca9e514d29c3a66734a04e9380fd8e805135d5314"
+    ),
+    "ear/fpu-in_order": (
+        "9cd68ab6104cd06d16a112117c0a8707ef928cd3a0bea92d2f51e5a8cd287772"
+    ),
+    "espresso/baseline": (
+        "5387dfae9bb1332a22b956d9b1533cb37a4929c06dc3f0a198f9b88f08678daa"
+    ),
+}
+
+
+class TestPinnedDigests:
+    def test_stats_digests_are_pinned(self):
+        digests = _pinned_stats_digests("scalar", _PINNED_INT + _PINNED_FP)
+        assert digests == PINNED_STATS_DIGESTS
+
+    def test_batched_kernel_matches_pinned_digests(self):
+        # The two smallest traces keep this ~1 s; the batched kernel's
+        # escapes run the same FPU, write-cache and port objects.
+        traces = ("mdljdp2", "ora")
+        digests = _pinned_stats_digests("batched", traces)
+        assert digests == {
+            key: digest
+            for key, digest in PINNED_STATS_DIGESTS.items()
+            if key.split("/")[0] in traces
+        }
+
+    @pytest.mark.parametrize("point", sorted(_TELEMETRY_POINTS))
+    def test_telemetry_stream_is_pinned(self, point):
+        trace_name, config = _TELEMETRY_POINTS[point]
+        digest = _telemetry_digest(trace_name, config)
+        assert digest == PINNED_TELEMETRY_DIGESTS[point]

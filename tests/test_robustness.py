@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.core.caches import PipelinedCachePort
 from repro.core.config import BASELINE, ConfigError, FPUConfig, MachineConfig
 from repro.core.fpu import DecoupledFPU
 from repro.core.mshr import MSHRFile
@@ -293,15 +294,14 @@ class TestWatchdog:
     def test_wedged_pipeline_trips_forward_progress(
         self, small_trace, monkeypatch
     ):
-        """An MSHR that grants slots aeons in the future wedges the
-        pipeline; the watchdog must trip within the configured bound."""
-        original = MSHRFile.allocate
+        """A D-cache port that starts accesses aeons in the future wedges
+        the pipeline; the watchdog must trip within the configured bound."""
+        original = PipelinedCachePort.start_access
 
         def wedged(self, when):
-            grant, slot = original(self, when)
-            return grant + 10_000_000_000, slot
+            return original(self, when) + 10_000_000_000
 
-        monkeypatch.setattr(MSHRFile, "allocate", wedged)
+        monkeypatch.setattr(PipelinedCachePort, "start_access", wedged)
         policy = RobustnessPolicy(max_stall_cycles=50_000)
         with pytest.raises(SimulationError) as excinfo:
             AuroraProcessor(BASELINE, policy).run(small_trace)
@@ -315,13 +315,12 @@ class TestWatchdog:
     def test_stall_snapshot_is_exact(self, small_trace, monkeypatch):
         # The snapshot holds the stall counters through the failing
         # instruction: those of an unguarded run of the records up to it.
-        original = MSHRFile.allocate
+        original = PipelinedCachePort.start_access
 
         def wedged(self, when):
-            grant, slot = original(self, when)
-            return grant + 10_000_000_000, slot
+            return original(self, when) + 10_000_000_000
 
-        monkeypatch.setattr(MSHRFile, "allocate", wedged)
+        monkeypatch.setattr(PipelinedCachePort, "start_access", wedged)
         policy = RobustnessPolicy(max_stall_cycles=50_000)
         with pytest.raises(SimulationError) as excinfo:
             AuroraProcessor(BASELINE, policy).run(small_trace)
@@ -334,13 +333,12 @@ class TestWatchdog:
         assert any(excinfo.value.stall_snapshot.values())
 
     def test_cycle_overflow_trips(self, small_trace, monkeypatch):
-        original = MSHRFile.allocate
+        original = PipelinedCachePort.start_access
 
         def wedged(self, when):
-            grant, slot = original(self, when)
-            return grant + (1 << 40), slot
+            return original(self, when) + (1 << 40)
 
-        monkeypatch.setattr(MSHRFile, "allocate", wedged)
+        monkeypatch.setattr(PipelinedCachePort, "start_access", wedged)
         policy = RobustnessPolicy(
             max_stall_cycles=1 << 50, cycle_limit=1 << 41
         )
@@ -365,11 +363,11 @@ class TestWatchdog:
             RobustnessPolicy(check_period=0)
 
     def test_error_message_carries_context(self, small_trace, monkeypatch):
-        original = MSHRFile.allocate
+        original = PipelinedCachePort.start_access
         monkeypatch.setattr(
-            MSHRFile,
-            "allocate",
-            lambda self, when: (original(self, when)[0] + 10**12, 0),
+            PipelinedCachePort,
+            "start_access",
+            lambda self, when: original(self, when) + 10**12,
         )
         with pytest.raises(SimulationError) as excinfo:
             AuroraProcessor(

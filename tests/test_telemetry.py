@@ -201,11 +201,21 @@ class TestTelemetryOff:
         assert result.stats == simulate_trace(trace, BASELINE).stats
 
     def test_structures_default_to_no_telemetry(self):
+        from repro.core.biu import BusInterfaceUnit
+        from repro.core.fpu import DecoupledFPU
         from repro.core.mshr import MSHRFile
+        from repro.core.prefetch import StreamBufferPool
         from repro.core.processor import AuroraProcessor
+        from repro.core.writecache import WriteCache
 
-        assert MSHRFile(2).telemetry is None
+        biu = BusInterfaceUnit(latency=17)
+        assert biu.telemetry is None
+        assert DecoupledFPU(BASELINE.fpu).telemetry is None
+        assert WriteCache(4, 32, biu).telemetry is None
+        assert StreamBufferPool(4, 2, biu).telemetry is None
         assert AuroraProcessor(BASELINE).telemetry is None
+        # The timing loop emits the MSHR events itself.
+        assert not hasattr(MSHRFile(2), "telemetry")
 
 
 # --------------------------------------------------------------- NaN CPI

@@ -44,6 +44,14 @@ class TestCoalescing:
         assert wc.contains_line(0x1000 >> 5)
         assert not wc.contains_line(0x2000 >> 5)
 
+    def test_never_used_lines_fill_in_array_order(self):
+        wc, _ = make_wc(lines=4)
+        wc.store(0x3000, 0)
+        wc.store(0x1000, 1)
+        assert [entry.line for entry in wc._lines] == [
+            0x3000 >> 5, 0x1000 >> 5, -1, -1
+        ]
+
     def test_flush_writes_all_dirty(self):
         wc, biu = make_wc(lines=4)
         for i in range(3):
@@ -104,6 +112,21 @@ class TestWriteValidation:
         done = wc.store(0x1000, 0)
         assert biu.stats.mmu == 0
         assert done == 1
+
+    def test_victims_own_page_validates_the_miss(self):
+        # The page match sees the array before the victim is replaced.
+        wc, biu = make_wc(lines=1)
+        wc.store(0x1000, 0)
+        done = wc.store(0x1200, 30)  # evicts 0x1000's line, same page
+        assert biu.stats.mmu == 1
+        assert done >= 31
+
+    def test_flushed_line_page_does_not_validate(self):
+        wc, biu = make_wc(lines=1)
+        wc.store(0x1000, 0)
+        wc.flush(10)  # the entry keeps its stale page field
+        wc.store(0x1200, 50)
+        assert biu.stats.mmu == 2
 
     def test_micro_tlb_capacity(self):
         """Four lines = four page slots; a fifth page re-validates."""
