@@ -82,8 +82,10 @@ class FPUConfig:
         for name in ("instruction_queue", "load_queue", "store_queue",
                      "rob_entries"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                problems.append(f"{name} must be >= 1 (got {value!r})")
+            if not _is_int(value) or value < 1:
+                problems.append(
+                    f"{name} must be an integer >= 1 (got {value!r})"
+                )
             elif value > self.MAX_QUEUE:
                 problems.append(
                     f"{name} of {value} exceeds the sanity ceiling "
@@ -92,16 +94,19 @@ class FPUConfig:
         for name in ("add_latency", "mul_latency", "div_latency",
                      "cvt_latency"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                problems.append(f"{name} must be >= 1 (got {value!r})")
+            if not _is_int(value) or value < 1:
+                problems.append(
+                    f"{name} must be an integer >= 1 (got {value!r})"
+                )
             elif value > self.MAX_LATENCY:
                 problems.append(
                     f"{name} of {value} exceeds the sanity ceiling "
                     f"{self.MAX_LATENCY}"
                 )
-        if not isinstance(self.result_buses, int) or self.result_buses < 1:
+        if not _is_int(self.result_buses) or self.result_buses < 1:
             problems.append(
-                f"result_buses must be >= 1 (got {self.result_buses!r})"
+                f"result_buses must be an integer >= 1 "
+                f"(got {self.result_buses!r})"
             )
         elif self.result_buses > self.MAX_BUSES:
             problems.append(
@@ -180,7 +185,7 @@ class MachineConfig:
 
     def _violations(self) -> list[str]:
         problems: list[str] = []
-        if self.issue_width not in (1, 2):
+        if not _is_int(self.issue_width) or self.issue_width not in (1, 2):
             problems.append(
                 f"issue_width must be 1 or 2 (got {self.issue_width!r})"
             )
@@ -214,8 +219,10 @@ class MachineConfig:
                      "prefetch_buffers", "prefetch_line_depth",
                      "retire_width"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                problems.append(f"{name} must be >= 1 (got {value!r})")
+            if not _is_int(value) or value < 1:
+                problems.append(
+                    f"{name} must be an integer >= 1 (got {value!r})"
+                )
             elif value > self.MAX_STRUCTURE:
                 problems.append(
                     f"{name} of {value} exceeds the sanity ceiling "
@@ -223,8 +230,10 @@ class MachineConfig:
                 )
         for name in ("mem_latency", "dcache_latency", "bus_occupancy"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                problems.append(f"{name} must be >= 1 (got {value!r})")
+            if not _is_int(value) or value < 1:
+                problems.append(
+                    f"{name} must be an integer >= 1 (got {value!r})"
+                )
             elif value > self.MAX_LATENCY:
                 problems.append(
                     f"{name} of {value} exceeds the sanity ceiling "
@@ -296,8 +305,13 @@ class ConfigError(ValueError):
     """Raised for invalid machine configurations."""
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` would pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_power_of_two(value) -> bool:
-    return isinstance(value, int) and value > 0 and value & (value - 1) == 0
+    return _is_int(value) and value > 0 and value & (value - 1) == 0
 
 
 def small_model(**overrides) -> MachineConfig:

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.biu import BusInterfaceUnit
 from repro.core.caches import DirectMappedCache, PipelinedCachePort
-from repro.core.config import MachineConfig
+from repro.core.config import FPUConfig, MachineConfig
 from repro.core.fpu import DecoupledFPU
 from repro.core.prefetch import SplitStreamBufferPool, StreamBufferPool
 from repro.core.processor import (
@@ -64,22 +64,26 @@ from repro.core.processor import (
     _C_LSU,
     _C_PAIRING,
     _C_ROB_FULL,
-    _FP_ARITH_KINDS,
-    _K_ALU,
-    _K_BRANCH,
-    _K_FP_LOAD,
-    _K_FP_MOVE,
-    _K_FP_STORE,
-    _K_HALT,
-    _K_JUMP,
-    _K_LOAD,
-    _K_NOP,
-    _K_STORE,
     _STALL_KINDS,
 )
 from repro.core.stats import SimStats
 from repro.core.writecache import WriteCache
 from repro.func.prepared import as_prepared
+from repro.isa.instructions import Kind
+
+_K_ALU = int(Kind.ALU)
+_K_LOAD = int(Kind.LOAD)
+_K_STORE = int(Kind.STORE)
+_K_BRANCH = int(Kind.BRANCH)
+_K_JUMP = int(Kind.JUMP)
+_K_NOP = int(Kind.NOP)
+_K_FP_LOAD = int(Kind.FP_LOAD)
+_K_FP_STORE = int(Kind.FP_STORE)
+_K_FP_MOVE = int(Kind.FP_MOVE)
+_K_HALT = int(Kind.HALT)
+_FP_ARITH_KINDS = frozenset(
+    int(kind) for kind in (Kind.FP_ADD, Kind.FP_MUL, Kind.FP_DIV, Kind.FP_CVT)
+)
 
 #: Environment switch naming the kernel the sweep layer should use.
 ENV_KERNEL = "REPRO_SIM_KERNEL"
@@ -109,6 +113,17 @@ _SIM_REUSED = 0
 #: Guards every trace's ``sim_results`` and ``_SIM_REUSED``: registry
 #: traces are shared, and callers may simulate from several threads.
 _STORE_LOCK = threading.Lock()
+
+#: The FPUConfig fields only one functional unit's records observe: a
+#: trace with no records of that kind times identically whatever they
+#: hold, so the reuse store keys such configs on the defaults instead.
+_UNIT_FIELDS = (
+    (int(Kind.FP_ADD), ("add_latency", "add_pipelined")),
+    (int(Kind.FP_MUL), ("mul_latency", "mul_pipelined")),
+    (int(Kind.FP_DIV), ("div_latency",)),
+    (int(Kind.FP_CVT), ("cvt_latency", "cvt_pipelined")),
+)
+_FPU_DEFAULTS = FPUConfig()
 
 
 def batch_snapshot() -> tuple[int, int]:
@@ -261,14 +276,16 @@ def simulate_many(
     Each (trace, config) is simulated once: finished stats are kept on
     the prepared trace (``sim_results``), keyed by ``(kernel name,
     config, policy)`` and capped at :data:`RESULT_CAP` entries, oldest
-    evicted first.  A call simulates only the configs not yet stored,
-    deduplicated, in one kernel call recorded as a ``simulate_batch``
-    span (``configs`` simulated, ``reused`` answered without
-    simulating); every result holds the caller's config and its own
-    copy of the stats.  An active ``telemetry`` bus bypasses the store,
-    so every config is simulated and emits its events.
+    evicted first.  The key's config has the FPU fields of units the
+    trace has no records for at their defaults (``_UNIT_FIELDS``), so
+    configs that differ only there share one simulation.  A call
+    simulates only the configs not yet stored, deduplicated, in one
+    kernel call recorded as a ``simulate_batch`` span (``configs``
+    simulated, ``reused`` answered without simulating); every result
+    holds the caller's config and its own copy of the stats.  An
+    active ``telemetry`` bus simulates every config, so each emits its
+    events, and stores the stats for later calls.
     """
-    global _SIM_REUSED
     from repro.robustness.validation import validate_trace
 
     if isinstance(kernel, (str, type(None))):
@@ -276,10 +293,18 @@ def simulate_many(
     trace = as_prepared(trace)
     validate_trace(trace)
     configs = list(configs)
-    if telemetry:
-        return _run_kernel(kernel, trace, configs, policy, telemetry, 0)
     store = trace.sim_results
-    keys = [(kernel.name, config, policy) for config in configs]
+    unobserved = _unobserved_fields(trace)
+    keys = [
+        (kernel.name, _observable(config, unobserved), policy)
+        for config in configs
+    ]
+    if telemetry:
+        results = _run_kernel(kernel, trace, configs, policy, telemetry, 0)
+        _remember(
+            store, {key: r.stats.copy() for key, r in zip(keys, results)}, 0
+        )
+        return results
     known: dict = {}
     pending: dict = {}
     with _STORE_LOCK:
@@ -290,24 +315,54 @@ def simulate_many(
                     pending[key] = config
                 else:
                     known[key] = stats
+    reused = len(configs) - len(pending)
     fresh: dict = {}
     if pending:
-        reused = len(configs) - len(pending)
         simulated = _run_kernel(
             kernel, trace, list(pending.values()), policy, None, reused
         )
         fresh = {key: r.stats for key, r in zip(pending, simulated)}
-    with _STORE_LOCK:
-        _SIM_REUSED += len(configs) - len(pending)
-        store.update(fresh)
-        while len(store) > RESULT_CAP:
-            del store[next(iter(store))]
+    _remember(store, fresh, reused)
     known.update(fresh)
     # Stored stats are never handed out, so copying needs no lock.
     return [
         SimulationResult(config=config, stats=known[key].copy())
         for key, config in zip(keys, configs)
     ]
+
+
+def _unobserved_fields(trace) -> tuple[str, ...]:
+    """The FPU fields ``trace`` cannot observe (see ``_UNIT_FIELDS``)."""
+    counts = trace.kind_counts()
+    return tuple(
+        name
+        for kind, names in _UNIT_FIELDS
+        if not counts[kind]
+        for name in names
+    )
+
+
+def _observable(config: MachineConfig, unobserved: tuple[str, ...]):
+    """``config`` with the ``unobserved`` FPU fields at their defaults:
+    two configs a trace cannot tell apart map to one store key."""
+    if not unobserved:
+        return config
+    fpu = config.fpu
+    masked = fpu.with_(
+        **{name: getattr(_FPU_DEFAULTS, name) for name in unobserved}
+    )
+    return config if masked == fpu else config.with_(fpu=masked)
+
+
+def _remember(store: dict, fresh: dict, reused: int) -> None:
+    """Add finished stats to a trace's store, evicting oldest past the
+    cap, and count ``reused`` configs answered without simulating."""
+    global _SIM_REUSED
+    with _STORE_LOCK:
+        _SIM_REUSED += reused
+        store.update(fresh)
+        while len(store) > RESULT_CAP:
+            del store[next(iter(store))]
 
 
 def _run_kernel(kernel, trace, configs, policy, telemetry, reused):

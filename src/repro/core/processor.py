@@ -37,27 +37,31 @@ from repro.core.mshr import MSHRFile
 from repro.core.prefetch import SplitStreamBufferPool, StreamBufferPool
 from repro.core.stats import SimStats, StallKind
 from repro.core.writecache import WriteCache
-from repro.func.prepared import PreparedTrace, as_prepared
+from repro.func.prepared import (
+    OP_FCOND,
+    OP_FCOND_TAKEN,
+    OP_FP_ADD,
+    OP_FP_CVT,
+    OP_FP_LOAD,
+    OP_FP_MOVE,
+    OP_FP_STORE,
+    OP_LOAD,
+    OP_SIMPLE,
+    OP_TAKEN,
+    OP_TAKEN_REG,
+    PreparedTrace,
+    as_prepared,
+)
 from repro.func.trace import TraceRecord
-from repro.isa.instructions import Kind
 from repro.telemetry.events import EventBus, EventKind
 
-_K_ALU = int(Kind.ALU)
-_K_LOAD = int(Kind.LOAD)
-_K_STORE = int(Kind.STORE)
-_K_BRANCH = int(Kind.BRANCH)
-_K_JUMP = int(Kind.JUMP)
-_K_NOP = int(Kind.NOP)
-_K_FP_ADD = int(Kind.FP_ADD)
-_K_FP_MUL = int(Kind.FP_MUL)
-_K_FP_DIV = int(Kind.FP_DIV)
-_K_FP_CVT = int(Kind.FP_CVT)
-_K_FP_LOAD = int(Kind.FP_LOAD)
-_K_FP_STORE = int(Kind.FP_STORE)
-_K_FP_MOVE = int(Kind.FP_MOVE)
-_K_HALT = int(Kind.HALT)
-
-_FP_ARITH_KINDS = frozenset((_K_FP_ADD, _K_FP_MUL, _K_FP_DIV, _K_FP_CVT))
+#: Indexed by op code: whether a record redirects the front end, with
+#: branch folding on (only register jumps) and off (every taken
+#: transfer).
+_REDIRECTS_FOLDED = tuple(op == OP_TAKEN_REG for op in range(16))
+_REDIRECTS_UNFOLDED = tuple(
+    op in (OP_TAKEN, OP_TAKEN_REG, OP_FCOND_TAKEN) for op in range(16)
+)
 
 #: Stall kinds in enum order; the timing loops count stalls by position.
 _STALL_KINDS = tuple(StallKind)
@@ -134,9 +138,11 @@ class AuroraProcessor:
         The loop walks a :class:`~repro.func.prepared.PreparedTrace`'s
         precomputed columns; a plain record list is record-checked and
         prepared first (:func:`~repro.func.prepared.as_prepared`).  Work
-        that does not depend on timing — I-cache hit/miss and the
-        instruction-class counts — comes from the trace's per-trace
-        memos instead of the loop (docs/PERFORMANCE.md).
+        that does not depend on timing — each record's op code and
+        pairing flag, I-cache hit/miss, the write cache's decisions and
+        the instruction-class counts — comes from the trace's per-trace
+        memos instead of the loop, which keeps only timing arithmetic
+        (docs/PERFORMANCE.md).
 
         Raises :class:`repro.robustness.guards.SimulationError` if a
         runtime invariant guard trips (wedged pipeline, structure
@@ -196,11 +202,14 @@ class AuroraProcessor:
         countdown = check_period
 
         line_shift = cfg.line_bytes.bit_length() - 1
+        page_shift = cfg.page_bytes.bit_length() - 1
         dcache_latency = cfg.dcache_latency
         issue_width = cfg.issue_width
         retire_width = cfg.retire_width
         rob_capacity = cfg.rob_entries
-        folding = cfg.branch_folding
+        redirecting = (
+            _REDIRECTS_FOLDED if cfg.branch_folding else _REDIRECTS_UNFOLDED
+        )
         precise = cfg.fpu_precise_exceptions
 
         # Per-record structure state the loop reads and updates in place
@@ -215,6 +224,11 @@ class AuroraProcessor:
         fpu_iq_capacity = cfg.fpu.instruction_queue
         fpu_lq = fpu._lq_releases
         fpu_lq_capacity = cfg.fpu.load_queue
+        # Write cache: hit, victim and page match come precomputed per
+        # record (``wc`` below); each store only times its decision.
+        time_store = writecache.time_store
+        # Only telemetry events carry a record's pc.
+        pcs = trace.field_list("pc") if tele is not None else None
 
         # I-cache: hit/miss comes precomputed per record (every miss
         # fills, so the tag state follows the address stream alone);
@@ -244,8 +258,6 @@ class AuroraProcessor:
 
         last_issue = -1
         slots_used = issue_width  # force the first instruction to cycle 0
-        prev_pc = -8
-        prev_was_mem = False
         dual_pairs = 0
         stall = [0] * len(_STALL_KINDS)  # indexed by the _C_* constants
 
@@ -256,10 +268,16 @@ class AuroraProcessor:
         # slot), so this must hold more than one entry.
         redirects: dict[int, int] = {}
 
+        # One op code per record (func/prepared.py's OP_* constants)
+        # carries its kind, memory/FP class, taken and FP-condition
+        # facts; ``pair_ok`` is the trace's half of the pairing rule.
         for index, (
-            pc, kind, dst, s1, s2, addr, is_mem, is_fp_dispatch,
-            iline, dline, imiss,
-        ) in enumerate(trace.timing_rows(line_shift, icache_lines)):
+            op, dst, s1, s2, iline, dline, imiss, pair_ok, wc,
+        ) in enumerate(
+            trace.timing_rows(
+                line_shift, icache_lines, cfg.writecache_lines, page_shift
+            )
+        ):
 
             # ---------------------------------------------------- fetch side
             if imiss:
@@ -277,7 +295,7 @@ class AuroraProcessor:
                         request_time,
                         "fetch",
                         EventKind.FETCH_STALL,
-                        pc=pc,
+                        pc=pcs[index],
                         index=index,
                         arrival=t_fetch,
                     )
@@ -307,25 +325,6 @@ class AuroraProcessor:
             rob_slot = (index - rob_capacity) & ring_mask
             t_rob = ring[rob_slot]
 
-            t_lsu = 0
-            if is_mem:
-                # One min per memory instruction, shared with the MSHR
-                # allocation below (nothing touches the file in between).
-                mshr_min = min(mshr_free)
-                t_lsu = mshr_min - 1
-                port_floor = dport._next_slot - 1
-                if port_floor > t_lsu:
-                    t_lsu = port_floor
-
-            t_fpu = 0
-            if is_fp_dispatch:
-                t_fpu = -FPU_TRANSFER  # a full queue frees at its head's issue
-                if len(fpu_iq) >= fpu_iq_capacity:
-                    t_fpu += fpu_iq[0]
-            elif kind == _K_BRANCH and s1 < 0 and s2 < 0:
-                # bc1t/bc1f: wait for the FP condition flag from the FPU.
-                t_fpu = fpu.cond_ready + 1
-
             issue = floor
             if t_fetch > issue:
                 issue = t_fetch
@@ -333,10 +332,31 @@ class AuroraProcessor:
                 issue = t_operand
             if t_rob > issue:
                 issue = t_rob
-            if t_lsu > issue:
-                issue = t_lsu
-            if t_fpu > issue:
-                issue = t_fpu
+
+            t_lsu = t_fpu = 0
+            if op >= OP_FCOND:
+                if op >= OP_FP_MOVE:
+                    # One min per memory instruction, shared with the
+                    # MSHR allocation below (nothing touches the file in
+                    # between).
+                    mshr_min = min(mshr_free)
+                    t_lsu = mshr_min - 1
+                    port_floor = dport._next_slot - 1
+                    if port_floor > t_lsu:
+                        t_lsu = port_floor
+                    if t_lsu > issue:
+                        issue = t_lsu
+                if op >= OP_FP_ADD:
+                    if op <= OP_FP_STORE:
+                        # A full queue frees at its head's issue.
+                        t_fpu = -FPU_TRANSFER
+                        if len(fpu_iq) >= fpu_iq_capacity:
+                            t_fpu += fpu_iq[0]
+                else:
+                    # bc1t/bc1f: wait for the FP condition flag.
+                    t_fpu = fpu.cond_ready + 1
+                if t_fpu > issue:
+                    issue = t_fpu
 
             # --------------------------------------------- stall attribution
             if issue > floor:
@@ -363,22 +383,18 @@ class AuroraProcessor:
                         stall=_STALL_KINDS[cause].value,
                         cycles=issue - floor,
                         index=index,
-                        pc=pc,
+                        pc=pcs[index],
                     )
 
             # ------------------------------------------------------ pairing
             if issue == last_issue:
-                pairable = (
-                    issue_width == 2
-                    and slots_used == 1
-                    and pc == prev_pc + 4
-                    and (prev_pc & 7) == 0
-                    and not (is_mem and prev_was_mem)
-                )
-                if pairable:
+                if issue_width == 2 and slots_used == 1 and pair_ok:
                     dual_pairs += 1
+                    slots_used += 1
                 else:
                     issue += 1
+                    last_issue = issue
+                    slots_used = 1
                     stall[_C_PAIRING] += 1
                     if tele is not None:
                         tele.emit(
@@ -388,19 +404,20 @@ class AuroraProcessor:
                             stall=StallKind.PAIRING.value,
                             cycles=1,
                             index=index,
-                            pc=pc,
+                            pc=pcs[index],
                         )
-
-            if issue == last_issue:
-                slots_used += 1
             else:
                 last_issue = issue
                 slots_used = 1
-            prev_pc = pc
-            prev_was_mem = is_mem
 
             # ------------------------------------------------------ execute
-            if is_mem and kind != _K_FP_MOVE:
+            if op == OP_SIMPLE:
+                complete = issue + 1
+                if dst >= 0:
+                    reg_ready[dst] = complete
+                    reg_from_load[dst] = False
+
+            elif op >= OP_FP_LOAD:
                 # Every load and store reserves the earliest-free MSHR
                 # while it is active in the LSU (``mshr_min`` is still
                 # that entry's busy-until time).
@@ -418,124 +435,129 @@ class AuroraProcessor:
                         wait=access - requested,
                     )
 
-            if kind == _K_ALU or kind == _K_NOP or kind == _K_HALT:
-                complete = issue + 1
-                if dst >= 0:
-                    reg_ready[dst] = complete
-                    reg_from_load[dst] = False
+                if op == OP_LOAD or op == OP_FP_LOAD:
+                    # The write cache is on chip and probed first; a
+                    # forward from it never goes out to the external
+                    # data cache.
+                    dset = dline & dset_mask
+                    if wc:
+                        data_ready = access + WC_FORWARD_LATENCY
+                    elif dtags[dset] == dline:
+                        dcache.accesses += 1
+                        dcache.hits += 1
+                        ready_at = dready[dset]
+                        data_ready = (
+                            access if access > ready_at else ready_at
+                        ) + dcache_latency
+                    else:
+                        dcache.accesses += 1
+                        arrival = inflight.get(dline)
+                        if arrival is None:
+                            parr = pool.lookup(dline, access, "D")
+                            if parr is None:
+                                pool.allocate(dline, access, stream="D")
+                                arrival = biu.request(access, "dread")
+                            else:
+                                arrival = parr if parr > access else access
+                            dtags[dset] = dline
+                            dready[dset] = dport.occupy_for_fill(arrival)
+                            inflight[dline] = arrival
+                            if len(inflight) > INFLIGHT_BOUND:
+                                # Evict only fills that have already
+                                # arrived; wholesale clearing would forget
+                                # genuinely pending lines and
+                                # double-request them.
+                                inflight = {
+                                    fill_line: fill_at
+                                    for fill_line, fill_at in inflight.items()
+                                    if fill_at > access
+                                }
+                        data_ready = arrival + 1
+                    if op == OP_LOAD:
+                        release = complete = data_ready
+                        if dst >= 0:
+                            reg_ready[dst] = data_ready
+                            reg_from_load[dst] = True
+                    else:
+                        # FP load: honour load-queue backpressure, hand to
+                        # the FPU.
+                        if (
+                            len(fpu_lq) >= fpu_lq_capacity
+                            and fpu_lq[0] > data_ready
+                        ):
+                            data_ready = fpu_lq[0]
+                        release = data_ready + 1
+                        fpu.load(dst - 32, release, issue + FPU_TRANSFER)
+                        complete = access + 1
+                    if release > access:  # a release never shortens the hold
+                        mshr_free[slot] = release
+                    if tele is not None:
+                        tele.emit(
+                            mshr_free[slot],
+                            "mshr",
+                            EventKind.MSHR_RELEASE,
+                            slot=slot,
+                        )
 
-            elif kind == _K_LOAD or kind == _K_FP_LOAD:
-                # The write cache is on chip and probed first; a forward
-                # from it never goes out to the external data cache.
-                dset = dline & dset_mask
-                if writecache.load_lookup(addr, access):
-                    data_ready = access + WC_FORWARD_LATENCY
-                elif dtags[dset] == dline:
+                else:  # store
+                    mshr_free[slot] = access + dcache_latency
+                    if tele is not None:
+                        tele.emit(
+                            mshr_free[slot],
+                            "mshr",
+                            EventKind.MSHR_RELEASE,
+                            slot=slot,
+                        )
                     dcache.accesses += 1
-                    dcache.hits += 1
-                    ready_at = dready[dset]
-                    data_ready = (
-                        access if access > ready_at else ready_at
-                    ) + dcache_latency
-                else:
-                    dcache.accesses += 1
-                    arrival = inflight.get(dline)
-                    if arrival is None:
-                        parr = pool.lookup(dline, access, "D")
-                        if parr is None:
-                            pool.allocate(dline, access, stream="D")
-                            arrival = biu.request(access, "dread")
-                        else:
-                            arrival = parr if parr > access else access
+                    dset = dline & dset_mask
+                    if dtags[dset] == dline:
+                        dcache.hits += 1
+                    else:
+                        # Write-validate allocation: the coalescing write
+                        # cache assembles whole lines, so a store miss
+                        # installs the line without a memory fetch when
+                        # the line drains.
                         dtags[dset] = dline
-                        dready[dset] = dport.occupy_for_fill(arrival)
-                        inflight[dline] = arrival
-                        if len(inflight) > INFLIGHT_BOUND:
-                            # Evict only fills that have already arrived;
-                            # wholesale clearing would forget genuinely
-                            # pending lines and double-request them.
-                            inflight = {
-                                fill_line: fill_at
-                                for fill_line, fill_at in inflight.items()
-                                if fill_at > access
-                            }
-                    data_ready = arrival + 1
-                if kind == _K_LOAD:
-                    release = complete = data_ready
-                    if dst >= 0:
-                        reg_ready[dst] = data_ready
-                        reg_from_load[dst] = True
-                else:
-                    # FP load: honour load-queue backpressure, hand to FPU.
-                    if len(fpu_lq) >= fpu_lq_capacity and fpu_lq[0] > data_ready:
-                        data_ready = fpu_lq[0]
-                    release = data_ready + 1
-                    fpu.load(dst - 32, release, issue + FPU_TRANSFER)
-                    complete = access + 1
-                if release > access:  # a release never shortens the hold
-                    mshr_free[slot] = release
-                if tele is not None:
-                    tele.emit(
-                        mshr_free[slot], "mshr", EventKind.MSHR_RELEASE, slot=slot
-                    )
+                        dready[dset] = access + dcache_latency
+                    pool.drop_line(dline)
+                    if op == OP_FP_STORE:
+                        data_out = fpu.store(s2 - 32, issue + FPU_TRANSFER)
+                        complete = time_store(wc, dline, access, data_out)
+                    else:
+                        complete = time_store(wc, dline, access)
 
-            elif kind == _K_STORE or kind == _K_FP_STORE:
-                mshr_free[slot] = access + dcache_latency
-                if tele is not None:
-                    tele.emit(
-                        mshr_free[slot], "mshr", EventKind.MSHR_RELEASE, slot=slot
-                    )
-                dcache.accesses += 1
-                dset = dline & dset_mask
-                if dtags[dset] == dline:
-                    dcache.hits += 1
-                else:
-                    # Write-validate allocation: the coalescing write cache
-                    # assembles whole lines, so a store miss installs the
-                    # line without a memory fetch when the line drains.
-                    dtags[dset] = dline
-                    dready[dset] = access + dcache_latency
-                pool.drop_line(dline)
-                if kind == _K_FP_STORE:
-                    data_out = fpu.store(s2 - 32, issue + FPU_TRANSFER)
-                    complete = writecache.store(addr, access, fp_data_at=data_out)
-                else:
-                    complete = writecache.store(addr, access)
-
-            elif kind == _K_BRANCH or kind == _K_JUMP:
+            elif op < OP_FP_ADD:  # branches and jumps
                 complete = issue + 1
                 if dst >= 0:  # jal/jalr write the link register
                     reg_ready[dst] = complete
                     reg_from_load[dst] = False
-                if addr != 0:  # taken
-                    register_jump = kind == _K_JUMP and s1 >= 0
-                    if register_jump or not folding:
-                        # One fetch bubble: the target index is not in the
-                        # NEXT field, so the front end redirects only after
-                        # the branch/jump executes.  (In-order flow would
-                        # have issued the post-delay-slot instruction at
-                        # issue+2; the bubble pushes it to issue+3.)  A
-                        # redirect already pending for that index (e.g. a
-                        # second taken jump in the first one's shadow)
-                        # keeps the later floor rather than being dropped.
-                        target = index + 2
-                        if issue + 3 > redirects.get(target, 0):
-                            redirects[target] = issue + 3
-                            if tele is not None:
-                                tele.emit(
-                                    issue,
-                                    "branch",
-                                    EventKind.REDIRECT,
-                                    pc=pc,
-                                    index=target,
-                                    floor=issue + 3,
-                                )
+                if redirecting[op]:
+                    # One fetch bubble: the target index is not in the
+                    # NEXT field, so the front end redirects only after the
+                    # branch/jump executes.  (In-order flow would have
+                    # issued the post-delay-slot instruction at issue+2;
+                    # the bubble pushes it to issue+3.)  A redirect already
+                    # pending for that index (e.g. a second taken jump in
+                    # the first one's shadow) keeps the later floor rather
+                    # than being dropped.
+                    target = index + 2
+                    if issue + 3 > redirects.get(target, 0):
+                        redirects[target] = issue + 3
+                        if tele is not None:
+                            tele.emit(
+                                issue,
+                                "branch",
+                                EventKind.REDIRECT,
+                                pc=pcs[index],
+                                index=target,
+                                floor=issue + 3,
+                            )
 
-            elif kind in _FP_ARITH_KINDS:
+            elif op <= OP_FP_CVT:  # FP arithmetic: the op code is the kind
                 fd = dst - 32 if dst >= 32 else -1
                 fs = s1 - 32 if s1 >= 32 else -1
                 ft = s2 - 32 if s2 >= 32 else -1
-                fp_done = fpu.arith(kind, fd, fs, ft, issue + FPU_TRANSFER)
+                fp_done = fpu.arith(op, fd, fs, ft, issue + FPU_TRANSFER)
                 if precise:
                     # Conservative mode: hold the IPU reorder-buffer entry
                     # until the FPU result (and its exception status) is
@@ -544,7 +566,7 @@ class AuroraProcessor:
                 else:
                     complete = issue + 1  # transferred; imprecise exceptions
 
-            elif kind == _K_FP_MOVE:
+            else:  # OP_FP_MOVE
                 access = dport.start_access(issue + 1)
                 if dst >= 32:  # mtc1
                     fpu.mtc1(dst - 32, access + 1, issue + FPU_TRANSFER)
@@ -555,9 +577,6 @@ class AuroraProcessor:
                     if dst >= 0:
                         reg_ready[dst] = value_at
                         reg_from_load[dst] = True
-
-            else:  # pragma: no cover - exhaustive over Kind
-                complete = issue + 1
 
             # ------------------------------------------------------- retire
             retire = complete
@@ -572,7 +591,7 @@ class AuroraProcessor:
             # an LSU wait; one completing at cache-hit speed that still
             # backs up retirement is a genuine reorder-buffer-size stall.
             ring_mem[ring_slot] = (
-                is_mem and complete > issue + 1 + dcache_latency
+                op >= OP_FP_MOVE and complete > issue + 1 + dcache_latency
             )
 
             if tele is not None:
@@ -618,11 +637,14 @@ class AuroraProcessor:
         stats.iprefetch_hits = pool_stats.i_hits
         stats.dprefetch_lookups = pool_stats.d_lookups
         stats.dprefetch_hits = pool_stats.d_hits
-        wc_stats = writecache.stats
-        stats.writecache_accesses = wc_stats.accesses
-        stats.writecache_hits = wc_stats.hits
-        stats.store_instructions = wc_stats.store_instructions
-        stats.store_transactions = wc_stats.store_transactions
+        (
+            stats.writecache_accesses,
+            stats.writecache_hits,
+            stats.store_instructions,
+            stats.store_transactions,
+        ) = trace.writecache_decisions(
+            line_shift, cfg.writecache_lines, page_shift
+        )[1]
         (
             stats.loads,
             stats.stores,

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 from repro.core.config import BASELINE, LARGE, SMALL, MachineConfig
 from repro.core.kernel import simulate_many
-from repro.core.processor import simulate_trace
 from repro.core.stats import SimStats, StallKind
 from repro.telemetry import tracing
 from repro.telemetry.analysis import occupancy_summaries
@@ -233,7 +232,9 @@ class CPIEstimator:
         """Run the anchor + probe simulations and fit the model.
 
         Three scalar telemetry runs (one ``std`` dual point per I-cache
-        family; the batched kernel refuses telemetry by design) plus one
+        family; the batched kernel refuses telemetry by design), each
+        through ``simulate_many`` so its stats land in the trace's reuse
+        store, plus one
         grouped ``simulate_many`` of nine probes: the calibration
         family's axis sweeps, its no-prefetch and 21-cycle-latency
         variants, and the small/single issue-width anchor.  Twelve
@@ -250,7 +251,11 @@ class CPIEstimator:
                 ring = RingBufferSink(capacity=None)
                 bus.attach(ring)
                 try:
-                    stats = simulate_trace(trace, config, telemetry=bus).stats
+                    # Through the reuse store: the exhaustive grid later
+                    # answers this config without simulating it again.
+                    stats = simulate_many(
+                        trace, [config], kernel="scalar", telemetry=bus
+                    )[0].stats
                 finally:
                     bus.close()
                 anchors[icache] = cls._build_anchor(config, stats, ring.events)

@@ -9,10 +9,14 @@ consume one trace representation, :class:`PreparedTrace`:
 * derived columns computed **once per trace**: memory/FP-dispatch kind
   masks, the branch-taken mask, and per-``line_shift`` I-line / D-line
   indices,
-* the same columns materialized as plain Python lists the first time a
-  timing run asks for them — the hot loop then iterates a ``zip`` of
-  lists (fast C-level indexed access, no per-config tuple unpacking and
-  no per-record ``frozenset`` membership tests).
+* lazy per-trace memos of everything a timing run decides without
+  timing: one op code per record (:meth:`PreparedTrace.op_codes`), the
+  dual-issue pairing flags, the I-cache hit/miss flags and the write
+  cache's decisions per geometry, held compactly as ``bytes``/``array``,
+* the columns a timing run reads, materialized as plain Python lists the
+  first time one asks for them — the scalar loop then iterates a
+  ``zip`` of lists and memos (fast C-level indexed access, no
+  per-config tuple unpacking and no per-record kind tests).
 
 A :class:`PreparedTrace` behaves like the ``list[TraceRecord]`` it was
 built from (``len``, indexing, iteration, equality all yield the same
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import collections.abc
 import time
+from array import array
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,6 +49,42 @@ _MEM_KIND_LIST = sorted(_MEMORY_KINDS)
 _FP_DISPATCH_KIND_LIST = sorted(_FP_KINDS)
 _CONTROL_KIND_LIST = sorted(_CONTROL_KINDS)
 _FP_MOVE = int(Kind.FP_MOVE)
+_FIELDS = ("pc", "kind", "dst", "src1", "src2", "addr")
+
+#: Per-record op codes (:meth:`PreparedTrace.op_codes`): the record's
+#: kind folded with the trace facts the timing loop branches on, ordered
+#: so one comparison answers each class question — FP-condition or
+#: later: ``op >= OP_FCOND``; dispatched to the FPU: ``OP_FP_ADD <= op
+#: <= OP_FP_STORE``; memory: ``op >= OP_FP_MOVE``; holds an MSHR:
+#: ``op >= OP_FP_LOAD``.  The FP arithmetic codes equal their kinds.
+OP_SIMPLE = 0  # ALU, NOP, HALT
+OP_BRANCH = 1  # branch or jump, not taken
+OP_TAKEN = 2  # taken branch or immediate jump
+OP_TAKEN_REG = 3  # taken register jump (jr/jalr)
+OP_FCOND = 4  # bc1t/bc1f, not taken: waits on the FP condition flag
+OP_FCOND_TAKEN = 5  # bc1t/bc1f, taken
+OP_FP_ADD = int(Kind.FP_ADD)
+OP_FP_CVT = int(Kind.FP_CVT)
+OP_FP_MOVE = 10  # mtc1/mfc1: memory class, no MSHR
+OP_FP_LOAD = 11
+OP_FP_STORE = 12
+OP_LOAD = 13
+OP_STORE = 14
+
+#: Each kind's op code before the taken/register/FP-condition folds;
+#: ALU, NOP and HALT are OP_SIMPLE.
+_OP_OF_KIND = np.array(
+    [
+        {
+            Kind.BRANCH: OP_BRANCH, Kind.JUMP: OP_BRANCH,
+            Kind.FP_MOVE: OP_FP_MOVE, Kind.FP_LOAD: OP_FP_LOAD,
+            Kind.FP_STORE: OP_FP_STORE, Kind.LOAD: OP_LOAD,
+            Kind.STORE: OP_STORE,
+        }.get(kind, kind if OP_FP_ADD <= kind <= OP_FP_CVT else OP_SIMPLE)
+        for kind in Kind
+    ],
+    dtype=np.uint8,
+)
 
 #: Process-wide preparation accounting (mirrors trace_cache.snapshot()):
 #: the experiment runner publishes the deltas as ``runner.*`` metrics.
@@ -68,9 +109,10 @@ class PreparedTrace(collections.abc.Sequence):
     __slots__ = (
         "_array", "pc", "kind", "dst", "src1", "src2", "addr",
         "mem_mask", "fp_dispatch_mask", "branch_taken_mask",
-        "_columns", "_flag_lists", "_line_lists", "_icache_misses",
-        "_class_counts", "prepare_seconds", "source", "validated",
-        "sim_results", "__weakref__",
+        "_columns", "_field_lists", "_flag_lists", "_line_lists",
+        "_icache_misses", "_kind_counts", "_class_counts", "_op_codes",
+        "_pair_flags", "_wc_decisions", "prepare_seconds", "source",
+        "validated", "sim_results", "__weakref__",
     )
 
     def __init__(
@@ -101,16 +143,25 @@ class PreparedTrace(collections.abc.Sequence):
         self.branch_taken_mask = np.isin(self.kind, _CONTROL_KIND_LIST) & (
             self.addr != 0
         )
-        #: Hot-loop lists, materialized lazily on first use (a report-only
-        #: consumer of the columns never pays for them).
+        #: The six field lists, materialized lazily on first use (a
+        #: report-only consumer never pays for them); ``_field_lists``
+        #: holds single fields a timing run asked for before that.
         self._columns: tuple[list, ...] | None = None
+        self._field_lists: dict[str, list[int]] = {}
         self._flag_lists: tuple[list[bool], list[bool]] | None = None
         #: line_shift -> (iline list, dline list), memoized because the
         #: paper's models share one 32-byte line size.
         self._line_lists: dict[int, tuple[list[int], list[int]]] = {}
         #: (line_shift, I-cache lines) -> (miss flags, miss count).
         self._icache_misses: dict[tuple[int, int], tuple[bytes, int]] = {}
+        self._kind_counts: tuple[int, ...] | None = None
         self._class_counts: tuple[int, int, int, int, int] | None = None
+        self._op_codes: bytes | None = None
+        self._pair_flags: bytes | None = None
+        #: (line_shift, write-cache lines, page_shift) -> (codes, totals).
+        self._wc_decisions: dict[
+            tuple[int, int, int], tuple[array, tuple[int, int, int, int]]
+        ] = {}
         self.prepare_seconds = 0.0
         self.source = source
         #: Set by validate_trace after a (vectorized, whole-trace)
@@ -167,17 +218,25 @@ class PreparedTrace(collections.abc.Sequence):
         """Materialize the plain ``list[TraceRecord]`` representation."""
         return [tuple(row) for row in self._array.tolist()]
 
+    def field_list(self, name: str) -> list[int]:
+        """One record field (``pc``, ``kind``, ``dst``, ``src1``,
+        ``src2`` or ``addr``) as a Python list, built on first use."""
+        if self._columns is not None:
+            return self._columns[_FIELDS.index(name)]
+        column = self._field_lists.get(name)
+        if column is None:
+            column = self._field_lists[name] = getattr(self, name).tolist()
+        return column
+
     def _field_columns(self) -> tuple[list, ...]:
-        """The six record fields plus kind-class flags, as Python lists."""
+        """The six record fields, as Python lists."""
         if self._columns is None:
-            self._columns = (
-                self.pc.tolist(),
-                self.kind.tolist(),
-                self.dst.tolist(),
-                self.src1.tolist(),
-                self.src2.tolist(),
-                self.addr.tolist(),
+            built = self._field_lists
+            self._columns = tuple(
+                built[name] if name in built else getattr(self, name).tolist()
+                for name in _FIELDS
             )
+            self._field_lists = {}
         return self._columns
 
     def lines(self, line_shift: int) -> tuple[list[int], list[int]]:
@@ -217,11 +276,20 @@ class PreparedTrace(collections.abc.Sequence):
             self._icache_misses[key] = cached
         return cached
 
+    def kind_counts(self) -> tuple[int, ...]:
+        """Records of each :class:`~repro.isa.instructions.Kind`, indexed
+        by kind, counted once."""
+        if self._kind_counts is None:
+            self._kind_counts = tuple(
+                np.bincount(self.kind, minlength=len(Kind)).tolist()
+            )
+        return self._kind_counts
+
     def class_counts(self) -> tuple[int, int, int, int, int]:
         """(loads, stores, branches, taken branches, FP instructions) —
         the instruction-class counters of SimStats, counted once."""
         if self._class_counts is None:
-            by_kind = np.bincount(self.kind, minlength=len(Kind)).tolist()
+            by_kind = self.kind_counts()
             self._class_counts = (
                 by_kind[Kind.LOAD] + by_kind[Kind.FP_LOAD],
                 by_kind[Kind.STORE] + by_kind[Kind.FP_STORE],
@@ -231,17 +299,116 @@ class PreparedTrace(collections.abc.Sequence):
             )
         return self._class_counts
 
+    def op_codes(self) -> bytes:
+        """One op code per record (the ``OP_*`` constants), computed once.
+
+        Folds the kind with whether a control transfer is taken, whether
+        a jump goes through a register (it never folds) and whether a
+        branch tests the FP condition flag (no integer sources), so the
+        timing loop dispatches on one value.
+        """
+        if self._op_codes is None:
+            kind = self.kind
+            op = _OP_OF_KIND[kind]
+            taken = self.branch_taken_mask
+            op[taken] = OP_TAKEN
+            op[taken & (kind == Kind.JUMP) & (self.src1 >= 0)] = OP_TAKEN_REG
+            fcond = (kind == Kind.BRANCH) & (self.src1 < 0) & (self.src2 < 0)
+            op[fcond] += OP_FCOND - OP_BRANCH
+            self._op_codes = op.tobytes()
+        return self._op_codes
+
+    def pair_flags(self) -> bytes:
+        """Per record, 1 when it may dual-issue with its predecessor as
+        far as the trace decides: the predecessor sits at an 8-byte
+        aligned pc just before it, and the two are not both memory
+        instructions.  The first record has no predecessor."""
+        if self._pair_flags is None:
+            flags = np.zeros(len(self), dtype=np.uint8)
+            pc = self.pc
+            mem = self.mem_mask
+            flags[1:] = (
+                (pc[1:] == pc[:-1] + 4)
+                & ((pc[:-1] & 7) == 0)
+                & ~(mem[1:] & mem[:-1])
+            )
+            self._pair_flags = flags.tobytes()
+        return self._pair_flags
+
+    def writecache_decisions(
+        self, line_shift: int, lines: int, page_shift: int
+    ) -> tuple[array, tuple[int, int, int, int]]:
+        """The write cache's decision code for every record (0 for a
+        record that neither loads nor stores) and the run's totals
+        (accesses, hits, store instructions, store transactions), for a
+        ``lines``-line write cache with ``1 << line_shift``-byte lines and
+        ``1 << page_shift``-byte pages.
+
+        Hits, victims and page matches follow the order of the load and
+        store addresses alone (:class:`~repro.core.writecache
+        .WriteCacheDirectory`), so one replay per geometry serves every
+        configuration that shares it.  Memoized; held as an unsigned
+        16-bit ``array`` (32-bit past 8,192 lines).
+        """
+        key = (line_shift, lines, page_shift)
+        cached = self._wc_decisions.get(key)
+        if cached is None:
+            from repro.core.writecache import WC_SLOT_SHIFT, replay_decisions
+
+            kind = self.kind
+            stores = (kind == Kind.STORE) | (kind == Kind.FP_STORE)
+            positions = np.flatnonzero(
+                stores | (kind == Kind.LOAD) | (kind == Kind.FP_LOAD)
+            )
+            codes, totals = replay_decisions(
+                lines,
+                line_shift,
+                page_shift,
+                self.addr[positions].tolist(),
+                stores[positions].tolist(),
+            )
+            wide = lines > 1 << (16 - WC_SLOT_SHIFT)  # slot past 16 bits
+            column = np.zeros(
+                len(self), dtype=np.uint32 if wide else np.uint16
+            )
+            column[positions] = codes
+            cached = (array("I" if wide else "H", column.tobytes()), totals)
+            self._wc_decisions[key] = cached
+        return cached
+
     def rows(self, line_shift: int) -> Iterator[tuple]:
-        """Hot-loop iterator: ``(pc, kind, dst, src1, src2, addr, is_mem,
-        is_fp_dispatch, iline, dline)`` per record, all plain Python
-        scalars out of precomputed lists."""
+        """Every record as ``(pc, kind, dst, src1, src2, addr, is_mem,
+        is_fp_dispatch, iline, dline)``, all plain Python scalars out of
+        lists built on first use.  The batched kernel walks this; the
+        scalar loop walks :meth:`timing_rows`."""
         return zip(*self._row_columns(line_shift))
 
-    def timing_rows(self, line_shift: int, icache_lines: int) -> Iterator[tuple]:
-        """:meth:`rows` plus each record's I-cache miss flag for a
-        ``icache_lines``-line cache (see :meth:`icache_misses`)."""
-        flags, _ = self.icache_misses(line_shift, icache_lines)
-        return zip(*self._row_columns(line_shift), flags)
+    def timing_rows(
+        self,
+        line_shift: int,
+        icache_lines: int,
+        writecache_lines: int,
+        page_shift: int,
+    ) -> Iterator[tuple]:
+        """The scalar timing loop's iterator: ``(op, dst, src1, src2,
+        iline, dline, imiss, pair_ok, wc)`` per record — the op code, the
+        register fields, the cache-line indices, and the per-trace
+        memos (:meth:`icache_misses`, :meth:`pair_flags`,
+        :meth:`writecache_decisions`) for this geometry."""
+        ilines, dlines = self.lines(line_shift)
+        return zip(
+            self.op_codes(),
+            self.field_list("dst"),
+            self.field_list("src1"),
+            self.field_list("src2"),
+            ilines,
+            dlines,
+            self.icache_misses(line_shift, icache_lines)[0],
+            self.pair_flags(),
+            self.writecache_decisions(
+                line_shift, writecache_lines, page_shift
+            )[0],
+        )
 
     def _row_columns(self, line_shift: int) -> tuple[list, ...]:
         if self._flag_lists is None:

@@ -1,5 +1,7 @@
 """Unit tests for machine configurations (Table 1)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -103,6 +105,32 @@ class TestValidation:
     def test_split_pool_needs_buffers(self):
         with pytest.raises(ConfigError):
             MachineConfig(split_prefetch_pool=True, prefetch_buffers=1)
+
+
+def _int_fields(instance):
+    return [
+        field.name
+        for field in dataclasses.fields(instance)
+        if type(getattr(instance, field.name)) is int
+    ]
+
+
+class TestBoolIsNotAnInteger:
+    """``True == 1`` must not pass an integer field's check."""
+
+    @pytest.mark.parametrize("field", _int_fields(BASELINE))
+    def test_machine_field_rejects_bool(self, field):
+        with pytest.raises(ConfigError, match=field):
+            BASELINE.with_(**{field: True})
+
+    @pytest.mark.parametrize("field", _int_fields(FPUConfig()))
+    def test_fpu_field_rejects_bool(self, field):
+        with pytest.raises(ConfigError, match=field):
+            FPUConfig(**{field: True})
+
+    def test_label_never_shows_a_bool(self):
+        with pytest.raises(ConfigError, match="issue_width"):
+            BASELINE.with_(mem_latency=True, issue_width=True)
 
 
 class TestFPUConfig:

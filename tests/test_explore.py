@@ -14,7 +14,8 @@ import json
 import pytest
 
 from repro.core.config import BASELINE
-from repro.core.kernel import simulate_many
+from repro.core.kernel import reuse_snapshot, simulate_many
+from repro.core.processor import simulate_trace
 from repro.experiments import cli
 from repro.experiments.common import scaled_trace
 from repro.explore import (
@@ -28,9 +29,12 @@ from repro.explore import (
     rank_correlation,
     space_names,
 )
+from repro.explore import model as model_module
 from repro.explore.model import ModelReport
 from repro.explore.space import SpaceError, fig8_space
+from repro.func.prepared import prepare_trace
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.events import EventBus, RingBufferSink
 
 FACTOR = 0.05
 WORKLOAD = "espresso"
@@ -188,6 +192,34 @@ def exhaustive_frontier(space, trace):
         [(total_cost(c.config), s.cpi) for c, s in live]
     )
     return sorted(live[i][0].label for i in chosen), stats
+
+
+class TestAnchorsFeedTheStore:
+    def test_anchor_is_answered_from_the_store(self, trace, monkeypatch):
+        sinks = []
+
+        class RecordingSink(RingBufferSink):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sinks.append(self)
+
+        monkeypatch.setattr(model_module, "RingBufferSink", RecordingSink)
+        fresh = prepare_trace(trace.array)  # an empty reuse store
+        estimator = CPIEstimator.calibrate(fresh)
+        anchor = BASELINE.dual_issue().with_latency(17)
+        reused = reuse_snapshot()
+        answered = simulate_many(fresh, [anchor])[0]
+        assert reuse_snapshot() == reused + 1
+        assert answered.stats == estimator.calibration_stats[anchor]
+        # The anchor's telemetry run still saw every event, in order.
+        bus = EventBus()
+        reference = RingBufferSink(capacity=None)
+        bus.attach(reference)
+        simulate_trace(prepare_trace(trace.array), anchor, telemetry=bus)
+        baseline_sink = sinks[1]  # anchors run in I-cache size order
+        assert [e.to_dict() for e in baseline_sink.events] == [
+            e.to_dict() for e in reference.events
+        ]
 
 
 class TestExplore:

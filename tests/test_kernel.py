@@ -33,6 +33,7 @@ from repro.core.kernel import (
 )
 from repro.core.stats import StallKind
 from repro.func.prepared import prepare_trace
+from repro.isa.instructions import Kind
 from repro.robustness.guards import RobustnessPolicy, SimulationError
 from repro.telemetry import tracing
 from repro.telemetry.events import EventBus, RingBufferSink
@@ -281,6 +282,58 @@ class TestReuse:
             ("batched", None),
             ("scalar", loose),
         }
+
+    def test_telemetry_run_stores_its_stats(self, counting_trace, models):
+        trace = prepare_trace(counting_trace)
+        baseline = models[1]
+        sink = RingBufferSink()
+        observed = simulate_many(
+            trace, [baseline], kernel="scalar", telemetry=EventBus(sink)
+        )[0]
+        assert sink.recorded > 0
+        reused = reuse_snapshot()
+        again = simulate_many(trace, [baseline], kernel="scalar")[0]
+        assert reuse_snapshot() == reused + 1
+        assert again.stats == observed.stats
+        assert again.stats is not observed.stats
+
+    def test_unobserved_fpu_fields_share_one_simulation(self):
+        from repro.core.config import BASELINE
+        from repro.experiments.common import scaled_trace
+
+        trace = prepare_trace(scaled_trace("nasa7", 0.05).array)
+        assert trace.kind_counts()[int(Kind.FP_DIV)] == 0
+        slow, fast = (
+            BASELINE.with_(fpu=BASELINE.fpu.with_(div_latency=latency))
+            for latency in (10, 30)
+        )
+        direct = get_kernel().simulate_many(trace, [slow, fast])
+        assert direct[0].stats == direct[1].stats
+        simulate_many(trace, [slow])
+        reused = reuse_snapshot()
+        answered = simulate_many(trace, [fast])[0]
+        assert reuse_snapshot() == reused + 1
+        assert answered.config is fast
+        assert answered.stats == direct[1].stats
+
+    def test_observed_fpu_fields_never_share(self):
+        from repro.core.config import BASELINE
+        from repro.experiments.common import scaled_trace
+
+        trace = prepare_trace(scaled_trace("ora", 0.05).array)
+        assert trace.kind_counts()[int(Kind.FP_DIV)] > 0
+        slow, fast = (
+            BASELINE.with_(fpu=BASELINE.fpu.with_(div_latency=latency))
+            for latency in (10, 30)
+        )
+        first = simulate_many(trace, [slow])[0]
+        reused = reuse_snapshot()
+        second = simulate_many(trace, [fast])[0]
+        assert reuse_snapshot() == reused
+        assert second.stats != first.stats
+        assert [r.stats for r in get_kernel().simulate_many(
+            trace, [slow, fast]
+        )] == [first.stats, second.stats]
 
     def test_cap_evicts_oldest_and_stays_correct(
         self, counting_trace, models, monkeypatch

@@ -25,6 +25,17 @@ from repro.core.kernel import simulate_many
 from repro.core.processor import AuroraProcessor, simulate_trace
 from repro.experiments.common import scaled_trace
 from repro.func.prepared import (
+    OP_BRANCH,
+    OP_FCOND,
+    OP_FCOND_TAKEN,
+    OP_FP_LOAD,
+    OP_FP_MOVE,
+    OP_FP_STORE,
+    OP_LOAD,
+    OP_SIMPLE,
+    OP_STORE,
+    OP_TAKEN,
+    OP_TAKEN_REG,
     PreparedTrace,
     compute_stats_prepared,
     prepare_snapshot,
@@ -195,6 +206,58 @@ def test_class_counts_match_compute_stats(name):
             Kind.FP_LOAD, Kind.FP_STORE, Kind.FP_MOVE,
         ),
     )
+
+
+def _reference_op(record):
+    """The op code of one record, from its fields alone."""
+    pc, kind, dst, src1, src2, addr = record
+    fixed = {
+        Kind.FP_MOVE: OP_FP_MOVE, Kind.FP_LOAD: OP_FP_LOAD,
+        Kind.FP_STORE: OP_FP_STORE, Kind.LOAD: OP_LOAD, Kind.STORE: OP_STORE,
+    }
+    if kind in fixed:
+        return fixed[kind]
+    if Kind.FP_ADD <= kind <= Kind.FP_CVT:
+        return kind
+    if kind not in (Kind.BRANCH, Kind.JUMP):
+        return OP_SIMPLE
+    fcond = kind == Kind.BRANCH and src1 < 0 and src2 < 0
+    if addr == 0:
+        return OP_FCOND if fcond else OP_BRANCH
+    if fcond:
+        return OP_FCOND_TAKEN
+    return OP_TAKEN_REG if kind == Kind.JUMP and src1 >= 0 else OP_TAKEN
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_op_codes_and_pair_flags_match_records(name):
+    trace = scaled_trace(name, FACTOR)
+    records = trace.to_records()
+    assert list(trace.op_codes()) == [_reference_op(r) for r in records]
+    prev_pc, prev_mem = -8, False
+    expected = []
+    for pc, kind, *_ in records:
+        mem = kind in _MEMORY_KINDS
+        expected.append(
+            int(pc == prev_pc + 4 and prev_pc & 7 == 0
+                and not (mem and prev_mem))
+        )
+        prev_pc, prev_mem = pc, mem
+    assert list(trace.pair_flags()) == expected
+
+
+def test_op_codes_cover_every_control_shape():
+    records = [
+        (0x400000, int(Kind.BRANCH), -1, 8, 9, 0),  # not taken
+        (0x400004, int(Kind.BRANCH), -1, 8, 9, 0x400100),  # taken
+        (0x400008, int(Kind.JUMP), 31, -1, -1, 0x400200),  # jal
+        (0x40000C, int(Kind.JUMP), -1, 31, -1, 0x400300),  # jr
+        (0x400010, int(Kind.BRANCH), -1, -1, -1, 0),  # bc1f, not taken
+        (0x400014, int(Kind.BRANCH), -1, -1, -1, 0x400400),  # bc1t, taken
+    ]
+    assert list(prepare_trace(records).op_codes()) == [
+        OP_BRANCH, OP_TAKEN, OP_TAKEN, OP_TAKEN_REG, OP_FCOND, OP_FCOND_TAKEN,
+    ]
 
 
 def test_compute_stats_dispatches_to_vectorized(monkeypatch):

@@ -428,6 +428,12 @@ _PINNED_MEM_CONFIGS = {
     "line16": BASELINE.with_(line_bytes=16),
     "line64": BASELINE.with_(line_bytes=64, mshr_entries=3),
     "width1": BASELINE.single_issue().with_(writecache_lines=2),
+    # One line per page: every store miss outside a resident line's
+    # page validates, and the victim's own page is the only match.
+    "page32": BASELINE.with_(page_bytes=32),
+    # Eight lines share 64 KB pages: page matches on lines other than
+    # the one hit, across many victims.
+    "wc8-page64k": BASELINE.with_(writecache_lines=8, page_bytes=65536),
 }
 
 
@@ -466,6 +472,7 @@ def _pinned_stats_digests(kernel_name, trace_names):
 
 _TELEMETRY_POINTS = {
     "espresso/baseline": ("espresso", BASELINE),
+    "espresso/mshr1-wc1": ("espresso", _PINNED_MEM_CONFIGS["mshr1-wc1"]),
     "ear/baseline": ("ear", BASELINE),
     "ear/fpu-in_order": (
         "ear",
@@ -669,6 +676,36 @@ PINNED_STATS_DIGESTS = {
     "ora/fpu-unpipelined": (
         "a0e6b19233419fb1f260ece8675c42c516084aa87f122de7dbb48b50717b596e"
     ),
+    "ear/page32": (
+        "05ee9ba17ba78754399c6932a064978db86e7e627c463c777c61b01d5f612c09"
+    ),
+    "ear/wc8-page64k": (
+        "02fc456de7beebdbe18347e525f86999c328d6df73dcf87de890e146187b9049"
+    ),
+    "espresso/page32": (
+        "d44e78d3a2f5ae68a0f930732010dd52b60b7438f661ea8d6387f0895df6453b"
+    ),
+    "espresso/wc8-page64k": (
+        "57fc268c60090b9937bf9606da6243b202e6acdc5ce77a8a146060a192bbc0da"
+    ),
+    "li/page32": (
+        "b338a590ff044697cb49f55cba559fc1356f07425cd1c5de1bf114cc41175799"
+    ),
+    "li/wc8-page64k": (
+        "9b27e71bd7e75e4199e11448d31742c952dfb20ea943a894f5f3902c6aa6c97c"
+    ),
+    "mdljdp2/page32": (
+        "21e87744f9666e16ef9bd562e22eaecc7819c5978b3739150cf722fe465c3fed"
+    ),
+    "mdljdp2/wc8-page64k": (
+        "f82dca3bab19c7961c657a36ba11a0134bf20d592af2d946080c7e3445dc33c1"
+    ),
+    "ora/page32": (
+        "8c470ccdec074f77f8c470c5f5abeb0c346a42c84e0625f2a8e5e81f78f7a754"
+    ),
+    "ora/wc8-page64k": (
+        "59d92339ebc012f75aa3d18d0efaa33718d4f6dfeefeea8bf814e7fc5e03892e"
+    ),
 }
 
 PINNED_TELEMETRY_DIGESTS = {
@@ -680,6 +717,9 @@ PINNED_TELEMETRY_DIGESTS = {
     ),
     "espresso/baseline": (
         "5387dfae9bb1332a22b956d9b1533cb37a4929c06dc3f0a198f9b88f08678daa"
+    ),
+    "espresso/mshr1-wc1": (
+        "a181828a0d3eb60035dbe03dda1366d72bfd5fb65014f1bfae64f9870beed378"
     ),
 }
 

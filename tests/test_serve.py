@@ -374,6 +374,18 @@ class TestServerEndToEnd:
         assert status == 400
         assert "issue_width" in body["error"]
 
+    def test_json_true_in_integer_field_400s(self, server):
+        # JSON true is a Python bool, which would otherwise pass as 1.
+        for config, field in (
+            ({"model": "baseline", "mem_latency": True}, "mem_latency"),
+            ({"fpu": {"add_latency": True}}, "add_latency"),
+        ):
+            status, body = _post(
+                server.port, {"workload": "espresso", "config": config}
+            )
+            assert status == 400
+            assert field in body["error"]
+
     def test_unknown_workload_400_gives_kernel_list(self, server):
         status, body = _post(server.port, {"workload": "nosuchkernel"})
         assert status == 400

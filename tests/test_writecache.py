@@ -1,9 +1,19 @@
 """Unit tests for the coalescing write cache."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.biu import BusInterfaceUnit
-from repro.core.writecache import WriteCache
+from repro.core.writecache import (
+    WC_EVICT,
+    WC_HIT,
+    WC_RESIDENT,
+    WC_SLOT_SHIFT,
+    WriteCache,
+)
+from repro.func.prepared import prepare_trace
+from repro.func.trace import NO_REG
+from repro.isa.instructions import Kind
 
 
 def make_wc(lines=4, latency=17, validation=True):
@@ -152,3 +162,97 @@ class TestFpStoreSync:
         wc.store(0x1004, 1, fp_data_at=90)
         done = wc.store(0x2000, 5)
         assert done >= 90
+
+
+# ------------------------------------------------- per-trace decision memo
+
+
+def _memo_stream(ops):
+    """Trace records for a stream of (kind, word) ops; ALU filler too."""
+    records = []
+    for index, (kind, word) in enumerate(ops):
+        pc = 0x400000 + 4 * index
+        address = 4 * word
+        if kind == "alu":
+            records.append((pc, int(Kind.ALU), 8, 9, NO_REG, 0))
+        elif kind in ("load", "fp_load"):
+            code = Kind.LOAD if kind == "load" else Kind.FP_LOAD
+            dst = 8 if kind == "load" else 34
+            records.append((pc, int(code), dst, 29, NO_REG, address))
+        else:
+            code = Kind.STORE if kind == "store" else Kind.FP_STORE
+            src = 8 if kind == "store" else 34
+            records.append((pc, int(code), NO_REG, 29, src, address))
+    return records
+
+
+class TestDecisionMemo:
+    """``PreparedTrace.writecache_decisions`` against a live WriteCache."""
+
+    @given(
+        lines=st.integers(1, 16),
+        line_shift=st.integers(4, 7),
+        page_extra=st.integers(0, 12),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("alu", "load", "store", "fp_load", "fp_store")
+                ),
+                st.integers(0, 1 << 12),
+            ),
+            max_size=200,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_memo_matches_write_cache(
+        self, lines, line_shift, page_extra, ops
+    ):
+        page_shift = line_shift + page_extra
+        trace = prepare_trace(_memo_stream(ops))
+        codes, totals = trace.writecache_decisions(
+            line_shift, lines, page_shift
+        )
+        assert len(codes) == len(ops)
+
+        biu = BusInterfaceUnit(latency=17, occupancy=4)
+        wc = WriteCache(
+            lines, 1 << line_shift, biu, page_bytes=1 << page_shift
+        )
+        for time, ((kind, word), code) in enumerate(zip(ops, codes)):
+            address = 4 * word
+            if kind == "alu":
+                assert code == 0
+            elif kind.endswith("load"):
+                assert code == (WC_HIT if wc.load_lookup(address, time) else 0)
+            else:
+                hits = wc.stats.hits
+                mmu, writes = biu.stats.mmu, biu.stats.write
+                wc.store(address, time)
+                line = address >> line_shift
+                assert wc._lines[code >> WC_SLOT_SHIFT].line == line
+                hit = wc.stats.hits - hits
+                assert bool(code & WC_HIT) == bool(hit)
+                if hit:
+                    assert code & (WC_RESIDENT | WC_EVICT) == 0
+                else:
+                    # An MMU round trip means no resident page matched.
+                    assert bool(code & WC_RESIDENT) == (biu.stats.mmu == mmu)
+                assert bool(code & WC_EVICT) == (biu.stats.write > writes)
+        wc.flush(10 * len(ops) + 1000)
+        stats = wc.stats
+        assert totals == (
+            stats.accesses,
+            stats.hits,
+            stats.store_instructions,
+            stats.store_transactions,
+        )
+
+    def test_memo_is_computed_once_per_geometry(self):
+        trace = prepare_trace(
+            _memo_stream([("store", 0), ("load", 0), ("load", 1)])
+        )
+        first = trace.writecache_decisions(5, 4, 12)
+        assert trace.writecache_decisions(5, 4, 12) is first
+        assert trace.writecache_decisions(5, 2, 12) is not first
+        assert list(first[0]) == [0, 1, 0]  # slot 0 miss, then a forward
+        assert first[1] == (3, 1, 1, 1)
