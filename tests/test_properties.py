@@ -1,14 +1,21 @@
 """Property-based tests (hypothesis) over the core data structures and
 the functional/timing pipeline."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.biu import BusInterfaceUnit
 from repro.core.caches import DirectMappedCache
-from repro.core.config import BASELINE, MachineConfig
+from repro.core.config import (
+    BASELINE,
+    FPIssuePolicy,
+    FPUConfig,
+    MachineConfig,
+)
+from repro.core.kernel import simulate_many
 from repro.core.mshr import MSHRFile
-from repro.core.processor import simulate_trace
+from repro.core.processor import AuroraProcessor, simulate_trace
 from repro.core.writecache import WriteCache
 from repro.func.machine import run_program
 from repro.func.trace import NO_REG
@@ -294,3 +301,151 @@ class TestSchedulerProperties:
             assert mine.op == theirs.op
             assert mine.imm == theirs.imm
             assert mine.target == theirs.target
+
+
+# ------------------------------------------------- random valid configs
+
+#: Small registry traces covering memory, branch and FP mixes.
+_MIX_TRACES = ("espresso", "li", "doduc", "ora")
+_MIX_FACTOR = 0.05
+
+
+def _mix_trace(name: str):
+    from repro.experiments.common import scaled_trace
+
+    return scaled_trace(name, _MIX_FACTOR)
+
+
+@st.composite
+def fpu_configs(draw):
+    """An FPUConfig ``validate()`` accepts, with sizes and latencies
+    capped so a draw simulates quickly."""
+    return FPUConfig(
+        issue_policy=draw(st.sampled_from(FPIssuePolicy)),
+        instruction_queue=draw(st.integers(1, 8)),
+        load_queue=draw(st.integers(1, 8)),
+        store_queue=draw(st.integers(1, 8)),
+        rob_entries=draw(st.integers(1, 8)),
+        add_latency=draw(st.integers(1, 12)),
+        add_pipelined=draw(st.booleans()),
+        mul_latency=draw(st.integers(1, 12)),
+        mul_pipelined=draw(st.booleans()),
+        div_latency=draw(st.integers(1, 40)),
+        cvt_latency=draw(st.integers(1, 12)),
+        cvt_pipelined=draw(st.booleans()),
+        result_buses=draw(st.integers(1, 4)),
+    )
+
+
+@st.composite
+def machine_configs(draw):
+    """A MachineConfig ``validate()`` accepts: any issue width, 1-entry
+    structures, 4-128 byte lines, prefetch on or off, a shared or split
+    pool, write validation on or off, precise or imprecise FP.  Sizes and
+    latencies are capped so a draw simulates quickly."""
+    line_bytes = 1 << draw(st.integers(2, 7))
+    mem_latency = draw(st.integers(1, 80))
+    bus_occupancy = draw(st.integers(1, 8))
+    # The cross-field rule: a full write-cache drain fits in
+    # MAX_DRAIN_ROUND_TRIPS memory round trips.
+    drain_cap = MachineConfig.MAX_DRAIN_ROUND_TRIPS * mem_latency
+    split = draw(st.booleans())
+    return MachineConfig(
+        name="drawn",
+        issue_width=draw(st.sampled_from((1, 2))),
+        icache_bytes=line_bytes << draw(st.integers(0, 8)),
+        dcache_bytes=line_bytes << draw(st.integers(0, 10)),
+        line_bytes=line_bytes,
+        writecache_lines=draw(
+            st.integers(1, min(16, drain_cap // bus_occupancy))
+        ),
+        rob_entries=draw(st.integers(1, 12)),
+        prefetch_buffers=draw(st.integers(2 if split else 1, 12)),
+        prefetch_line_depth=draw(st.integers(1, 4)),
+        mshr_entries=draw(st.integers(1, 8)),
+        mem_latency=mem_latency,
+        dcache_latency=draw(st.integers(1, 6)),
+        bus_occupancy=bus_occupancy,
+        retire_width=draw(st.integers(1, 4)),
+        prefetch_enabled=draw(st.booleans()),
+        branch_folding=draw(st.booleans()),
+        write_validation=draw(st.booleans()),
+        page_bytes=max(line_bytes, 1 << draw(st.integers(8, 13))),
+        split_prefetch_pool=split,
+        fpu_precise_exceptions=draw(st.booleans()),
+        fpu=draw(fpu_configs()),
+    )
+
+
+class TestRandomConfigProperties:
+    @given(machine_configs())
+    @settings(max_examples=25, deadline=None)
+    def test_invariants_hold_on_any_valid_config(self, config):
+        for name in _MIX_TRACES:
+            trace = _mix_trace(name)
+            stats = AuroraProcessor(config).run(trace).stats
+            stats.check_invariants()
+            assert stats.instructions == len(trace)
+
+    @given(machine_configs(), st.integers(1, 80), st.sampled_from(_MIX_TRACES))
+    @settings(max_examples=50, deadline=None)
+    def test_cycles_never_fall_as_memory_latency_rises(
+        self, config, extra, name
+    ):
+        trace = _mix_trace(name)
+        slower = config.with_(mem_latency=config.mem_latency + extra)
+        fast = AuroraProcessor(config).run(trace).stats.cycles
+        slow = AuroraProcessor(slower).run(trace).stats.cycles
+        assert slow >= fast
+
+    @given(
+        st.lists(machine_configs(), min_size=1, max_size=3),
+        st.sampled_from(_MIX_TRACES),
+        st.data(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_simulate_many_matches_fresh_runs(self, drawn, name, data):
+        trace = _mix_trace(name)
+        # Duplicates, and variants differing only in FPU fields of units
+        # the trace may not exercise: simulate_many answers them from
+        # one simulation, which must equal a fresh run of each config.
+        variants = [
+            config.with_(fpu=config.fpu.with_(
+                div_latency=data.draw(st.integers(1, 40)),
+                mul_pipelined=not config.fpu.mul_pipelined,
+            ))
+            for config in drawn
+        ]
+        configs = drawn + variants + drawn[:1]
+        configs = data.draw(st.permutations(configs))
+        results = simulate_many(trace, configs)
+        assert [r.config for r in results] == configs
+        for config, result in zip(configs, results):
+            assert result.stats == AuroraProcessor(config).run(trace).stats
+
+
+def test_direct_mapped_icache_inclusion():
+    """At a fixed line size, every access that hits in a direct-mapped
+    I-cache of S lines also hits in one of 2S lines."""
+    from repro.func.prepared import prepare_trace
+    from repro.workloads import FP_SUITE, INTEGER_SUITE
+
+    for name in INTEGER_SUITE + FP_SUITE:
+        # A private copy, so the memoized miss flags die with it.
+        trace = prepare_trace(_mix_trace(name).array)
+        for shift in range(2, 8):
+            ilines = np.right_shift(trace.pc, shift)
+            span = int(ilines.max() - ilines.min()) + 1
+            smaller, _ = trace.icache_misses(shift, 1)
+            lines = 2
+            while True:
+                larger, _ = trace.icache_misses(shift, lines)
+                small_miss = np.frombuffer(smaller, dtype=np.uint8)
+                large_miss = np.frombuffer(larger, dtype=np.uint8)
+                assert not np.any(large_miss & ~small_miss), (
+                    name, shift, lines
+                )
+                if lines >= span:
+                    break  # no two lines share a set any more
+                smaller = larger
+                lines *= 2
