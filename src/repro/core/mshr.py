@@ -24,7 +24,7 @@ from __future__ import annotations
 class MSHRFile:
     """Fixed pool of MSHR entries tracked as busy-until timestamps.
 
-    The scalar timing loop applies :meth:`allocate` and
+    The timing loop applies :meth:`allocate` and
     :meth:`set_release` inline on ``_free_at`` (sharing one ``min`` per
     memory instruction with its LSU hazard floor) and emits their
     ``mshr`` telemetry events itself.

@@ -204,7 +204,7 @@ class WriteCache:
 
     Each access is decided by the :class:`WriteCacheDirectory` and then
     timed: :meth:`store` is ``directory.store`` followed by
-    :meth:`time_store`.  The scalar timing loop takes its decisions from
+    :meth:`time_store`.  The timing loop takes its decisions from
     the prepared trace instead (``PreparedTrace.writecache_decisions``)
     and calls only :meth:`time_store`, once per store; loads need no
     timing here at all.

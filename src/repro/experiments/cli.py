@@ -5,17 +5,16 @@ Subcommands::
     aurora-sim run <workload> [--model baseline] [--issue 2] [--latency 17]
     aurora-sim suite [--suite int|fp] [--model baseline]
     aurora-sim experiments [--only fig4 table6 ...] [--factor 0.5] [--out d/]
-                           [--trace sweep-trace.json] [--kernel batched]
+                           [--trace sweep-trace.json]
     aurora-sim trace <workload> [--factor 0.05] [--out trace.ndjson]
     aurora-sim report <trace.ndjson> [--window 1000] [--occupancy-out o.json]
     aurora-sim explore [workload] [--space fig8] [--factor 0.05]
-                       [--budget 0.5] [--jobs 2] [--kernel batched]
+                       [--budget 0.5] [--jobs 2]
                        [--validate] [--out explore.json]
                        [--metrics-out m.json] [--trace spans.json]
                        [--history BENCH_history.json] [--check]
     aurora-sim spans <sweep-trace.json> [--min-ms 0.1]
     aurora-sim perf <workload> [--factor 0.05] [--check] [--seed-baseline]
-                    [--kernel scalar|batched]
     aurora-sim serve [--host 127.0.0.1] [--port 8311] [--jobs 2]
                      [--window 0.01] [--store results/.sim_memo]
                      [--sample-interval 1.0] [--ring-out ring.jsonl]
@@ -54,7 +53,6 @@ from repro.core.config import (
     SMALL,
     MachineConfig,
 )
-from repro.core.kernel import KERNEL_NAMES
 from repro.cost.rbe import fpu_cost, ipu_cost
 from repro.experiments.exit_codes import (
     EXIT_ERROR,
@@ -112,7 +110,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     from repro.api import suite_results
 
     config = _configure(args)
-    results = suite_results(config, suite=args.suite, kernel=args.kernel)
+    results = suite_results(config, suite=args.suite)
     print(f"machine: {config.label}")
     # Empty (zero-instruction) runs have NaN CPI by design; folding one
     # into the mean would poison it, so they are skipped and flagged.
@@ -150,7 +148,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
             trace_out=args.trace,
             chaos=args.chaos,
             chaos_seed=args.chaos_seed,
-            kernel=args.kernel,
         )
     except ChaosError as error:
         print(f"error: --chaos: {error}", file=sys.stderr)
@@ -261,16 +258,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 factor=args.factor,
                 budget=args.budget,
                 safety=args.safety,
-                kernel=args.kernel,
                 jobs=args.jobs,
                 metrics=registry,
             )
             validation = None
             if args.validate:
                 exhaustive = simulate_many(
-                    trace,
-                    [c.config for c in candidates],
-                    kernel=args.kernel,
+                    trace, [c.config for c in candidates]
                 )
                 validation = _explore_validation(
                     result, [r.stats for r in exhaustive], ModelReport,
@@ -334,7 +328,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             ),
             "cache_hits": max(hits - base_hits, 0),
             "cache_misses": max(misses - base_misses, 0),
-            "kernel": result.kernel,
             "mode": "explore",
             "configs_considered": result.configs_considered,
             "configs_simulated": result.configs_simulated,
@@ -422,7 +415,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         sample=not args.no_sample,
         use_cprofile=args.cprofile,
         top=args.top,
-        kernel=args.kernel,
     )
     print(report.render())
     history = PerfHistory(args.history)
@@ -466,7 +458,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         jobs=args.jobs,
         window=args.window,
-        kernel=args.kernel,
         store_root=args.store,
         trace_out=args.trace,
         sample_interval=args.sample_interval,
@@ -606,9 +597,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_suite = sub.add_parser("suite", help="simulate a whole suite")
     p_suite.add_argument("--suite", choices=("int", "fp"), default="int")
-    p_suite.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
-                         help="simulation kernel (default follows "
-                              "REPRO_SIM_KERNEL)")
     _add_machine_args(p_suite)
     p_suite.set_defaults(func=cmd_suite)
 
@@ -624,10 +612,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="worker processes for parallel execution")
     p_exp.add_argument("--no-trace-cache", action="store_true",
                        help="disable the persistent on-disk trace cache")
-    p_exp.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
-                       help="simulation kernel: scalar walks the trace "
-                            "once per config, batched once per sweep "
-                            "(default follows REPRO_SIM_KERNEL)")
     p_exp.add_argument("--no-resume", action="store_true",
                        help="ignore the checkpoint manifest")
     p_exp.add_argument("--manifest", default=None,
@@ -695,10 +679,6 @@ def main(argv: list[str] | None = None) -> int:
     p_explore.add_argument("--jobs", type=positive_int, default=1,
                            help="process-pool workers for each "
                                 "refinement round's band")
-    p_explore.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
-                           help="simulation kernel for probe/band "
-                                "batches (default follows "
-                                "REPRO_SIM_KERNEL)")
     p_explore.add_argument("--validate", action="store_true",
                            help="also simulate the whole space; report "
                                 "full-grid model error and exit 1 "
@@ -756,16 +736,11 @@ def main(argv: list[str] | None = None) -> int:
     p_perf.add_argument("--threshold", type=float, default=0.20,
                         help="regression threshold as a fraction "
                              "(0.20 = fail when >20%% slower)")
-    p_perf.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
-                        help="simulation kernel to profile (history "
-                             "records tag it; --check refuses cross-"
-                             "kernel comparisons; default follows "
-                             "REPRO_SIM_KERNEL)")
     _add_machine_args(p_perf)
     p_perf.set_defaults(func=cmd_perf)
 
     p_serve = sub.add_parser(
-        "serve", help="batched design-space query service (long-lived)"
+        "serve", help="coalescing design-space query service (long-lived)"
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8311,
@@ -779,9 +754,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="batching window in seconds: queries "
                               "arriving within it coalesce into one "
                               "simulate_many dispatch")
-    p_serve.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
-                         help="simulation kernel for batch dispatches "
-                              "(default follows REPRO_SIM_KERNEL)")
     p_serve.add_argument("--store", default="results/.sim_memo",
                          help="persistent SimStats memo-store root")
     p_serve.add_argument("--trace", default=None, metavar="PATH",

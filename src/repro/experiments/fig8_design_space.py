@@ -111,8 +111,8 @@ def design_points() -> list[tuple[str, MachineConfig, str]]:
     """The catalogue of configurations plotted in Figure 8.
 
     ``(label, config, marker)`` triples at 17-cycle memory latency.  The
-    guided explorer (:mod:`repro.explore.space`) and the batched-kernel
-    benchmark both build their grids from this list, so "the Figure 8
+    guided explorer (:mod:`repro.explore.space`) and the serve load
+    generator both build their grids from this list, so "the Figure 8
     catalogue" has exactly one definition.
     """
     points: list[tuple[str, MachineConfig, str]] = []

@@ -228,14 +228,12 @@ class CPIEstimator:
     # ------------------------------------------------------------ calibrate
 
     @classmethod
-    def calibrate(cls, trace, *, kernel: str | None = None) -> "CPIEstimator":
+    def calibrate(cls, trace) -> "CPIEstimator":
         """Run the anchor + probe simulations and fit the model.
 
-        Three scalar telemetry runs (one ``std`` dual point per I-cache
-        family; the batched kernel refuses telemetry by design), each
-        through ``simulate_many`` so its stats land in the trace's reuse
-        store, plus one
-        grouped ``simulate_many`` of nine probes: the calibration
+        Three telemetry runs (one ``std`` dual point per I-cache family),
+        each through ``simulate_many`` so its stats land in the trace's
+        reuse store, plus one grouped ``simulate_many`` of nine probes: the calibration
         family's axis sweeps, its no-prefetch and 21-cycle-latency
         variants, and the small/single issue-width anchor.  Twelve
         simulations total, all of them members of the Figure 8 grid.
@@ -253,9 +251,8 @@ class CPIEstimator:
                 try:
                     # Through the reuse store: the exhaustive grid later
                     # answers this config without simulating it again.
-                    stats = simulate_many(
-                        trace, [config], kernel="scalar", telemetry=bus
-                    )[0].stats
+                    result = simulate_many(trace, [config], telemetry=bus)
+                    stats = result[0].stats
                 finally:
                     bus.close()
                 anchors[icache] = cls._build_anchor(config, stats, ring.events)
@@ -277,7 +274,7 @@ class CPIEstimator:
                 SMALL.single_issue().with_latency(_ANCHOR_LATENCY)
             )
             for config, result in zip(
-                probes, simulate_many(trace, probes, kernel=kernel)
+                probes, simulate_many(trace, probes)
             ):
                 calibration_stats[config] = result.stats
 

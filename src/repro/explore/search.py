@@ -83,7 +83,6 @@ class ExploreResult:
 
     workload: str
     factor: float
-    kernel: str
     points: list[ExplorePoint] = field(default_factory=list)
     rounds: int = 0
     calibration_runs: int = 0
@@ -151,7 +150,7 @@ class ExploreResult:
             rows,
             title=(
                 f"Guided exploration: {self.workload} "
-                f"(factor {self.factor:g}, {self.kernel} kernel)"
+                f"(factor {self.factor:g})"
             ),
         )
         lines = [
@@ -178,7 +177,6 @@ class ExploreResult:
         return {
             "workload": self.workload,
             "factor": self.factor,
-            "kernel": self.kernel,
             "rounds": self.rounds,
             "calibration_runs": self.calibration_runs,
             "configs_considered": self.configs_considered,
@@ -209,31 +207,26 @@ class ExploreResult:
 
 
 def _simulate_configs_chunk(
-    workload: str, factor: float, configs: list[MachineConfig], kernel
+    workload: str, factor: float, configs: list[MachineConfig]
 ) -> list[SimStats]:
     """Process-pool worker: rebuild the trace (on-disk cache) and run."""
     from repro.experiments.common import scaled_trace
 
     trace = scaled_trace(workload, factor)
-    return [
-        r.stats for r in simulate_many(trace, configs, kernel=kernel)
-    ]
+    return [r.stats for r in simulate_many(trace, configs)]
 
 
 def _run_band(
     trace,
     configs: list[MachineConfig],
     *,
-    kernel,
     jobs: int,
     workload: str,
     factor: float,
 ) -> list[SimStats]:
     """One grouped simulation of a round's band, optionally chunked."""
     if jobs <= 1 or len(configs) < 2:
-        return [
-            r.stats for r in simulate_many(trace, configs, kernel=kernel)
-        ]
+        return [r.stats for r in simulate_many(trace, configs)]
     chunk = (len(configs) + jobs - 1) // jobs
     chunks = [
         configs[i : i + chunk] for i in range(0, len(configs), chunk)
@@ -247,7 +240,6 @@ def _run_band(
             [workload] * len(chunks),
             [factor] * len(chunks),
             chunks,
-            [kernel] * len(chunks),
         ):
             stats.extend(part)
     return stats
@@ -263,7 +255,6 @@ def explore(
     safety: float = DEFAULT_SAFETY,
     min_margin: float = DEFAULT_MIN_MARGIN,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    kernel: str | None = None,
     jobs: int = 1,
     metrics=None,
 ) -> ExploreResult:
@@ -284,7 +275,7 @@ def explore(
     with tracing.span(
         "explore", "explore", configs=len(candidates), workload=workload
     ):
-        estimator = CPIEstimator.calibrate(trace, kernel=kernel)
+        estimator = CPIEstimator.calibrate(trace)
         simulated: dict[MachineConfig, SimStats] = dict(
             estimator.calibration_stats
         )
@@ -380,7 +371,6 @@ def explore(
                 stats_list = _run_band(
                     trace,
                     [p.config for p in band],
-                    kernel=kernel,
                     jobs=jobs,
                     workload=workload,
                     factor=factor,
@@ -392,8 +382,6 @@ def explore(
             if budget_exhausted:
                 break
 
-        from repro.core.kernel import get_kernel
-
         model = estimator.validate(
             [
                 (p.config, simulated[p.config])
@@ -404,7 +392,6 @@ def explore(
         result = ExploreResult(
             workload=workload,
             factor=factor,
-            kernel=get_kernel(kernel).name,
             points=points,
             rounds=rounds,
             calibration_runs=estimator.calibration_count,

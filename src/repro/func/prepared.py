@@ -14,7 +14,7 @@ consume one trace representation, :class:`PreparedTrace`:
   dual-issue pairing flags, the I-cache hit/miss flags and the write
   cache's decisions per geometry, held compactly as ``bytes``/``array``,
 * the columns a timing run reads, materialized as plain Python lists the
-  first time one asks for them — the scalar loop then iterates a
+  first time one asks for them — the timing loop then iterates a
   ``zip`` of lists and memos (fast C-level indexed access, no
   per-config tuple unpacking and no per-record kind tests).
 
@@ -168,7 +168,7 @@ class PreparedTrace(collections.abc.Sequence):
         #: structural check, so a sweep validates each trace once
         #: instead of once per configuration.
         self.validated = False
-        #: Finished SimStats keyed by (kernel name, config, policy),
+        #: Finished SimStats keyed by (config, policy),
         #: oldest first; filled and bounded by
         #: :func:`repro.core.kernel.simulate_many`.
         self.sim_results: dict = {}
@@ -379,8 +379,9 @@ class PreparedTrace(collections.abc.Sequence):
     def rows(self, line_shift: int) -> Iterator[tuple]:
         """Every record as ``(pc, kind, dst, src1, src2, addr, is_mem,
         is_fp_dispatch, iline, dline)``, all plain Python scalars out of
-        lists built on first use.  The batched kernel walks this; the
-        scalar loop walks :meth:`timing_rows`."""
+        lists built on first use.  Its only caller is the benchmark
+        harness's trace-ingest workload, which times it; the timing loop
+        walks :meth:`timing_rows`."""
         return zip(*self._row_columns(line_shift))
 
     def timing_rows(
@@ -390,7 +391,7 @@ class PreparedTrace(collections.abc.Sequence):
         writecache_lines: int,
         page_shift: int,
     ) -> Iterator[tuple]:
-        """The scalar timing loop's iterator: ``(op, dst, src1, src2,
+        """The timing loop's iterator: ``(op, dst, src1, src2,
         iline, dline, imiss, pair_ok, wc)`` per record — the op code, the
         register fields, the cache-line indices, and the per-trace
         memos (:meth:`icache_misses`, :meth:`pair_flags`,

@@ -86,7 +86,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.core.kernel import batch_snapshot, kernel_mode, reuse_snapshot
+from repro.core.kernel import reuse_snapshot
 from repro.func.prepared import prepare_snapshot
 from repro.robustness.faults import FaultPlan, TransientFault, _CorruptResult
 from repro.robustness.signals import GracefulSignals
@@ -150,11 +150,6 @@ class ExperimentOutcome:
     #: that fell back to in-memory-only and entries failing checksum.
     cache_degraded: int = 0
     cache_checksum_failures: int = 0
-    #: Batched-kernel usage attributed to this experiment: grouped
-    #: simulate_many calls and the configs they advanced (zero under the
-    #: scalar kernel).
-    batched_calls: int = 0
-    batched_configs: int = 0
     #: Configs simulate_many answered from results already stored on
     #: the trace (or duplicated within one call) instead of simulating.
     sim_reused: int = 0
@@ -313,7 +308,6 @@ def _pool_worker(fn, factor: float, trace_id: str | None = None) -> dict:
     base_hits, base_misses = trace_cache.snapshot()
     base_degraded, base_checksum = trace_cache.health_snapshot()
     base_prepares, base_prepare_seconds = prepare_snapshot()
-    base_batch_calls, base_batch_configs = batch_snapshot()
     base_reused = reuse_snapshot()
     started = time.monotonic()
 
@@ -321,7 +315,6 @@ def _pool_worker(fn, factor: float, trace_id: str | None = None) -> dict:
         hits, misses = trace_cache.snapshot()
         degraded, checksum = trace_cache.health_snapshot()
         prepares, prepare_seconds = prepare_snapshot()
-        batch_calls, batch_configs = batch_snapshot()
         payload.update(
             wall=time.monotonic() - started,
             pid=os.getpid(),
@@ -331,8 +324,6 @@ def _pool_worker(fn, factor: float, trace_id: str | None = None) -> dict:
             cache_checksum_failures=checksum - base_checksum,
             prepares=prepares - base_prepares,
             prepare_seconds=prepare_seconds - base_prepare_seconds,
-            batched_calls=batch_calls - base_batch_calls,
-            batched_configs=batch_configs - base_batch_configs,
             sim_reused=reuse_snapshot() - base_reused,
         )
         if worker_tracer is not None:
@@ -635,13 +626,6 @@ class ResilientRunner:
                 registry.counter("runner.cache_checksum_failures").inc(
                     outcome.cache_checksum_failures
                 )
-            if outcome.batched_calls:
-                registry.counter("runner.batched_calls").inc(
-                    outcome.batched_calls
-                )
-                registry.counter("runner.batched_configs").inc(
-                    outcome.batched_configs
-                )
             if outcome.sim_reused:
                 registry.counter("runner.sim_reused").inc(outcome.sim_reused)
             if outcome.status == "ok":
@@ -678,16 +662,12 @@ class ResilientRunner:
             per_exp.gauge("runner.trace_prepare_seconds").set(
                 outcome.prepare_seconds
             )
-            per_exp.counter("runner.batched_calls").inc(outcome.batched_calls)
-            per_exp.counter("runner.batched_configs").inc(
-                outcome.batched_configs
-            )
             per_exp.counter("runner.sim_reused").inc(outcome.sim_reused)
             per_exp.gauge("runner.elapsed_seconds").set(outcome.elapsed)
             per_exp.gauge("runner.ok").set(1.0 if outcome.succeeded else 0.0)
             stats = getattr(result, "stats", None)
             if stats is not None and hasattr(stats, "stall_cycles"):
-                publish_stats(stats, per_exp, kernel=kernel_mode())
+                publish_stats(stats, per_exp)
             per_exp.write_json(out_path / "metrics" / f"{exp_id}.json")
 
         def finish(exp_id, outcome, text, result):
@@ -871,7 +851,6 @@ class ResilientRunner:
         base_hits, base_misses = trace_cache.snapshot()
         base_degraded, base_checksum = trace_cache.health_snapshot()
         base_prepares, base_prepare_seconds = prepare_snapshot()
-        base_batch_calls, base_batch_configs = batch_snapshot()
         base_reused = reuse_snapshot()
 
         def cache_delta() -> dict:
@@ -891,13 +870,8 @@ class ResilientRunner:
                 "prepare_seconds": seconds - base_prepare_seconds,
             }
 
-        def batch_delta() -> dict:
-            batch_calls, batch_configs = batch_snapshot()
-            return {
-                "batched_calls": batch_calls - base_batch_calls,
-                "batched_configs": batch_configs - base_batch_configs,
-                "sim_reused": reuse_snapshot() - base_reused,
-            }
+        def reuse_delta() -> dict:
+            return {"sim_reused": reuse_snapshot() - base_reused}
 
         while True:
             attempts += 1
@@ -913,7 +887,7 @@ class ResilientRunner:
                         elapsed,
                         **cache_delta(),
                         **prepare_delta(),
-                        **batch_delta(),
+                        **reuse_delta(),
                     ),
                     text,
                     result,
@@ -929,7 +903,7 @@ class ResilientRunner:
                         str(error),
                         **cache_delta(),
                         **prepare_delta(),
-                        **batch_delta(),
+                        **reuse_delta(),
                     ),
                     None,
                     None,
@@ -953,7 +927,7 @@ class ResilientRunner:
                         cause,
                         **cache_delta(),
                         **prepare_delta(),
-                        **batch_delta(),
+                        **reuse_delta(),
                     ),
                     None,
                     None,
@@ -1254,12 +1228,6 @@ class ResilientRunner:
                                 prepare_seconds=envelope.get(
                                     "prepare_seconds", 0.0
                                 ),
-                                batched_calls=envelope.get(
-                                    "batched_calls", 0
-                                ),
-                                batched_configs=envelope.get(
-                                    "batched_configs", 0
-                                ),
                                 sim_reused=envelope.get("sim_reused", 0),
                             ),
                             envelope["text"],
@@ -1305,10 +1273,6 @@ class ResilientRunner:
                             prepares=envelope.get("prepares", 0),
                             prepare_seconds=envelope.get(
                                 "prepare_seconds", 0.0
-                            ),
-                            batched_calls=envelope.get("batched_calls", 0),
-                            batched_configs=envelope.get(
-                                "batched_configs", 0
                             ),
                             sim_reused=envelope.get("sim_reused", 0),
                         ),

@@ -1,4 +1,4 @@
-"""``aurora-sim serve``: the batched design-space query service.
+"""``aurora-sim serve``: the coalescing design-space query service.
 
 The paper's whole method is asking "what CPI does machine configuration
 X get on workload Y?" over and over; this package serves that question

@@ -1,9 +1,9 @@
-"""Query batching: dedup by config fingerprint, one kernel call per group.
+"""Query batching: dedup by config fingerprint, one dispatch per group.
 
-PR 7's :class:`~repro.core.kernel.BatchedKernel` advances a *vector* of
-machine configurations per trace record, so N concurrent queries for
-the same (workload, factor) cost barely more than one — provided
-someone groups them.  That someone is :class:`QueryBatcher`:
+N concurrent queries for the same (workload, factor) share one trace
+lookup, one validation and the trace's per-config result store, and
+identical configs share one simulation — provided someone groups them.
+That someone is :class:`QueryBatcher`:
 
 * Queries arriving within a short **batching window** (default 10 ms)
   for the same ``(workload, factor)`` join one group.
@@ -20,7 +20,7 @@ someone groups them.  That someone is :class:`QueryBatcher`:
 
 The ``serve.batch_width`` histogram records distinct configs per
 dispatch — the observable proof that N concurrent distinct-config
-queries cost fewer than N kernel dispatches.
+queries cost fewer than N dispatches.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ def _simulate_group(
     workload: str,
     factor: float,
     configs: list[MachineConfig],
-    kernel: str | None,
 ) -> list:
-    """Executor entry point: one trace pass over the whole group.
+    """Executor entry point: one ``simulate_many`` call for the group.
 
     Runs in a worker thread or a pool process (everything it takes and
     returns pickles); the trace comes from the process-wide registry
@@ -60,7 +59,7 @@ def _simulate_group(
     from repro.experiments.common import scaled_trace
 
     trace = scaled_trace(workload, factor)
-    results = simulate_many(trace, configs, kernel=kernel)
+    results = simulate_many(trace, configs)
     return [result.stats for result in results]
 
 
@@ -115,13 +114,11 @@ class QueryBatcher:
         *,
         executor: concurrent.futures.Executor | None = None,
         window: float = DEFAULT_WINDOW,
-        kernel: str | None = None,
         jobs: int = 1,
     ) -> None:
         self.store = store
         self.metrics = metrics
         self.window = window
-        self.kernel = kernel
         self.executor = executor if executor is not None else build_executor(jobs)
         self._groups: dict[tuple[str, float], _Group] = {}
         self._dispatches: set[asyncio.Task] = set()
@@ -199,7 +196,7 @@ class QueryBatcher:
             ):
                 stats_list = await loop.run_in_executor(
                     self.executor,
-                    _simulate_group, workload, factor, configs, self.kernel,
+                    _simulate_group, workload, factor, configs,
                 )
         except BaseException as error:  # noqa: BLE001 - forwarded to waiters
             for futures in group.futures.values():

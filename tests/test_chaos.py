@@ -684,14 +684,9 @@ class TestEnvValidation:
     def test_clean_environment_passes(self):
         validate_environment({})
 
-    def test_unknown_kernel_named(self):
-        with pytest.raises(EnvValidationError, match="REPRO_SIM_KERNEL"):
-            validate_environment({"REPRO_SIM_KERNEL": "batchd"})
-
     def test_defaults_and_valid_values_pass(self):
         validate_environment(
             {
-                "REPRO_SIM_KERNEL": "batched",
                 "REPRO_TRACE_CACHE": "off",
                 "REPRO_TRACE_CACHE_VERIFY": "1",
                 "REPRO_TRACE_CACHE_DIR": "/tmp/somewhere-new",
@@ -702,14 +697,14 @@ class TestEnvValidation:
         with pytest.raises(EnvValidationError) as caught:
             validate_environment(
                 {
-                    "REPRO_SIM_KERNEL": "bogus",
+                    "REPRO_TRACE_CACHE_VERIFY": "bogus",
                     "REPRO_TRACE_CACHE": "maybe",
                     "REPRO_TRACE_CACHE_DIR": "  ",
                 }
             )
         message = str(caught.value)
         for name in (
-            "REPRO_SIM_KERNEL",
+            "REPRO_TRACE_CACHE_VERIFY",
             "REPRO_TRACE_CACHE",
             "REPRO_TRACE_CACHE_DIR",
         ):
@@ -724,9 +719,9 @@ class TestEnvValidation:
     def test_run_all_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.run_all import main as run_all_main
 
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "bogus")
+        monkeypatch.setenv("REPRO_TRACE_CACHE_VERIFY", "bogus")
         assert run_all_main(["--only", "fig1"]) == EXIT_USAGE
-        assert "REPRO_SIM_KERNEL" in capsys.readouterr().err
+        assert "REPRO_TRACE_CACHE_VERIFY" in capsys.readouterr().err
 
     def test_aurora_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.cli import main as cli_main

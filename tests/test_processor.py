@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.core.config import BASELINE, LARGE, SMALL, FPIssuePolicy, MachineConfig
-from repro.core.processor import simulate_trace
+from repro.core.processor import AuroraProcessor, simulate_trace
 from repro.core.stats import StallKind
 from repro.func.trace import NO_REG
 from repro.isa.instructions import Kind
@@ -294,12 +294,9 @@ class TestConflictReMiss:
         "filled earlier is served from the stale in-flight fill map, "
         "with no memory access and no refill",
     )
-    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
-    def test_conflict_remiss_costs_a_full_miss(self, kernel):
+    def test_conflict_remiss_costs_a_full_miss(self):
         # Load A, evict it with B (same set), reload A; the reload must
         # cost what a miss to a never-touched line C costs.
-        from repro.core.kernel import get_kernel
-
         line_a = 0x100000
         line_b = line_a + BASELINE.dcache_bytes
         line_c = line_a + 4096
@@ -313,7 +310,7 @@ class TestConflictReMiss:
                 load(4, 10, NO_REG, third),
                 alu(5, dst=20, s1=10),
             ]
-            stats = get_kernel(kernel).simulate_many(trace, [BASELINE])[0].stats
+            stats = simulate_trace(trace, BASELINE).stats
             return stats.stall_cycles[StallKind.LOAD]
 
         assert load_stalls(line_a) == load_stalls(line_c)
@@ -390,9 +387,8 @@ class TestStatsIntegrity:
 #
 # SHA-256 of ``SimStats.to_dict()`` JSON and of full NDJSON telemetry
 # streams on machine points the paper sweep never reaches, generated
-# before the timing loop's structure calls were folded and required to
-# stay identical on both kernels.  A digest change means the model's
-# timing changed.
+# before the timing loop's structure calls were folded.  A digest change
+# means the model's timing changed.
 
 _PINNED_FACTOR = 0.05
 _PINNED_INT = ("espresso", "li")
@@ -453,20 +449,17 @@ def _stats_digest(stats):
     return hashlib.sha256(json.dumps(stats.to_dict()).encode()).hexdigest()
 
 
-def _pinned_stats_digests(kernel_name, trace_names):
-    from repro.core.kernel import get_kernel
+def _pinned_stats_digests(trace_names):
     from repro.experiments.common import scaled_trace
 
-    kernel = get_kernel(kernel_name)
     digests = {}
     points = _pinned_points()
     for trace_name in trace_names:
-        mine = [(n, c) for t, n, c in points if t == trace_name]
-        results = kernel.simulate_many(
-            scaled_trace(trace_name, _PINNED_FACTOR), [c for _, c in mine]
-        )
-        for (name, _), result in zip(mine, results):
-            digests[f"{trace_name}/{name}"] = _stats_digest(result.stats)
+        trace = scaled_trace(trace_name, _PINNED_FACTOR)
+        for t, name, config in points:
+            if t == trace_name:
+                stats = AuroraProcessor(config).run(trace).stats
+                digests[f"{trace_name}/{name}"] = _stats_digest(stats)
     return digests
 
 
@@ -726,19 +719,8 @@ PINNED_TELEMETRY_DIGESTS = {
 
 class TestPinnedDigests:
     def test_stats_digests_are_pinned(self):
-        digests = _pinned_stats_digests("scalar", _PINNED_INT + _PINNED_FP)
+        digests = _pinned_stats_digests(_PINNED_INT + _PINNED_FP)
         assert digests == PINNED_STATS_DIGESTS
-
-    def test_batched_kernel_matches_pinned_digests(self):
-        # The two smallest traces keep this ~1 s; the batched kernel's
-        # escapes run the same FPU, write-cache and port objects.
-        traces = ("mdljdp2", "ora")
-        digests = _pinned_stats_digests("batched", traces)
-        assert digests == {
-            key: digest
-            for key, digest in PINNED_STATS_DIGESTS.items()
-            if key.split("/")[0] in traces
-        }
 
     @pytest.mark.parametrize("point", sorted(_TELEMETRY_POINTS))
     def test_telemetry_stream_is_pinned(self, point):

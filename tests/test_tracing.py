@@ -521,9 +521,9 @@ class TestProfiling:
         record = report.as_record(git_sha="abc", recorded_at=1.0)
         assert validate_record(record) == record
         assert "trace_path" not in record
+        assert "kernel" not in record
         text = report.render()
         assert "sim-cycles/s" in text
-        assert f"[{report.kernel} kernel]" in text
 
     def test_cprofile_opt_in(self):
         report = profile_workload(
@@ -536,25 +536,6 @@ class TestProfiling:
         )
         assert report.cprofile_top
         assert "cumulative" in report.render()
-
-    def test_batched_profile_never_times_a_stored_result(self):
-        from repro.core.kernel import batch_snapshot, simulate_many
-        from repro.experiments.common import scaled_trace
-
-        trace = scaled_trace("compress", 0.02)
-        simulate_many(trace, [BASELINE], kernel="batched")
-        calls, configs = batch_snapshot()
-        tracer = SpanTracer()
-        with tracing.use_tracer(tracer):
-            report = profile_workload(
-                "compress", BASELINE, factor=0.02, sample=False,
-                kernel="batched",
-            )
-        assert batch_snapshot() == (calls + 1, configs + 1)
-        assert report.instructions == len(trace)
-        (span,) = _by_name(tracer.spans(), "simulate")
-        assert span.args["kernel"] == "batched"
-        assert span.args["config"] == BASELINE.label
 
 
 class TestSimulateBatchSpan:
@@ -569,7 +550,7 @@ class TestSimulateBatchSpan:
         with tracing.use_tracer(tracer):
             simulate_many(trace, [small, baseline, small])
             simulate_many(trace, [small, baseline, large])
-            # Everything stored: no kernel call, so no span.
+            # Everything stored: nothing simulated, so no span.
             simulate_many(trace, [large, small])
         spans = _by_name(tracer.spans(), "simulate_batch")
         assert [
