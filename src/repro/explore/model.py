@@ -233,10 +233,11 @@ class CPIEstimator:
 
         Three telemetry runs (one ``std`` dual point per I-cache family),
         each through ``simulate_many`` so its stats land in the trace's
-        reuse store, plus one grouped ``simulate_many`` of nine probes: the calibration
-        family's axis sweeps, its no-prefetch and 21-cycle-latency
-        variants, and the small/single issue-width anchor.  Twelve
-        simulations total, all of them members of the Figure 8 grid.
+        reuse store, plus one grouped ``simulate_many`` of nine probes:
+        the calibration family's axis sweeps, its no-prefetch and
+        21-cycle-latency variants, and the small/single issue-width
+        anchor.  Twelve simulations total, all of them members of the
+        Figure 8 grid.
         """
         calibration_stats: dict[MachineConfig, SimStats] = {}
         anchors: dict[int, _Anchor] = {}

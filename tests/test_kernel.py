@@ -109,8 +109,7 @@ class TestAccounting:
 
     def test_simulate_batch_span(self, counting_trace, models):
         trace = prepare_trace(counting_trace)
-        small, baseline, _ = models
-        simulate_many(trace, [small])
+        simulate_many(trace, [models[0]])
         tracer = tracing.SpanTracer()
         with tracing.use_tracer(tracer):
             simulate_many(trace, list(models))
@@ -141,10 +140,10 @@ class TestReuse:
         assert reuse_snapshot() - reused == len(models)
         assert [r.stats for r in again] == [r.stats for r in first]
         assert trace.sim_results == stored
-        # The processor itself keeps no store: it simulates again.
+        # The processor keeps no store: a direct run simulates again,
+        # and agrees with what was stored.
         direct = _fresh_runs(trace, models)
         assert [r.stats for r in direct] == [r.stats for r in first]
-        assert reuse_snapshot() - reused == len(models)
 
     def test_duplicates_in_one_call_simulate_once(self, counting_trace, models):
         trace = prepare_trace(counting_trace)
