@@ -163,7 +163,9 @@ def _remember(store: dict, fresh: dict, reused: int) -> None:
 
 def _run(trace, configs, policy, telemetry, reused):
     """Simulate ``configs`` in order, inside a ``simulate_batch`` span
-    when tracing."""
+    when tracing; with ``telemetry`` on, each run also opens the
+    ``simulate`` span :func:`~repro.core.processor.simulate_trace` opens,
+    so telemetry-on runs show as their own layer."""
     from repro.telemetry import tracing
 
     with tracing.span(
@@ -173,7 +175,16 @@ def _run(trace, configs, policy, telemetry, reused):
         configs=len(configs),
         reused=reused,
     ):
-        return [
-            AuroraProcessor(config, policy, telemetry=telemetry).run(trace)
-            for config in configs
-        ]
+        if not telemetry:
+            return [
+                AuroraProcessor(config, policy).run(trace)
+                for config in configs
+            ]
+        results = []
+        for config in configs:
+            with tracing.span(
+                "simulate", "simulate", records=len(trace), config=config.label
+            ):
+                processor = AuroraProcessor(config, policy, telemetry)
+                results.append(processor.run(trace))
+        return results

@@ -112,9 +112,10 @@ class AuroraProcessor:
     ``telemetry`` optionally attaches an
     :class:`~repro.telemetry.events.EventBus`: every structure then emits
     cycle-stamped events at its stall/allocate/drain decision points (see
-    docs/OBSERVABILITY.md).  ``None`` — or a bus with no sinks — keeps
-    the default path: each probe site costs one falsy check and nothing
-    is recorded.
+    docs/OBSERVABILITY.md), limited to the kinds the bus subscribes to.
+    ``None`` — or a falsy bus (no sinks, or no kinds) — keeps the
+    default path: each probe site costs one falsy check and nothing is
+    recorded.
     """
 
     def __init__(
@@ -173,14 +174,29 @@ class AuroraProcessor:
         )
         fpu = DecoupledFPU(cfg.fpu)
 
-        # Telemetry: normalise a sink-less bus to None so every probe
-        # site below is a single ``is not None`` test, and attach the
-        # live bus to each structure's own probe points.
+        # Telemetry: one local flag per probe site below, so each site
+        # is a single truth test, and the live bus goes only to the
+        # structures whose kinds it is subscribed to.  A falsy bus (no
+        # sinks, or no kinds) leaves every flag off.
         tele = self.telemetry if self.telemetry else None
-        if tele is not None:
+
+        def probe(*kinds: EventKind) -> bool:
+            return tele is not None and any(map(tele.wants, kinds))
+
+        probe_fetch = probe(EventKind.FETCH_STALL)
+        probe_stall = probe(EventKind.STALL)
+        probe_mshr = probe(EventKind.MSHR_ALLOC, EventKind.MSHR_RELEASE)
+        probe_redirect = probe(EventKind.REDIRECT)
+        probe_retire = probe(EventKind.RETIRE)
+        if probe(EventKind.BIU_TXN):
             biu.telemetry = tele
+        if probe(EventKind.PREFETCH_HIT, EventKind.PREFETCH_MISS):
             pool.telemetry = tele
+        if probe(EventKind.WC_STORE, EventKind.WC_EVICT):
             writecache.telemetry = tele
+        if probe(
+            EventKind.FPQ_ENQUEUE, EventKind.FPQ_ISSUE, EventKind.FPQ_DEQUEUE
+        ):
             fpu.telemetry = tele
 
         # Watchdog: the per-record progress/overflow comparisons and the
@@ -227,8 +243,12 @@ class AuroraProcessor:
         # Write cache: hit, victim and page match come precomputed per
         # record (``wc`` below); each store only times its decision.
         time_store = writecache.time_store
-        # Only telemetry events carry a record's pc.
-        pcs = trace.field_list("pc") if tele is not None else None
+        # Only fetch-stall, stall and redirect events carry a record's pc.
+        pcs = (
+            trace.field_list("pc")
+            if probe_fetch or probe_stall or probe_redirect
+            else None
+        )
 
         # I-cache: hit/miss comes precomputed per record (every miss
         # fills, so the tag state follows the address stream alone);
@@ -290,7 +310,7 @@ class AuroraProcessor:
                     arrival = request_time
                 t_fetch = arrival + 1
                 iready[iline & imask] = t_fetch
-                if tele is not None:
+                if probe_fetch:
                     tele.emit(
                         request_time,
                         "fetch",
@@ -375,7 +395,7 @@ class AuroraProcessor:
                 else:
                     cause = _C_FPU
                 stall[cause] += issue - floor
-                if tele is not None:
+                if probe_stall:
                     tele.emit(
                         floor,
                         "issue",
@@ -396,7 +416,7 @@ class AuroraProcessor:
                     last_issue = issue
                     slots_used = 1
                     stall[_C_PAIRING] += 1
-                    if tele is not None:
+                    if probe_stall:
                         tele.emit(
                             issue - 1,
                             "issue",
@@ -425,7 +445,7 @@ class AuroraProcessor:
                 access = requested if requested > mshr_min else mshr_min
                 slot = mshr_free.index(mshr_min)
                 mshr_free[slot] = access
-                if tele is not None:
+                if probe_mshr:
                     tele.emit(
                         access,
                         "mshr",
@@ -491,7 +511,7 @@ class AuroraProcessor:
                         complete = access + 1
                     if release > access:  # a release never shortens the hold
                         mshr_free[slot] = release
-                    if tele is not None:
+                    if probe_mshr:
                         tele.emit(
                             mshr_free[slot],
                             "mshr",
@@ -501,7 +521,7 @@ class AuroraProcessor:
 
                 else:  # store
                     mshr_free[slot] = access + dcache_latency
-                    if tele is not None:
+                    if probe_mshr:
                         tele.emit(
                             mshr_free[slot],
                             "mshr",
@@ -543,7 +563,7 @@ class AuroraProcessor:
                     target = index + 2
                     if issue + 3 > redirects.get(target, 0):
                         redirects[target] = issue + 3
-                        if tele is not None:
+                        if probe_redirect:
                             tele.emit(
                                 issue,
                                 "branch",
@@ -594,7 +614,7 @@ class AuroraProcessor:
                 op >= OP_FP_MOVE and complete > issue + 1 + dcache_latency
             )
 
-            if tele is not None:
+            if probe_retire:
                 tele.emit(
                     retire,
                     "rob",
@@ -675,8 +695,8 @@ def simulate_trace(
     points and corrupt traces fail fast with a precise error instead of
     producing garbage numbers.  ``telemetry`` (an
     :class:`repro.telemetry.events.EventBus`) enables event probes for
-    the run; None or a sink-less bus keeps every probe compiled down to
-    a single falsy check.
+    the run; None or a falsy bus keeps every probe compiled down to a
+    single falsy check.
     """
     from repro.robustness.validation import validate_trace
     from repro.telemetry import tracing

@@ -7,11 +7,12 @@ memory latency — moves those components in ways a handful of anchor
 simulations can calibrate:
 
 * **Family anchors** — one simulated ``std`` dual-issue point per
-  I-cache family (the Table 1 models at 17-cycle latency), run with
-  telemetry on so its stall breakdown *and* structure-occupancy
-  histograms (:func:`repro.telemetry.analysis.occupancy_summaries`) are
-  known.  A family anchor contributes the starting per-kind stall
-  decomposition for every candidate in its family.
+  I-cache family (the Table 1 models at 17-cycle latency).  Its stall
+  breakdown comes from its ``SimStats``; it runs with telemetry on,
+  subscribed to the four MSHR and write-cache event kinds only
+  (:data:`ANCHOR_KINDS`), so its MSHR and write-cache occupancy
+  histograms are known too.  A family anchor contributes the starting
+  per-kind stall decomposition for every candidate in its family.
 * **Axis response curves** — the calibration family (baseline/2K) is
   probed at every swept value of each axis in one grouped
   ``simulate_many``.  The per-kind CPI difference between two axis
@@ -45,8 +46,8 @@ from repro.core.config import BASELINE, LARGE, SMALL, MachineConfig
 from repro.core.kernel import simulate_many
 from repro.core.stats import SimStats, StallKind
 from repro.telemetry import tracing
-from repro.telemetry.analysis import occupancy_summaries
-from repro.telemetry.events import EventBus, RingBufferSink
+from repro.telemetry.analysis import mshr_occupancy, writecache_occupancy
+from repro.telemetry.events import EventBus, EventKind, RingBufferSink
 
 #: The decomposition key for non-stall (issue/execute) cycles.
 BASE = "base"
@@ -57,6 +58,15 @@ _SCALE_RANGE = (0.25, 4.0)
 
 #: Components below this (CPI) are treated as zero when forming ratios.
 _TINY = 1e-12
+
+#: The event kinds an anchor's telemetry run subscribes to: all its
+#: occupancy histograms read.  Its stall breakdown comes from SimStats.
+ANCHOR_KINDS = (
+    EventKind.MSHR_ALLOC,
+    EventKind.MSHR_RELEASE,
+    EventKind.WC_STORE,
+    EventKind.WC_EVICT,
+)
 
 
 class ModelError(ValueError):
@@ -231,9 +241,10 @@ class CPIEstimator:
     def calibrate(cls, trace) -> "CPIEstimator":
         """Run the anchor + probe simulations and fit the model.
 
-        Three telemetry runs (one ``std`` dual point per I-cache family),
-        each through ``simulate_many`` so its stats land in the trace's
-        reuse store, plus one grouped ``simulate_many`` of nine probes:
+        Three telemetry runs (one ``std`` dual point per I-cache family,
+        subscribed to :data:`ANCHOR_KINDS`), each through
+        ``simulate_many`` so its stats land in the trace's reuse store,
+        plus one grouped ``simulate_many`` of nine probes:
         the calibration family's axis sweeps, its no-prefetch and
         21-cycle-latency variants, and the small/single issue-width
         anchor.  Twelve simulations total, all of them members of the
@@ -246,9 +257,8 @@ class CPIEstimator:
         ):
             for icache, model in sorted(_ANCHOR_MODELS.items()):
                 config = model.dual_issue().with_latency(_ANCHOR_LATENCY)
-                bus = EventBus()
                 ring = RingBufferSink(capacity=None)
-                bus.attach(ring)
+                bus = EventBus(ring, kinds=ANCHOR_KINDS)
                 try:
                     # Through the reuse store: the exhaustive grid later
                     # answers this config without simulating it again.
@@ -311,17 +321,17 @@ class CPIEstimator:
     def _build_anchor(
         config: MachineConfig, stats: SimStats, events
     ) -> _Anchor:
-        occupancy = occupancy_summaries(events)
         instructions = stats.instructions or 1
         return _Anchor(
             config=config,
             stats=stats,
             decomp=_decompose(stats),
             mshr_utilization=(
-                occupancy["mshr"].time_weighted_mean / config.mshr_entries
+                mshr_occupancy(events).time_weighted_mean
+                / config.mshr_entries
             ),
             writecache_utilization=(
-                occupancy["writecache"].time_weighted_mean
+                writecache_occupancy(events).time_weighted_mean
                 / config.writecache_lines
             ),
             prefetch_coverage=(
@@ -348,8 +358,7 @@ class CPIEstimator:
         occupancy mostly counts overlapped — latency-hiding — residency
         rather than queuing delay, so an occupancy ratio overstates the
         transfer by the families' miss-rate ratio.  The anchors'
-        occupancy histograms still feed the write-cache scale below and
-        the report's per-structure summaries.
+        write-cache occupancy histograms feed the scale below.
         """
         calib = self.anchors[2048]
         if axis == "wc":

@@ -156,6 +156,31 @@ class TestEstimator:
             estimator.predict(alien)
 
 
+class TestAnchorSubscription:
+    @pytest.mark.parametrize("name", ["espresso", "li"])
+    def test_utilizations_match_an_unfiltered_run(self, name):
+        from repro.telemetry.analysis import (
+            mshr_occupancy,
+            writecache_occupancy,
+        )
+
+        trace = scaled_trace(name, FACTOR)
+        estimator = CPIEstimator.calibrate(trace)
+        for anchor in estimator.anchors.values():
+            ring = RingBufferSink(capacity=None)
+            simulate_trace(trace, anchor.config, telemetry=EventBus(ring))
+            events = ring.events
+            config = anchor.config
+            assert anchor.mshr_utilization == (
+                mshr_occupancy(events).time_weighted_mean
+                / config.mshr_entries
+            )
+            assert anchor.writecache_utilization == (
+                writecache_occupancy(events).time_weighted_mean
+                / config.writecache_lines
+            )
+
+
 # ---------------------------------------------------------------- search
 
 
@@ -211,14 +236,17 @@ class TestAnchorsFeedTheStore:
         answered = simulate_many(fresh, [anchor])[0]
         assert reuse_snapshot() == reused + 1
         assert answered.stats == estimator.calibration_stats[anchor]
-        # The anchor's telemetry run still saw every event, in order.
+        # The anchor's telemetry run saw every event of its subscribed
+        # kinds, in order.
         bus = EventBus()
         reference = RingBufferSink(capacity=None)
         bus.attach(reference)
         simulate_trace(prepare_trace(trace.array), anchor, telemetry=bus)
         baseline_sink = sinks[1]  # anchors run in I-cache size order
         assert [e.to_dict() for e in baseline_sink.events] == [
-            e.to_dict() for e in reference.events
+            e.to_dict()
+            for e in reference.events
+            if e.kind in model_module.ANCHOR_KINDS
         ]
 
 

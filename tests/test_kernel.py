@@ -125,6 +125,23 @@ class TestAccounting:
             "reused": 1,
         }
 
+    def test_telemetry_runs_open_simulate_spans(self, counting_trace, models):
+        trace = prepare_trace(counting_trace)
+        configs = list(models[:2])
+        tracer = tracing.SpanTracer()
+        with tracing.use_tracer(tracer):
+            simulate_many(
+                trace, configs, telemetry=EventBus(RingBufferSink())
+            )
+        records = tracer.finished_records()
+        (batch,) = [r for r in records if r["name"] == "simulate_batch"]
+        runs = [r for r in records if r["name"] == "simulate"]
+        assert [r["parent"] for r in runs] == [batch["id"]] * 2
+        assert [r["args"] for r in runs] == [
+            {"records": len(counting_trace), "config": config.label}
+            for config in configs
+        ]
+
 
 class TestReuse:
     """simulate_many times each (trace, config) once per trace."""

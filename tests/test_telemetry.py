@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -101,6 +102,41 @@ class TestEventBus:
     def test_ring_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
+
+    def test_kinds_filter_emits_and_wants(self):
+        ring = RingBufferSink()
+        bus = EventBus(ring, kinds=[EventKind.RETIRE, EventKind.WC_EVICT])
+        assert bus
+        assert bus.wants(EventKind.RETIRE)
+        assert not bus.wants(EventKind.STALL)
+        bus.emit(1, "test", EventKind.STALL, stall="lsu", cycles=1)
+        bus.emit(2, "test", EventKind.RETIRE, index=0, issue=1)
+        bus.emit(3, "test", EventKind.WC_EVICT, line=4, done=9)
+        assert [(e.cycle, e.kind) for e in ring] == [
+            (2, EventKind.RETIRE),
+            (3, EventKind.WC_EVICT),
+        ]
+
+    def test_default_bus_wants_every_kind(self):
+        bus = EventBus()
+        assert all(bus.wants(kind) for kind in EventKind)
+
+    @pytest.mark.parametrize(
+        "entry", ["retire", None, 3, StallKind.LSU], ids=repr
+    )
+    def test_non_kind_entry_is_named(self, entry):
+        with pytest.raises(TypeError, match=re.escape(repr(entry))):
+            EventBus(RingBufferSink(), kinds=[EventKind.RETIRE, entry])
+
+    def test_empty_kinds_bus_is_falsy_and_records_nothing(self):
+        ring = RingBufferSink()
+        bus = EventBus(ring, kinds=())
+        assert not bus
+        assert not any(bus.wants(kind) for kind in EventKind)
+        trace = scaled_trace("compress", FACTOR)
+        result = simulate_trace(trace, BASELINE, telemetry=bus)
+        assert len(ring) == 0
+        assert result.stats == simulate_trace(trace, BASELINE).stats
 
     def test_ndjson_round_trip(self, tmp_path):
         path = tmp_path / "trace.ndjson"
