@@ -11,10 +11,11 @@ Usage::
 
 ``--factor`` shrinks every workload to that fraction of its default size
 for faster turnarounds; 1.0 reproduces the shipped EXPERIMENTS.md runs.
-``--jobs N`` runs up to N experiments concurrently in worker processes
-(results and reports are identical to a serial run — see
-docs/PERFORMANCE.md); ``--no-trace-cache`` disables the persistent
-on-disk trace cache for this run.
+``--jobs N`` runs up to N experiments at once in N worker processes;
+the default ``--jobs 1`` runs them one after another in this process.
+Both go through the same scheduling loop, so results and reports are
+identical (see docs/PERFORMANCE.md).  ``--no-trace-cache`` disables the
+persistent on-disk trace cache for this run.
 
 Execution goes through :class:`repro.robustness.runner.ResilientRunner`:
 each experiment is isolated (a crash or timeout in one no longer aborts
@@ -114,8 +115,9 @@ def run_resilient(
     :class:`~repro.robustness.runner.CheckpointedResult` restored from
     the manifest); ``report`` lists every outcome with causes.  When
     neither ``manifest`` nor ``out_dir`` is given there is nowhere to
-    checkpoint, so every experiment runs fresh.  ``jobs > 1`` runs
-    experiments on a process pool; ``use_trace_cache=False`` disables
+    checkpoint, so every experiment runs fresh.  ``jobs=1`` runs the
+    experiments in this process, ``jobs > 1`` on a pool of that many
+    worker processes; ``use_trace_cache=False`` disables
     the persistent trace cache for this process (it never force-enables
     a cache switched off via the environment).  ``trace_out`` switches
     on host-side span tracing for the sweep and exports the merged span
@@ -272,7 +274,8 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=positive_int,
         default=1,
-        help="worker processes for parallel experiment execution",
+        help="experiments run at once: 1 runs them in this process, "
+             "N > 1 in N worker processes",
     )
     parser.add_argument(
         "--no-trace-cache",

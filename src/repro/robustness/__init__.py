@@ -35,7 +35,6 @@ from repro.robustness.guards import (  # noqa: F401
 from repro.robustness.runner import (  # noqa: F401
     CheckpointedResult,
     ExperimentOutcome,
-    ExperimentTimeout,
     ResilientRunner,
     RunReport,
 )

@@ -21,8 +21,9 @@ sweep actually dies on:
 * **Pool faults** — worker ``SIGKILL`` at a chosen experiment
   (``kill``), worker hang past the wall-clock budget (``hang``), and
   slow stragglers (``straggler``), compiled into a
-  :class:`~repro.robustness.faults.FaultPlan` so they replay
-  deterministically in workers exactly like ``_InjectedFault``.
+  :class:`~repro.robustness.faults.FaultPlan`; the runner injects
+  them through :class:`~repro.robustness.faults.InjectedFault`, so
+  they replay deterministically in either executor.
 * **Torn checkpoint manifests** — the manifest JSON truncated
   mid-entry, as a crash between ``write`` and ``rename`` would leave it
   without the write-then-rename discipline.  Recovery salvages the

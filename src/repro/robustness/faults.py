@@ -7,6 +7,11 @@ Nothing here fires in a normal run: faults are injected only when a
 — fault kinds and counts come from the plan, trace corruption from a
 seeded LCG — so the failure paths are testable byte-for-byte.
 
+The runner wraps each attempt of a planned experiment in an
+:class:`InjectedFault`, the one injector for both executors: it pickles
+into a pool worker, and it takes the attempt and execution numbers from
+the runner's loop, so no counter lives in the plan or in a worker.
+
 Supported fault kinds (``FaultSpec.kind``):
 
 * ``"crash"`` — raise :class:`RuntimeError` on every attempt (a permanent
@@ -16,13 +21,14 @@ Supported fault kinds (``FaultSpec.kind``):
   bounded-backoff retry),
 * ``"timeout"`` — sleep ``FaultSpec.seconds`` before running (exercises
   the per-experiment wall-clock timeout; a worker *hang* is this fault
-  under a pool with ``--timeout`` set),
+  with a timeout set),
 * ``"corrupt-result"`` — run the experiment, then return an object whose
   ``render()`` raises (exercises containment of post-processing errors),
-* ``"kill"`` — in a pool worker, ``SIGKILL`` the worker process on the
-  first ``FaultSpec.count`` executions (exercises pool-break
-  containment, quarantine attribution and recovery); in serial mode the
-  sweep itself cannot be killed, so the fault is contained as a crash,
+* ``"kill"`` — ``SIGKILL`` the worker process on the first
+  ``FaultSpec.count`` executions (exercises pool-break containment,
+  quarantine attribution and recovery).  Fired in the sweep's own
+  process (``jobs=1``) it would kill the sweep, so there it raises
+  :class:`RuntimeError` instead and is contained as a crash,
 * ``"straggler"`` — sleep ``FaultSpec.seconds`` before running on the
   first ``count`` executions, then succeed (exercises slow-worker
   tolerance: the sweep completes with identical results, just later).
@@ -30,6 +36,8 @@ Supported fault kinds (``FaultSpec.kind``):
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -72,60 +80,67 @@ class FaultSpec:
 
 @dataclass
 class FaultPlan:
-    """Maps experiment ids to the fault injected into their execution.
-
-    The runner calls :meth:`wrap` around each experiment callable; for
-    unlisted experiments the callable passes through untouched.
-    """
+    """Maps experiment ids to the fault injected into their execution."""
 
     faults: dict[str, FaultSpec] = field(default_factory=dict)
-    #: attempts seen so far, per experiment (for transient counting)
-    attempts: dict[str, int] = field(default_factory=dict)
-    #: sleep hook, replaceable in tests so "timeout" faults are instant
-    sleep: object = time.sleep
 
     def add(self, exp_id: str, kind: str, **kwargs) -> "FaultPlan":
         self.faults[exp_id] = FaultSpec(kind=kind, **kwargs)
         return self
 
-    def wrap(self, exp_id: str, fn):
-        """Wrap ``fn`` with this plan's fault for ``exp_id`` (if any)."""
-        spec = self.faults.get(exp_id)
-        if spec is None:
-            return fn
 
-        def faulty(*args, **kwargs):
-            attempt = self.attempts.get(exp_id, 0) + 1
-            self.attempts[exp_id] = attempt
-            if spec.kind == "crash":
-                raise RuntimeError(
-                    f"injected crash in experiment {exp_id!r} "
-                    f"(attempt {attempt})"
-                )
-            if spec.kind == "transient" and attempt <= spec.count:
-                raise TransientFault(
-                    f"injected transient fault in experiment {exp_id!r} "
-                    f"(attempt {attempt}/{spec.count})"
-                )
-            if spec.kind == "kill" and attempt <= spec.count:
-                # Serial mode runs in the sweep process itself; killing
-                # it would kill the sweep, so the fault degrades to a
-                # contained permanent failure (the pool path delivers a
-                # real SIGKILL — see runner._InjectedFault).
-                raise RuntimeError(
-                    f"injected worker kill in experiment {exp_id!r} "
-                    f"(attempt {attempt}; serial mode: contained as crash)"
-                )
-            if spec.kind == "timeout":
-                self.sleep(spec.seconds)
-            if spec.kind == "straggler" and attempt <= spec.count:
-                self.sleep(spec.seconds)
-            result = fn(*args, **kwargs)
-            if spec.kind == "corrupt-result":
-                return _CorruptResult()
-            return result
+class InjectedFault:
+    """One attempt of ``fn`` with ``spec``'s fault injected (picklable).
 
-        return faulty
+    ``attempt`` counts the attempts the retry ledger bills; ``execution``
+    also ticks on re-runs it does not bill (quarantine re-runs,
+    resubmits after a pool break or a co-tenant's timeout).  ``kill`` and
+    ``straggler`` key on ``execution``: a kill keyed on ``attempt`` would
+    re-fire inside the quarantine pool and convict an experiment that
+    merely needed a clean re-run.
+    """
+
+    def __init__(
+        self, fn, exp_id: str, spec: FaultSpec, attempt: int, execution: int
+    ) -> None:
+        self.fn = fn
+        self.exp_id = exp_id
+        self.spec = spec
+        self.attempt = attempt
+        self.execution = execution
+        #: The sweep's own process: a kill firing here must not kill it.
+        self.home_pid = os.getpid()
+
+    def __call__(self, factor: float):
+        spec = self.spec
+        if spec.kind == "crash":
+            raise RuntimeError(
+                f"injected crash in experiment {self.exp_id!r} "
+                f"(attempt {self.attempt})"
+            )
+        if spec.kind == "transient" and self.attempt <= spec.count:
+            raise TransientFault(
+                f"injected transient fault in experiment {self.exp_id!r} "
+                f"(attempt {self.attempt}/{spec.count})"
+            )
+        if spec.kind == "kill" and self.execution <= spec.count:
+            if os.getpid() == self.home_pid:
+                raise RuntimeError(
+                    f"injected worker kill in experiment {self.exp_id!r} "
+                    f"(attempt {self.attempt}; serial mode: contained as "
+                    "crash)"
+                )
+            # A real worker death: the runner sees a BrokenProcessPool
+            # and must attribute it.
+            os.kill(os.getpid(), signal.SIGKILL)
+        if spec.kind == "timeout":
+            time.sleep(spec.seconds)
+        if spec.kind == "straggler" and self.execution <= spec.count:
+            time.sleep(spec.seconds)
+        result = self.fn(factor)
+        if spec.kind == "corrupt-result":
+            return _CorruptResult()
+        return result
 
 
 def corrupt_trace(trace: list, seed: int = 0, fraction: float = 0.001) -> list:

@@ -4,17 +4,22 @@
 finished experiment and a hung one blocked the sweep forever.
 :class:`ResilientRunner` replaces that with:
 
-* **Isolation** — each experiment runs in a worker; any exception
-  (including in ``render()``) is contained and recorded, and a
-  per-experiment wall-clock timeout stops hung runs instead of blocking
-  the sweep.
-* **Parallelism** — with ``jobs > 1`` experiments run in worker
-  *processes* (a ``concurrent.futures.ProcessPoolExecutor``): true
-  multi-core execution outside the GIL, hard timeout enforcement (the
-  worker process is killed, not abandoned), and containment of
-  segfault-class worker deaths.  ``jobs=1`` (the default) keeps the
-  serial in-process path, where a timeout can only *abandon* the worker
-  thread (it keeps burning CPU — threads cannot be killed).
+* **Isolation** — every attempt runs on an executor and comes back as an
+  envelope; any exception (including in ``render()``) is contained and
+  recorded, and a per-experiment wall-clock timeout stops hung runs
+  instead of blocking the sweep.
+* **One scheduling loop, two executors** — ``jobs`` only picks the
+  executor the loop submits to.  ``jobs=1`` (the default) runs attempts
+  in the sweep's own process: in the calling thread, or on a daemon
+  thread when a timeout is set, which an expired timeout can only
+  *abandon* (threads cannot be killed).  Results are the drivers' live
+  objects, so closures work and nothing is pickled.  ``jobs > 1`` runs
+  them in worker *processes* (a ``ProcessPoolExecutor``): multi-core
+  execution outside the GIL, hard timeouts (the worker is killed), and
+  containment of segfault-class worker deaths.  At most ``jobs``
+  experiments hold the main executor at once, so every submitted
+  attempt is running and its timeout clock starts at submission; at
+  ``jobs=1`` each experiment is checkpointed before the next starts.
 * **Retry** — failures classified as transient (by default
   :class:`~repro.robustness.faults.TransientFault` and :class:`OSError`)
   are retried with bounded exponential backoff; permanent failures are
@@ -28,7 +33,8 @@ finished experiment and a hung one blocked the sweep forever.
   :class:`RunReport` listing succeeded / failed / checkpoint-skipped
   experiments with their causes, per-experiment wall time, the worker
   that ran each one, and persistent trace-cache hit/miss counts (see
-  :mod:`repro.workloads.trace_cache`).
+  :mod:`repro.workloads.trace_cache`), summed over the experiment's
+  attempts.
 
 Manifest format (``version`` 1; the three observability keys were added
 later — absent in old manifests, ignored by old readers)::
@@ -53,24 +59,25 @@ tracing is on and a Chrome trace export was requested, a top-level
 ``trace`` key records where that file lands.
 
 Deterministic fault injection (:class:`~repro.robustness.faults.FaultPlan`)
-hooks in between the runner and the experiment callables, which is how the
-tests exercise every path above without flaky sleeps.  In process mode
-the same fault specs are replayed by a picklable shim
-(:class:`_InjectedFault`) with the attempt counter tracked in the parent.
+wraps each attempt in a picklable
+:class:`~repro.robustness.faults.InjectedFault` carrying the loop's
+attempt and execution numbers, which is how the tests exercise every
+path above without flaky sleeps.
 
 Worker-death attribution.  When a worker process dies (segfault, OOM
 kill, ``SIGKILL``), ``ProcessPoolExecutor`` breaks the *whole* pool and
 fails every in-flight future, so the culprit cannot be identified
-directly.  The runner rebuilds the pool, resubmits experiments that were
-still queued, and re-runs the ones that were actually executing through
-a single-worker quarantine pool, one at a time: if the quarantine pool
-breaks too, the experiment running in it is the culprit and is marked
-failed; innocent bystanders complete normally.
+directly.  Every experiment in flight is a suspect: the runner rebuilds
+the pool and re-runs the suspects through a single-worker quarantine
+pool, one at a time.  If the quarantine pool breaks too, the experiment
+running in it is the culprit and is marked failed; innocent bystanders
+complete normally.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import hashlib
 import json
@@ -78,23 +85,22 @@ import multiprocessing
 import os
 import pathlib
 import pickle
-import signal
 import threading
 import time
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from repro.core.kernel import reuse_snapshot
 from repro.func.prepared import prepare_snapshot
-from repro.robustness.faults import FaultPlan, TransientFault, _CorruptResult
+from repro.robustness.faults import FaultPlan, InjectedFault, TransientFault
 from repro.robustness.signals import GracefulSignals
 from repro.telemetry import tracing
 from repro.telemetry import logging as structlog
 from repro.telemetry.logging import get_logger
 from repro.telemetry.metrics import MetricsRegistry, publish_stats
-from repro.telemetry.tracing import SpanTracer
+from repro.telemetry.tracing import Span, SpanTracer
 from repro.workloads import trace_cache
 
 _log = get_logger("runner")
@@ -110,10 +116,6 @@ def _chaos_check(site: str) -> None:
     from repro.robustness import chaos
 
     chaos.fs_check(site)
-
-
-class ExperimentTimeout(RuntimeError):
-    """An experiment exceeded its wall-clock budget and was abandoned."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,8 @@ class ExperimentOutcome:
     attempts: int = 0
     elapsed: float = 0.0
     error: str | None = None
-    #: Who executed the final attempt: "main" (serial path) or "pid-<n>".
+    #: Who executed the final attempt: "main" (the sweep's own process,
+    #: ``jobs=1``) or "pid-<n>" (a pool worker).
     worker: str = "main"
     #: Persistent trace-cache hits/misses attributed to this experiment.
     cache_hits: int = 0
@@ -157,6 +160,19 @@ class ExperimentOutcome:
     @property
     def succeeded(self) -> bool:
         return self.status in ("ok", "checkpointed")
+
+
+#: The work counters an attempt's envelope carries; an outcome holds
+#: their sum over every attempt the experiment made.
+_TALLY = {
+    "cache_hits": 0,
+    "cache_misses": 0,
+    "cache_degraded": 0,
+    "cache_checksum_failures": 0,
+    "prepares": 0,
+    "prepare_seconds": 0.0,
+    "sim_reused": 0,
+}
 
 
 @dataclass
@@ -235,23 +251,79 @@ def _default_is_transient(error: BaseException) -> bool:
     return isinstance(error, (TransientFault, OSError))
 
 
-# --------------------------------------------------------- process workers
-#
-# Everything a ProcessPoolExecutor ships to a worker must pickle, so the
-# worker entry points live at module level and fault injection uses the
-# picklable _InjectedFault shim instead of FaultPlan.wrap's closure.
+# --------------------------------------------------------------- executors
 
 
-def _start_method(requested: str | None) -> str:
-    """Multiprocessing start method: explicit choice, else fork, else spawn.
+def _run_attempt(fn, factor: float, tracer=None, anchor=None) -> dict:
+    """Run one attempt; return its envelope instead of raising.
 
-    Fork is preferred where available — it inherits the imported
-    simulator modules for free instead of re-importing them per worker.
+    The envelope carries the result (or the exception, for the loop to
+    classify) and the work counters the attempt moved.  ``anchor`` — an
+    in-process attempt's span — parents the spans the attempt opens on
+    whichever thread runs it.
     """
-    if requested is not None:
-        return requested
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
+    base_hits, base_misses = trace_cache.snapshot()
+    base_degraded, base_checksum = trace_cache.health_snapshot()
+    base_prepares, base_prepare_seconds = prepare_snapshot()
+    base_reused = reuse_snapshot()
+    started = time.monotonic()
+    lineage = (
+        tracer.adopt(anchor) if anchor is not None else contextlib.nullcontext()
+    )
+    with lineage:
+        try:
+            result = fn(factor)
+            envelope = {"ok": True, "text": result.render(), "result": result}
+        except BaseException as error:  # noqa: BLE001 - classified by the loop
+            envelope = {"ok": False, "error": error}
+    hits, misses = trace_cache.snapshot()
+    degraded, checksum = trace_cache.health_snapshot()
+    prepares, prepare_seconds = prepare_snapshot()
+    envelope.update(
+        wall=time.monotonic() - started,
+        worker="main",
+        spans=[],
+        cache_hits=hits - base_hits,
+        cache_misses=misses - base_misses,
+        cache_degraded=degraded - base_degraded,
+        cache_checksum_failures=checksum - base_checksum,
+        prepares=prepares - base_prepares,
+        prepare_seconds=prepare_seconds - base_prepare_seconds,
+        sim_reused=reuse_snapshot() - base_reused,
+    )
+    return envelope
+
+
+class _InProcessExecutor(concurrent.futures.Executor):
+    """The ``jobs=1`` executor: attempts run in the sweep's own process.
+
+    Without a timeout ``submit`` runs the call in the calling thread and
+    returns a finished future.  With one, the call runs on a daemon
+    thread, which the loop abandons when the timeout expires.
+    """
+
+    def __init__(self, threaded: bool) -> None:
+        self.threaded = threaded
+
+    def submit(self, fn, /, *args):
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        future.set_running_or_notify_cancel()
+
+        def call() -> None:
+            try:
+                future.set_result(fn(*args))
+            except BaseException as error:  # noqa: BLE001 - to the loop
+                future.set_exception(error)
+
+        if self.threaded:
+            threading.Thread(target=call, name="attempt", daemon=True).start()
+        else:
+            call()
+        return future
+
+
+# Everything a ProcessPoolExecutor ships to a worker must pickle, so the
+# worker entry points live at module level.
 
 
 def _pool_initializer(
@@ -283,120 +355,85 @@ def _pool_initializer(
 
         chaos.activate(chaos_plan)
     if log_destination is not None:
-        from repro.telemetry import logging as structlog
-
         structlog.configure(log_destination, log_level)
 
 
-def _pool_worker(fn, factor: float, trace_id: str | None = None) -> dict:
-    """Run one experiment attempt in a worker process.
+def process_pool(
+    jobs: int, chaos_plan=None
+) -> concurrent.futures.ProcessPoolExecutor:
+    """A pool of ``jobs`` workers sharing this process's trace cache.
 
-    Returns a picklable envelope instead of raising: exceptions are
-    shipped to the parent for retry classification, and results that do
-    not pickle degrade to their rendered text.
+    Workers also inherit the installed structured-log sink and, when
+    given, activate ``chaos_plan``.  Fork is preferred where available:
+    it inherits the imported simulator modules instead of re-importing
+    them per worker.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else methods[0]
+    )
+    cache = trace_cache.default_cache()
+    log_destination, log_level = structlog.current_config() or (None, "INFO")
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=context,
+        initializer=_pool_initializer,
+        initargs=(
+            str(cache.root),
+            cache.enabled,
+            cache.max_entries,
+            cache.verify,
+            chaos_plan,
+            log_destination,
+            log_level,
+        ),
+    )
+
+
+def _pool_worker(fn, factor: float, trace_id: str | None = None) -> dict:
+    """Run one attempt in a worker process; return a picklable envelope.
+
+    Exceptions that do not pickle degrade to a :class:`RuntimeError`
+    naming them, results that do not pickle to their rendered text.
 
     ``trace_id`` (the sweep's span-correlation id) switches on span
-    tracing inside the worker: a fresh worker-local tracer records the
+    tracing inside the worker: a worker-local tracer records the
     attempt's trace_build / cache_lookup / simulate spans, and the
     envelope ships them back (relative to the attempt start) for the
-    parent to graft under the experiment's attempt span.
+    parent to graft under the attempt span.
     """
-    worker_tracer: SpanTracer | None = None
-    if trace_id is not None:
-        worker_tracer = SpanTracer(trace_id)
+    found = tracing.current_tracer()
+    worker_tracer = SpanTracer(trace_id) if trace_id is not None else None
+    if worker_tracer is not None:
         tracing.set_tracer(worker_tracer)
-    base_hits, base_misses = trace_cache.snapshot()
-    base_degraded, base_checksum = trace_cache.health_snapshot()
-    base_prepares, base_prepare_seconds = prepare_snapshot()
-    base_reused = reuse_snapshot()
-    started = time.monotonic()
-
-    def _envelope(payload: dict) -> dict:
-        hits, misses = trace_cache.snapshot()
-        degraded, checksum = trace_cache.health_snapshot()
-        prepares, prepare_seconds = prepare_snapshot()
-        payload.update(
-            wall=time.monotonic() - started,
-            pid=os.getpid(),
-            cache_hits=hits - base_hits,
-            cache_misses=misses - base_misses,
-            cache_degraded=degraded - base_degraded,
-            cache_checksum_failures=checksum - base_checksum,
-            prepares=prepares - base_prepares,
-            prepare_seconds=prepare_seconds - base_prepare_seconds,
-            sim_reused=reuse_snapshot() - base_reused,
-        )
-        if worker_tracer is not None:
-            payload["spans"] = worker_tracer.finished_records()
-            # Workers are reused across experiments: never leak a stale
-            # tracer into the next attempt's probe sites.
-            tracing.set_tracer(None)
-        else:
-            payload["spans"] = []
-        return payload
-
     try:
-        result = fn(factor)
-        text = result.render()
-    except BaseException as error:  # noqa: BLE001 - shipped to the parent
+        envelope = _run_attempt(fn, factor)
+    finally:
+        tracing.set_tracer(found)
+    envelope["worker"] = f"pid-{os.getpid()}"
+    if worker_tracer is not None:
+        envelope["spans"] = worker_tracer.finished_records()
+    if envelope["ok"]:
+        try:
+            pickle.dumps(envelope["result"])
+        except Exception:  # noqa: BLE001 - unpicklable result
+            envelope["result"] = None  # the parent substitutes its text
+    else:
+        error = envelope["error"]
         try:
             pickle.dumps(error)
         except Exception:  # noqa: BLE001 - unpicklable exception
-            error = RuntimeError(f"{type(error).__name__}: {error}")
-        return _envelope({"ok": False, "error": error})
-    try:
-        pickle.dumps(result)
-    except Exception:  # noqa: BLE001 - unpicklable result
-        result = None  # the parent substitutes a text-only stand-in
-    return _envelope({"ok": True, "text": text, "result": result})
+            envelope["error"] = RuntimeError(f"{type(error).__name__}: {error}")
+    return envelope
 
 
-class _InjectedFault:
-    """Picklable mirror of :meth:`FaultPlan.wrap` for process workers.
+class _Flight(NamedTuple):
+    """One submitted attempt, as the loop tracks it."""
 
-    The closure returned by ``wrap`` cannot cross a process boundary and
-    worker-side attempt counters would reset with every retry, so the
-    parent passes the attempt number in explicitly.  ``execution`` is a
-    separate counter that also ticks on re-runs the retry ledger does
-    *not* bill (quarantine re-runs, post-pool-break resubmits): a
-    ``kill`` fault keyed on ``attempt`` would re-fire inside the
-    quarantine pool and convict an experiment that merely needed a
-    clean re-run.
-    """
-
-    def __init__(
-        self, fn, exp_id: str, spec, attempt: int, execution: int | None = None
-    ) -> None:
-        self.fn = fn
-        self.exp_id = exp_id
-        self.spec = spec
-        self.attempt = attempt
-        self.execution = execution if execution is not None else attempt
-
-    def __call__(self, factor: float):
-        spec = self.spec
-        if spec.kind == "crash":
-            raise RuntimeError(
-                f"injected crash in experiment {self.exp_id!r} "
-                f"(attempt {self.attempt})"
-            )
-        if spec.kind == "transient" and self.attempt <= spec.count:
-            raise TransientFault(
-                f"injected transient fault in experiment {self.exp_id!r} "
-                f"(attempt {self.attempt}/{spec.count})"
-            )
-        if spec.kind == "kill" and self.execution <= spec.count:
-            # A real worker death: the parent sees a BrokenProcessPool
-            # and must attribute it (the pool path of the chaos harness).
-            os.kill(os.getpid(), signal.SIGKILL)
-        if spec.kind == "timeout":
-            time.sleep(spec.seconds)
-        if spec.kind == "straggler" and self.execution <= spec.count:
-            time.sleep(spec.seconds)
-        result = self.fn(factor)
-        if spec.kind == "corrupt-result":
-            return _CorruptResult()
-        return result
+    exp_id: str
+    pool: str  # "main" or "solo" (the quarantine pool)
+    submitted: float  # the timeout basis
+    span: Span | None  # the attempt span, when tracing
 
 
 class ResilientRunner:
@@ -415,7 +452,6 @@ class ResilientRunner:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         jobs: int = 1,
-        mp_context: str | None = None,
         tracer: SpanTracer | None = None,
         chaos_plan=None,
     ) -> None:
@@ -437,7 +473,6 @@ class ResilientRunner:
         self.fault_plan = fault_plan
         self.is_transient = is_transient
         self.jobs = jobs
-        self.mp_context = mp_context
         #: Optional host-side span tracer (see repro.telemetry.tracing);
         #: ``None`` keeps every span site a single falsy check.
         self.tracer = tracer
@@ -470,7 +505,7 @@ class ResilientRunner:
 
         With a ``tracer`` installed on the runner, the whole sweep is
         recorded as a span tree (sweep -> experiment -> attempt -> probe
-        spans, including worker-side spans in parallel mode);
+        spans, including worker-side spans at ``jobs > 1``);
         ``trace_out`` additionally exports it as Chrome trace-event JSON
         once the sweep finishes, and the manifest records the path under
         a top-level ``trace`` key.
@@ -671,7 +706,7 @@ class ResilientRunner:
             per_exp.write_json(out_path / "metrics" / f"{exp_id}.json")
 
         def finish(exp_id, outcome, text, result):
-            """Record one finished experiment (shared by both backends)."""
+            """Record one finished experiment."""
             outcomes[exp_id] = outcome
             publish_outcome(outcome)
             export_experiment_metrics(exp_id, outcome, result)
@@ -685,7 +720,7 @@ class ResilientRunner:
                 sim_totals["instructions"] += stats.instructions
             if outcome.status == "ok":
                 if result is None:
-                    # Parallel result that did not survive pickling.
+                    # A worker's result that did not survive pickling.
                     result = CheckpointedResult(exp_id, text)
                 results[exp_id] = result
                 entries[exp_id] = {
@@ -726,8 +761,6 @@ class ResilientRunner:
                     None,
                 )
 
-        tracer = self.tracer
-
         def _warn_interrupt(name: str) -> None:
             _log.warning("runner.interrupted", signal=name)
             if stream is not None:
@@ -739,45 +772,17 @@ class ResilientRunner:
                 )
 
         interrupt = GracefulSignals(notify=_warn_interrupt)
-        should_stop = interrupt.should_stop
         interrupt.install()
         try:
             if todo:
-                if self.jobs == 1:
-                    for exp_id, runner_fn in todo:
-                        if should_stop():
-                            break
-                        if tracer is None:
-                            outcome, text, result = self._run_one(
-                                exp_id, runner_fn, factor
-                            )
-                            finish(exp_id, outcome, text, result)
-                            continue
-                        with tracer.span(
-                            f"experiment:{exp_id}",
-                            "experiment",
-                            track=tracks[exp_id],
-                        ) as exp_span:
-                            outcome, text, result = self._run_one(
-                                exp_id, runner_fn, factor
-                            )
-                            exp_span.annotate(
-                                status=outcome.status,
-                                attempts=outcome.attempts,
-                                worker=outcome.worker,
-                            )
-                            if outcome.error:
-                                exp_span.annotate(error=outcome.error)
-                            finish(exp_id, outcome, text, result)
-                else:
-                    self._run_pool(
-                        todo,
-                        factor,
-                        finish,
-                        sweep_span=sweep_span,
-                        tracks=tracks,
-                        should_stop=should_stop,
-                    )
+                self._schedule(
+                    todo,
+                    factor,
+                    finish,
+                    sweep_span=sweep_span,
+                    tracks=tracks,
+                    should_stop=interrupt.should_stop,
+                )
         finally:
             interrupt.restore()
 
@@ -839,539 +844,285 @@ class ResilientRunner:
             print(report.render(), file=stream)
         return results, report
 
-    # ------------------------------------------------------------ internals
+    # ------------------------------------------------------------ the loop
 
-    def _run_one(self, exp_id, runner_fn, factor):
-        """Execute one experiment with containment, timeout and retry."""
-        fn = runner_fn
-        if self.fault_plan is not None:
-            fn = self.fault_plan.wrap(exp_id, fn)
-        attempts = 0
-        started = self._clock()
-        base_hits, base_misses = trace_cache.snapshot()
-        base_degraded, base_checksum = trace_cache.health_snapshot()
-        base_prepares, base_prepare_seconds = prepare_snapshot()
-        base_reused = reuse_snapshot()
+    def _executor(self, workers: int) -> concurrent.futures.Executor:
+        """The main executor: in-process at ``jobs=1``, else a pool."""
+        if self.jobs == 1:
+            return _InProcessExecutor(threaded=self.timeout is not None)
+        return process_pool(workers, self.chaos_plan)
 
-        def cache_delta() -> dict:
-            hits, misses = trace_cache.snapshot()
-            degraded, checksum = trace_cache.health_snapshot()
-            return {
-                "cache_hits": hits - base_hits,
-                "cache_misses": misses - base_misses,
-                "cache_degraded": degraded - base_degraded,
-                "cache_checksum_failures": checksum - base_checksum,
-            }
-
-        def prepare_delta() -> dict:
-            prepares, seconds = prepare_snapshot()
-            return {
-                "prepares": prepares - base_prepares,
-                "prepare_seconds": seconds - base_prepare_seconds,
-            }
-
-        def reuse_delta() -> dict:
-            return {"sim_reused": reuse_snapshot() - base_reused}
-
-        while True:
-            attempts += 1
-            try:
-                result = self._timed_attempt(exp_id, fn, factor, attempts)
-                text = result.render()
-                elapsed = self._clock() - started
-                return (
-                    ExperimentOutcome(
-                        exp_id,
-                        "ok",
-                        attempts,
-                        elapsed,
-                        **cache_delta(),
-                        **prepare_delta(),
-                        **reuse_delta(),
-                    ),
-                    text,
-                    result,
-                )
-            except ExperimentTimeout as error:
-                elapsed = self._clock() - started
-                return (
-                    ExperimentOutcome(
-                        exp_id,
-                        "timeout",
-                        attempts,
-                        elapsed,
-                        str(error),
-                        **cache_delta(),
-                        **prepare_delta(),
-                        **reuse_delta(),
-                    ),
-                    None,
-                    None,
-                )
-            except BaseException as error:  # noqa: BLE001 - containment
-                if self.is_transient(error) and attempts <= self.retries:
-                    delay = min(
-                        self.backoff * (2 ** (attempts - 1)), self.max_backoff
-                    )
-                    if delay > 0:
-                        self._sleep(delay)
-                    continue
-                elapsed = self._clock() - started
-                cause = f"{type(error).__name__}: {error}"
-                return (
-                    ExperimentOutcome(
-                        exp_id,
-                        "failed",
-                        attempts,
-                        elapsed,
-                        cause,
-                        **cache_delta(),
-                        **prepare_delta(),
-                        **reuse_delta(),
-                    ),
-                    None,
-                    None,
-                )
-
-    def _timed_attempt(self, exp_id, fn, factor, attempt):
-        """One serial attempt, wrapped in an ``attempt`` span when tracing.
-
-        Retried attempts each get their own span (siblings under the
-        experiment), annotated with the outcome that ended them.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return self._call_with_timeout(exp_id, fn, factor)
-        with tracer.span(f"attempt#{attempt}", "attempt") as span:
-            try:
-                value = self._call_with_timeout(exp_id, fn, factor)
-            except ExperimentTimeout as error:
-                span.annotate(status="timeout", error=str(error))
-                raise
-            except BaseException as error:  # noqa: BLE001 - annotate only
-                span.annotate(
-                    status="failed",
-                    error=f"{type(error).__name__}: {error}",
-                )
-                raise
-            span.annotate(status="ok")
-            return value
-
-    def _call_with_timeout(self, exp_id, fn, factor):
-        if self.timeout is None:
-            return fn(factor)
-        box: dict[str, object] = {}
-        tracer = self.tracer
-        anchor = tracer.current() if tracer is not None else None
-
-        def target() -> None:
-            try:
-                if anchor is not None:
-                    # The worker thread starts with an empty span stack;
-                    # adopt the attempt span so trace_build / simulate
-                    # spans inside keep their lineage.
-                    with tracer.adopt(anchor):
-                        box["value"] = fn(factor)
-                else:
-                    box["value"] = fn(factor)
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                box["error"] = error
-
-        worker = threading.Thread(
-            target=target, name=f"experiment-{exp_id}", daemon=True
-        )
-        worker.start()
-        worker.join(self.timeout)
-        if worker.is_alive():
-            # The thread cannot be killed; it is abandoned as a daemon.
-            raise ExperimentTimeout(
-                f"experiment {exp_id!r} exceeded {self.timeout:g}s "
-                "wall-clock budget and was abandoned"
-            )
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
-
-    # ---------------------------------------------------------- process pool
-
-    def _run_pool(
-        self,
-        todo,
-        factor,
-        finish,
-        *,
-        sweep_span=None,
-        tracks=None,
-        should_stop=None,
-    ):
-        """Run ``todo`` on a process pool (see module docs for semantics).
+    def _schedule(
+        self, todo, factor, finish, *, sweep_span, tracks, should_stop
+    ) -> None:
+        """Run ``todo`` to an outcome each (see module docs for semantics).
 
         The single-threaded event loop below owns all bookkeeping;
-        workers only ever see ``_pool_worker`` and return envelopes, so
-        there is no shared mutable state to lock.
+        attempts only ever return envelopes, so there is no shared
+        mutable state to lock.  An experiment holds one of the main
+        executor's ``workers`` slots from admission until it finishes,
+        including while it waits out a retry backoff; a quarantined
+        experiment holds the quarantine pool instead.
 
         Span bookkeeping is manual (``begin``/``finish``) because
         experiment lifetimes interleave in this loop: an experiment span
-        opens at first submission and closes when ``finish`` runs, and
-        each returned envelope becomes an ``attempt`` span whose window
-        is reconstructed from the worker's wall time, with the worker's
-        own spans grafted underneath.
+        opens at first submission and closes when ``finish`` runs, and an
+        attempt span opens at submission and closes with its outcome.
+        In-process attempts record their spans straight under it; a
+        worker's spans come back in its envelope and are grafted there.
+        Attempts lost to a pool break or a co-tenant's timeout record no
+        span: they are re-run.
         """
         fns = dict(todo)
+        workers = min(self.jobs, len(fns))
         tracer = self.tracer
         trace_id = tracer.trace_id if tracer is not None else None
-        exp_spans: dict[str, object] = {}
-
-        if tracer is not None:
-            record_finished = finish
-
-            def finish(exp_id, outcome, text, result):
-                span = exp_spans.pop(exp_id, None)
-                if span is not None:
-                    span.annotate(
-                        status=outcome.status,
-                        attempts=outcome.attempts,
-                        worker=outcome.worker,
-                    )
-                    if outcome.error:
-                        span.annotate(error=outcome.error)
-                    tracer.finish(span)
-                record_finished(exp_id, outcome, text, result)
-
-        def record_attempt(exp_id, pool_name, envelope, status, error=None):
-            """Graft one worker envelope as an attempt span (or no-op)."""
-            if tracer is None:
-                return
-            parent = exp_spans.get(exp_id)
-            if parent is None:
-                return
-            attempt = tracer.begin(
-                f"attempt#{attempts[exp_id]}",
-                "attempt",
-                parent=parent,
-                start=tracer.now() - envelope["wall"],
-                worker=f"pid-{envelope['pid']}",
-                status=status,
-            )
-            if pool_name == "solo":
-                attempt.annotate(quarantine=True)
-            if error is not None:
-                attempt.annotate(error=error)
-            tracer.graft(
-                envelope.get("spans", []),
-                parent=attempt,
-                offset=attempt.start,
-                prefix=attempt.span_id,
-            )
-            tracer.finish(attempt)
-        attempts = {exp_id: 0 for exp_id in fns}
+        exp_spans: dict[str, Span] = {}
+        pending = deque(fns)
+        #: Which executor each started, unfinished experiment holds.
+        lane: dict[str, str] = {}
+        attempts = dict.fromkeys(fns, 0)
         #: Every submission, including re-runs the retry ledger does not
-        #: bill (quarantine, post-break resubmits) — the schedule basis
-        #: for kill/straggler chaos faults (see _InjectedFault).
-        executions = {exp_id: 0 for exp_id in fns}
+        #: bill (quarantine, resubmits) — the schedule basis for
+        #: kill/straggler faults (see InjectedFault).
+        executions = dict.fromkeys(fns, 0)
         started_at: dict[str, float] = {}
-        #: first time each experiment was *observed* executing — the
-        #: timeout basis, and the "suspect" test after a pool break.
-        first_running: dict[str, float] = {}
+        tallies: dict[str, dict] = {}
         waiting: list[tuple[float, str]] = []  # backoff retries (resume_at)
-        quarantine: deque = deque()
-        solo_busy = False
+        quarantine: deque[tuple[str, bool]] = deque()  # (exp_id, billed)
+        pools = {"main": self._executor(workers)}
+        flights: dict[concurrent.futures.Future, _Flight] = {}
 
-        cache = trace_cache.default_cache()
-        ctx = multiprocessing.get_context(_start_method(self.mp_context))
-        log_config = structlog.current_config()
-        initargs = (
-            str(cache.root),
-            cache.enabled,
-            cache.max_entries,
-            cache.verify,
-            self.chaos_plan,
-            log_config[0] if log_config else None,
-            log_config[1] if log_config else "INFO",
-        )
-
-        def new_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-            return concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=ctx,
-                initializer=_pool_initializer,
-                initargs=initargs,
-            )
-
-        pools: dict[str, concurrent.futures.ProcessPoolExecutor] = {
-            "main": new_pool(min(self.jobs, len(todo)))
-        }
-        future_home: dict[concurrent.futures.Future, tuple[str, str]] = {}
-
-        def submit(exp_id: str, pool_name: str, count_attempt: bool = True):
-            fn = fns[exp_id]
-            if count_attempt:
+        def submit(exp_id: str, pool_name: str, billed: bool = True) -> None:
+            if billed:
                 attempts[exp_id] += 1
             executions[exp_id] += 1
+            lane[exp_id] = pool_name
             started_at.setdefault(exp_id, self._clock())
-            if self.fault_plan is not None:
-                spec = self.fault_plan.faults.get(exp_id)
-                if spec is not None:
-                    # Keep the plan's observable counters in sync even
-                    # though the fault itself fires in the worker.
-                    self.fault_plan.attempts[exp_id] = attempts[exp_id]
-                    fn = _InjectedFault(
-                        fn, exp_id, spec, attempts[exp_id], executions[exp_id]
-                    )
-            if tracer is not None and exp_id not in exp_spans:
-                exp_spans[exp_id] = tracer.begin(
-                    f"experiment:{exp_id}",
-                    "experiment",
-                    parent=sweep_span,
-                    track=(tracks or {}).get(exp_id, 0),
+            tallies.setdefault(exp_id, dict(_TALLY))
+            fn = fns[exp_id]
+            faults = self.fault_plan.faults if self.fault_plan else {}
+            if exp_id in faults:
+                fn = InjectedFault(
+                    fn,
+                    exp_id,
+                    faults[exp_id],
+                    attempts[exp_id],
+                    executions[exp_id],
                 )
-            future = pools[pool_name].submit(_pool_worker, fn, factor, trace_id)
-            future_home[future] = (pool_name, exp_id)
+            span = None
+            if tracer is not None:
+                if exp_id not in exp_spans:
+                    exp_spans[exp_id] = tracer.begin(
+                        f"experiment:{exp_id}",
+                        "experiment",
+                        parent=sweep_span,
+                        track=tracks[exp_id],
+                    )
+                span = tracer.begin(
+                    f"attempt#{attempts[exp_id]}",
+                    "attempt",
+                    parent=exp_spans[exp_id],
+                )
+                if pool_name == "solo":
+                    span.annotate(quarantine=True)
+            submitted = self._clock()
+            pool = pools[pool_name]
+            if isinstance(pool, _InProcessExecutor):
+                future = pool.submit(_run_attempt, fn, factor, tracer, span)
+            else:
+                future = pool.submit(_pool_worker, fn, factor, trace_id)
+            flights[future] = _Flight(exp_id, pool_name, submitted, span)
 
-        def pop_pool_futures(pool_name: str) -> list[str]:
-            doomed = [
-                f for f, (p, _e) in future_home.items() if p == pool_name
-            ]
-            return [future_home.pop(f)[1] for f in doomed]
+        def close_attempt(flight, status, envelope=None, error=None) -> None:
+            """Record one attempt span (a no-op when not tracing)."""
+            span = flight.span
+            if span is None:
+                return
+            span.annotate(status=status)
+            if error is not None:
+                span.annotate(error=error)
+            if envelope is not None:
+                span.annotate(worker=envelope["worker"])
+                tracer.graft(
+                    envelope["spans"],
+                    parent=span,
+                    offset=tracer.now() - envelope["wall"],
+                    prefix=span.span_id,
+                )
+            tracer.finish(span)
+
+        def conclude(exp_id, status, error=None, *, worker="main",
+                     text=None, result=None) -> None:
+            del lane[exp_id]
+            outcome = ExperimentOutcome(
+                exp_id,
+                status,
+                attempts[exp_id],
+                self._clock() - started_at.pop(exp_id),
+                error,
+                worker=worker,
+                **tallies.pop(exp_id),
+            )
+            span = exp_spans.pop(exp_id, None)
+            if span is not None:
+                span.annotate(
+                    status=status, attempts=outcome.attempts, worker=worker
+                )
+                if error:
+                    span.annotate(error=error)
+                tracer.finish(span)
+            finish(exp_id, outcome, text, result)
+
+        def drop_pool(pool_name: str) -> list[_Flight]:
+            """Tear a pool down; return the attempts it was running."""
+            lost = [f for f, flight in flights.items() if flight.pool == pool_name]
+            self._teardown(pools.pop(pool_name))
+            if pool_name == "main":
+                pools["main"] = self._executor(workers)
+            return [flights.pop(future) for future in lost]
 
         try:
-            for exp_id, _fn in todo:
-                submit(exp_id, "main")
-            while future_home or waiting or quarantine:
-                if should_stop is not None and should_stop():
-                    # Graceful shutdown: stop scheduling, kill in-flight
-                    # workers (finally), report the rest as interrupted.
-                    break
+            while pending or flights or waiting or quarantine:
+                if should_stop():
+                    # Graceful shutdown: launch nothing more, let the
+                    # attempts in flight finish; the rest is reported
+                    # as interrupted.
+                    pending.clear()
+                    waiting.clear()
+                    quarantine.clear()
+                    if not flights:
+                        break
                 now = self._clock()
-                due = [w for w in waiting if w[0] <= now]
-                if due:
-                    waiting = [w for w in waiting if w[0] > now]
-                    for _at, exp_id in due:
+                for entry in [w for w in waiting if w[0] <= now]:
+                    waiting.remove(entry)
+                    exp_id = entry[1]
+                    if lane[exp_id] == "solo":
+                        quarantine.appendleft((exp_id, True))
+                    else:
                         submit(exp_id, "main")
-                if quarantine and not solo_busy:
+                while pending and (
+                    sum(held == "main" for held in lane.values()) < workers
+                ):
+                    submit(pending.popleft(), "main")
+                if quarantine and not any(
+                    flight.pool == "solo" for flight in flights.values()
+                ):
                     if "solo" not in pools:
-                        pools["solo"] = new_pool(1)
-                    submit(quarantine.popleft(), "solo", count_attempt=False)
-                    solo_busy = True
-                if not future_home:
+                        pools["solo"] = process_pool(1, self.chaos_plan)
+                    exp_id, billed = quarantine.popleft()
+                    submit(exp_id, "solo", billed)
+                if not flights:
                     # Only a pending backoff retry remains; sleep it out.
-                    if waiting:
-                        self._sleep(
-                            max(0.0, min(at for at, _e in waiting) - now)
-                        )
+                    self._sleep(max(0.0, min(at for at, _e in waiting) - now))
                     continue
                 # Poll (rather than block) whenever a deadline could pass.
                 poll = 0.05 if (self.timeout is not None or waiting) else None
                 done, _pending = concurrent.futures.wait(
-                    set(future_home),
+                    set(flights),
                     timeout=poll,
                     return_when=concurrent.futures.FIRST_COMPLETED,
                 )
-                now = self._clock()
-                for future, (_pool, exp_id) in future_home.items():
-                    if future not in done and future.running():
-                        first_running.setdefault(exp_id, now)
-                broken: dict[str, None] = {}
+                broken: set[str] = set()
                 for future in done:
-                    pool_name, exp_id = future_home.pop(future)
-                    if pool_name == "solo":
-                        solo_busy = False
+                    flight = flights[future]
+                    exp_id = flight.exp_id
                     try:
                         envelope = future.result()
                     except BrokenProcessPool:
-                        broken[pool_name] = None
-                        # Re-attach: the pool sweep below collects every
-                        # future of the broken pool in one place.
-                        future_home[future] = (pool_name, exp_id)
-                        continue
-                    except concurrent.futures.CancelledError:
+                        # Swept below with the rest of the broken pool.
+                        broken.add(flight.pool)
                         continue
                     except BaseException as error:  # noqa: BLE001
                         # e.g. the callable failed to pickle at submit time
-                        first_running.pop(exp_id, None)
-                        finish(
-                            exp_id,
-                            ExperimentOutcome(
-                                exp_id,
-                                "failed",
-                                attempts[exp_id],
-                                now - started_at.pop(exp_id, now),
-                                f"{type(error).__name__}: {error}",
-                            ),
-                            None,
-                            None,
-                        )
+                        del flights[future]
+                        cause = f"{type(error).__name__}: {error}"
+                        close_attempt(flight, "failed", error=cause)
+                        conclude(exp_id, "failed", cause)
                         continue
-                    elapsed = now - started_at.get(exp_id, now)
-                    worker = f"pid-{envelope['pid']}"
+                    del flights[future]
+                    tally = tallies[exp_id]
+                    for key in tally:
+                        tally[key] += envelope[key]
                     if envelope["ok"]:
-                        record_attempt(exp_id, pool_name, envelope, "ok")
-                        first_running.pop(exp_id, None)
-                        started_at.pop(exp_id, None)
-                        finish(
+                        close_attempt(flight, "ok", envelope)
+                        conclude(
                             exp_id,
-                            ExperimentOutcome(
-                                exp_id,
-                                "ok",
-                                attempts[exp_id],
-                                elapsed,
-                                worker=worker,
-                                cache_hits=envelope["cache_hits"],
-                                cache_misses=envelope["cache_misses"],
-                                cache_degraded=envelope.get(
-                                    "cache_degraded", 0
-                                ),
-                                cache_checksum_failures=envelope.get(
-                                    "cache_checksum_failures", 0
-                                ),
-                                prepares=envelope.get("prepares", 0),
-                                prepare_seconds=envelope.get(
-                                    "prepare_seconds", 0.0
-                                ),
-                                sim_reused=envelope.get("sim_reused", 0),
-                            ),
-                            envelope["text"],
-                            envelope["result"],
+                            "ok",
+                            worker=envelope["worker"],
+                            text=envelope["text"],
+                            result=envelope["result"],
                         )
                         continue
                     error = envelope["error"]
-                    record_attempt(
-                        exp_id,
-                        pool_name,
-                        envelope,
-                        "failed",
-                        error=f"{type(error).__name__}: {error}",
-                    )
+                    cause = f"{type(error).__name__}: {error}"
+                    close_attempt(flight, "failed", envelope, cause)
                     if (
                         self.is_transient(error)
                         and attempts[exp_id] <= self.retries
                     ):
-                        first_running.pop(exp_id, None)
                         delay = min(
                             self.backoff * (2 ** (attempts[exp_id] - 1)),
                             self.max_backoff,
                         )
-                        waiting.append((now + delay, exp_id))
+                        waiting.append((self._clock() + delay, exp_id))
                         continue
-                    first_running.pop(exp_id, None)
-                    started_at.pop(exp_id, None)
-                    finish(
-                        exp_id,
-                        ExperimentOutcome(
-                            exp_id,
-                            "failed",
-                            attempts[exp_id],
-                            elapsed,
-                            f"{type(error).__name__}: {error}",
-                            worker=worker,
-                            cache_hits=envelope["cache_hits"],
-                            cache_misses=envelope["cache_misses"],
-                            cache_degraded=envelope.get("cache_degraded", 0),
-                            cache_checksum_failures=envelope.get(
-                                "cache_checksum_failures", 0
-                            ),
-                            prepares=envelope.get("prepares", 0),
-                            prepare_seconds=envelope.get(
-                                "prepare_seconds", 0.0
-                            ),
-                            sim_reused=envelope.get("sim_reused", 0),
-                        ),
-                        None,
-                        None,
+                    conclude(
+                        exp_id, "failed", cause, worker=envelope["worker"]
                     )
                 for pool_name in broken:
-                    affected = pop_pool_futures(pool_name)
-                    self._teardown(pools.pop(pool_name, None))
+                    lost = drop_pool(pool_name)
                     if pool_name == "solo":
                         # One worker, one experiment: the culprit is known.
-                        solo_busy = False
-                        for exp_id in affected:
-                            first_running.pop(exp_id, None)
-                            finish(
-                                exp_id,
-                                ExperimentOutcome(
-                                    exp_id,
-                                    "failed",
-                                    attempts[exp_id],
-                                    now - started_at.pop(exp_id, now),
-                                    "worker process died (crash or kill) "
-                                    "while running this experiment",
-                                ),
-                                None,
-                                None,
+                        for flight in lost:
+                            cause = (
+                                "worker process died (crash or kill) "
+                                "while running this experiment"
                             )
+                            close_attempt(flight, "failed", error=cause)
+                            conclude(flight.exp_id, "failed", cause)
                         continue
-                    # Experiments observed executing when the pool broke
-                    # are suspects — re-run them one at a time in the
-                    # quarantine pool so a repeat death convicts exactly
-                    # one.  Queued bystanders just resubmit.
-                    suspects = [e for e in affected if e in first_running]
-                    innocents = [e for e in affected if e not in first_running]
-                    if not suspects:
-                        suspects, innocents = affected, []
-                    for exp_id in suspects:
-                        first_running.pop(exp_id, None)
-                        quarantine.append(exp_id)
-                    pools["main"] = new_pool(min(self.jobs, len(todo)))
-                    for exp_id in innocents:
-                        submit(exp_id, "main", count_attempt=False)
-                if self.timeout is not None:
-                    now = self._clock()
-                    expired: dict[str, list[str]] = {}
-                    for _future, (pool_name, exp_id) in future_home.items():
-                        ran_at = first_running.get(exp_id)
-                        if ran_at is not None and now - ran_at >= self.timeout:
-                            expired.setdefault(pool_name, []).append(exp_id)
-                    for pool_name, victims in expired.items():
-                        # Hard enforcement: kill the whole pool (worker
-                        # identity is opaque), fail the victims, resubmit
-                        # innocent co-tenants.
-                        affected = pop_pool_futures(pool_name)
-                        self._teardown(pools.pop(pool_name, None))
-                        if pool_name == "solo":
-                            solo_busy = False
-                        else:
-                            pools["main"] = new_pool(
-                                min(self.jobs, len(todo))
+                    # Every experiment in flight is a suspect: re-run
+                    # them one at a time in the quarantine pool, so a
+                    # repeat death convicts exactly one.
+                    for flight in lost:
+                        lane[flight.exp_id] = "solo"
+                        quarantine.append((flight.exp_id, False))
+                if self.timeout is None:
+                    continue
+                now = self._clock()
+                expired = {
+                    flight.pool
+                    for flight in flights.values()
+                    if now - flight.submitted >= self.timeout
+                }
+                for pool_name in expired:
+                    # Hard enforcement: tear the whole pool down (worker
+                    # identity is opaque), fail the victims, resubmit
+                    # their co-tenants unbilled.
+                    abandoned = isinstance(
+                        pools[pool_name], _InProcessExecutor
+                    )
+                    for flight in drop_pool(pool_name):
+                        if now - flight.submitted < self.timeout:
+                            submit(flight.exp_id, pool_name, billed=False)
+                            continue
+                        cause = (
+                            f"experiment {flight.exp_id!r} exceeded "
+                            f"{self.timeout:g}s wall-clock budget"
+                            + (
+                                " and was abandoned"
+                                if abandoned
+                                else "; worker process killed"
                             )
-                        for exp_id in affected:
-                            first_running.pop(exp_id, None)
-                            if exp_id in victims:
-                                if tracer is not None and exp_id in exp_spans:
-                                    # No envelope survives a killed pool;
-                                    # reconstruct the attempt window from
-                                    # the budget it blew.
-                                    timed_out = tracer.begin(
-                                        f"attempt#{attempts[exp_id]}",
-                                        "attempt",
-                                        parent=exp_spans[exp_id],
-                                        start=tracer.now() - self.timeout,
-                                        status="timeout",
-                                    )
-                                    if pool_name == "solo":
-                                        timed_out.annotate(quarantine=True)
-                                    tracer.finish(timed_out)
-                                finish(
-                                    exp_id,
-                                    ExperimentOutcome(
-                                        exp_id,
-                                        "timeout",
-                                        attempts[exp_id],
-                                        now - started_at.pop(exp_id, now),
-                                        f"experiment {exp_id!r} exceeded "
-                                        f"{self.timeout:g}s wall-clock "
-                                        "budget; worker process killed",
-                                    ),
-                                    None,
-                                    None,
-                                )
-                            elif pool_name == "solo":
-                                quarantine.append(exp_id)
-                            else:
-                                submit(exp_id, "main", count_attempt=False)
+                        )
+                        close_attempt(flight, "timeout", error=cause)
+                        conclude(flight.exp_id, "timeout", cause)
         finally:
             for executor in pools.values():
                 self._teardown(executor)
+
+    # ------------------------------------------------------------ internals
 
     @staticmethod
     def _teardown(executor) -> None:

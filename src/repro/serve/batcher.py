@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import multiprocessing
 
 from repro.core.config import MachineConfig
 from repro.serve.protocol import Query
 from repro.serve.store import MemoStore
 from repro.telemetry import tracing
 from repro.telemetry.metrics import MetricsRegistry
-from repro.workloads import trace_cache
 
 #: Default batching window (seconds): long enough to coalesce a burst,
 #: short against the cost of even the smallest simulation.
@@ -66,29 +64,15 @@ def _simulate_group(
 def build_executor(jobs: int) -> concurrent.futures.Executor:
     """Simulation executor: in-process thread at ``jobs=1`` (keeps CI
     deterministic and the event loop responsive — the GIL releases
-    during numpy work), process pool above that, configured exactly
-    like the sweep runner's (workers share the parent's trace cache)."""
+    during numpy work), above that the sweep runner's process pool
+    (workers share the parent's trace cache)."""
     if jobs <= 1:
         return concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-sim"
         )
-    from repro.robustness.runner import _pool_initializer, _start_method
-    from repro.telemetry import logging as structlog
+    from repro.robustness.runner import process_pool
 
-    cache = trace_cache.default_cache()
-    context = multiprocessing.get_context(_start_method(None))
-    log_config = structlog.current_config()
-    return concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=context,
-        initializer=_pool_initializer,
-        initargs=(
-            str(cache.root), cache.enabled, cache.max_entries, cache.verify,
-            None,  # no chaos plan in serve mode
-            log_config[0] if log_config else None,
-            log_config[1] if log_config else "INFO",
-        ),
-    )
+    return process_pool(jobs)
 
 
 class _Group:

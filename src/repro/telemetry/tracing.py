@@ -117,9 +117,9 @@ class SpanTracer:
     """Records a tree of spans against one monotonic origin.
 
     Thread-aware: each thread nests spans on its own stack, and a worker
-    thread can join an existing lineage with :meth:`adopt` (the serial
-    runner's timeout thread does this so ``simulate`` spans stay under
-    their ``attempt``).
+    thread can join an existing lineage with :meth:`adopt` (the runner's
+    in-process attempts do this so ``simulate`` spans stay under their
+    ``attempt``, whichever thread runs them).
     """
 
     def __init__(
@@ -173,7 +173,7 @@ class SpanTracer:
     ) -> Span:
         """Open a span without touching the thread stack (manual mode).
 
-        The parallel runner's event loop opens experiment/attempt spans
+        The runner's event loop opens experiment/attempt spans
         this way because their lifetimes interleave rather than nest.
         """
         if isinstance(parent, Span):

@@ -458,6 +458,12 @@ class TestResilientRunner:
 
     def test_transient_fault_retries_with_backoff(self, tmp_path):
         calls, delays = [], []
+        now = [0.0]
+
+        def sleep(seconds):  # a fake clock that the fake sleep advances
+            delays.append(seconds)
+            now[0] += seconds
+
         plan = FaultPlan().add("alpha", "transient", count=2)
         runner = ResilientRunner(
             tmp_path / "m.json",
@@ -465,13 +471,16 @@ class TestResilientRunner:
             retries=2,
             backoff=0.25,
             max_backoff=0.4,
-            sleep=delays.append,
+            sleep=sleep,
+            clock=lambda: now[0],
         )
         _results, report = runner.run(_experiments(calls), factor=1.0)
         assert report.ok
         alpha = report.outcomes[0]
         assert alpha.status == "ok" and alpha.attempts == 3
         assert delays == [0.25, 0.4]  # exponential, capped at max_backoff
+        # jobs=1: alpha's retries finish before beta starts.
+        assert calls == ["alpha", "beta"]
 
     def test_transient_fault_exhausts_retries(self, tmp_path):
         calls = []
@@ -669,6 +678,19 @@ def _par_slow(factor):
     return _FakeResult("slow done")
 
 
+def _par_sleep(factor):
+    time.sleep(0.3)
+    return _FakeResult("slept")
+
+
+#: A result every call returns: in-process sweeps must hand it back as is.
+_PAR_SHARED = _FakeResult("shared")
+
+
+def _par_shared(factor):
+    return _PAR_SHARED
+
+
 def _par_die(factor):
     import os
     import signal
@@ -745,11 +767,12 @@ class TestParallelRunner:
         assert [o.exp_id for o in serial.outcomes] == ["z", "a", "m"]
         assert [o.exp_id for o in parallel.outcomes] == ["z", "a", "m"]
 
-    def test_transient_fault_retries_across_processes(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_transient_fault_retries_across_processes(self, tmp_path, jobs):
         plan = FaultPlan().add("flaky", "transient", count=2)
         runner = ResilientRunner(
             tmp_path / "m.json",
-            jobs=2,
+            jobs=jobs,
             fault_plan=plan,
             retries=2,
             backoff=0.0,
@@ -760,17 +783,23 @@ class TestParallelRunner:
         assert outcomes["flaky"].attempts == 3  # parent-tracked attempts
         assert outcomes["b"].status == "ok"
 
-    def test_injected_crash_contained_in_parallel(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_injected_crash_contained_in_parallel(self, tmp_path, jobs):
         plan = FaultPlan().add("bad", "crash")
         runner = ResilientRunner(
-            tmp_path / "m.json", jobs=2, fault_plan=plan, backoff=0.0
+            tmp_path / "m.json", jobs=jobs, fault_plan=plan, backoff=0.0
         )
-        results, report = runner.run({"bad": _par_pid, "ok": _par_pid})
+        results, report = runner.run({"bad": _par_pid, "ok": _par_shared})
         outcomes = {o.exp_id: o for o in report.outcomes}
         assert outcomes["bad"].status == "failed"
         assert "injected crash" in outcomes["bad"].error
         assert outcomes["ok"].status == "ok"
         assert "bad" not in results
+        if jobs == 1:
+            # In process: the driver's own object, not a copy or a
+            # text-only CheckpointedResult.
+            assert results["ok"] is _PAR_SHARED
+            assert outcomes["ok"].worker == "main"
 
     def test_worker_death_does_not_kill_the_sweep(self, tmp_path):
         runner = ResilientRunner(tmp_path / "m.json", jobs=2)
@@ -796,6 +825,16 @@ class TestParallelRunner:
         # The 60s sleeper was killed, not waited for or abandoned.
         assert wall < 20
 
+    def test_queued_experiment_timeout_starts_when_it_runs(self, tmp_path):
+        # Three 0.3 s experiments on two workers under a 0.5 s budget:
+        # the third waits for a free worker, and the wait is not billed
+        # against its budget.
+        runner = ResilientRunner(tmp_path / "m.json", jobs=2, timeout=0.5)
+        _results, report = runner.run(
+            {"a": _par_sleep, "b": _par_sleep, "c": _par_sleep}
+        )
+        assert [o.status for o in report.outcomes] == ["ok", "ok", "ok"]
+
     def test_unpicklable_result_degrades_to_text(self, tmp_path):
         runner = ResilientRunner(tmp_path / "m.json", jobs=2)
         results, report = runner.run({"u": _par_unpicklable})
@@ -803,12 +842,13 @@ class TestParallelRunner:
         assert isinstance(results["u"], CheckpointedResult)
         assert results["u"].render() == "unpicklable but rendered"
 
-    def test_parallel_checkpoint_resume(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parallel_checkpoint_resume(self, tmp_path, jobs):
         manifest = tmp_path / "m.json"
         experiments = {"a": _par_pid, "b": _par_pid}
-        _r, first = ResilientRunner(manifest, jobs=2).run(experiments)
+        _r, first = ResilientRunner(manifest, jobs=jobs).run(experiments)
         assert first.ok
-        _r, second = ResilientRunner(manifest, jobs=2).run(experiments)
+        _r, second = ResilientRunner(manifest, jobs=jobs).run(experiments)
         assert [o.status for o in second.outcomes] == [
             "checkpointed",
             "checkpointed",
@@ -831,6 +871,25 @@ class TestParallelRunner:
         assert report.ok
         assert report.outcomes[0].sim_reused == 2
         assert report.metrics.counter("runner.sim_reused").value == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counters_sum_over_attempts(self, tmp_path, jobs):
+        # Both attempts simulate (each reuses 2 configs), then fail in
+        # render(): the outcome bills the work of every attempt.
+        plan = FaultPlan().add("r", "corrupt-result")
+        runner = ResilientRunner(
+            tmp_path / "m.json",
+            jobs=jobs,
+            fault_plan=plan,
+            retries=1,
+            backoff=0.0,
+            is_transient=lambda error: True,
+        )
+        _results, report = runner.run({"r": _par_repeat_sweep})
+        (outcome,) = report.outcomes
+        assert outcome.status == "failed" and outcome.attempts == 2
+        assert outcome.sim_reused == 4
+        assert report.metrics.counter("runner.sim_reused").value == 4
 
     def test_warm_disk_cache_visible_in_outcomes(self, tmp_path):
         # Workers are fresh processes: the first parallel run must build

@@ -226,11 +226,13 @@ def _par_slow(factor):
 
 
 class TestRunnerSpans:
-    def test_serial_sweep_records_retry_attempt_siblings(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_records_retry_attempt_siblings(self, tmp_path, jobs):
         tracer = SpanTracer()
         plan = FaultPlan().add("flaky", "transient", count=1)
         runner = ResilientRunner(
             tmp_path / "m.json",
+            jobs=jobs,
             fault_plan=plan,
             retries=2,
             backoff=0.0,
