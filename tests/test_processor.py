@@ -8,6 +8,7 @@ import functools
 import hashlib
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -728,6 +729,82 @@ class TestPinnedDigests:
         trace_name, config = _TELEMETRY_POINTS[point]
         digest = _telemetry_digest(trace_name, config)
         assert digest == PINNED_TELEMETRY_DIGESTS[point]
+
+
+# ------------------------------------------------- off-golden geometries
+#
+# bench/golden.json only reaches 1-4 KB I-caches (at most 128 sets).
+# These points hold the larger I-cache geometries (256 to 131,072 sets,
+# past the 16-bit set-index width), a 128 KB D-cache and the ablations
+# to digests written before the timing columns went compact.  Rewrite
+# tests/data/off_golden_digests.json only for an intended timing change:
+#
+#     PYTHONPATH=src python -m tests.test_processor
+
+_OFF_GOLDEN_PATH = (
+    pathlib.Path(__file__).parent / "data" / "off_golden_digests.json"
+)
+_OFF_GOLDEN_TRACES = ("espresso", "li", "su2cor", "hydro2d")
+
+
+def _icache(kbytes):
+    return BASELINE.with_(icache_bytes=kbytes * 1024)
+
+
+def _fp_policy(config, policy, **changes):
+    return config.with_(fpu=config.fpu.with_(issue_policy=policy, **changes))
+
+
+_OFF_GOLDEN_CONFIGS = {
+    "icache8k": _icache(8),
+    "icache16k": _icache(16),
+    "icache64k": _icache(64),
+    "icache4m": _icache(4096),
+    "dcache128k-icache16k": _icache(16).with_(dcache_bytes=128 * 1024),
+    "split-pool-icache16k": _icache(16).with_(split_prefetch_pool=True),
+    "width1-icache8k": _icache(8).single_issue(),
+    "precise-icache64k": _icache(64).with_(fpu_precise_exceptions=True),
+    "fpu-in_order-icache8k": _fp_policy(
+        _icache(8), FPIssuePolicy.IN_ORDER_COMPLETION
+    ),
+    "fpu-single-icache16k": _fp_policy(
+        _icache(16), FPIssuePolicy.SINGLE_ISSUE
+    ),
+    "fpu-dual-buses1-icache32k": _fp_policy(
+        _icache(32), FPIssuePolicy.DUAL_ISSUE, result_buses=1
+    ),
+}
+_OFF_GOLDEN_TELEMETRY = ("espresso", "icache16k")
+
+
+def _off_golden_digests():
+    from repro.experiments.common import scaled_trace
+
+    stats = {}
+    for trace_name in _OFF_GOLDEN_TRACES:
+        trace = scaled_trace(trace_name, _PINNED_FACTOR)
+        for name, config in _OFF_GOLDEN_CONFIGS.items():
+            result = AuroraProcessor(config).run(trace)
+            stats[f"{trace_name}/{name}"] = _stats_digest(result.stats)
+    trace_name, name = _OFF_GOLDEN_TELEMETRY
+    telemetry = {
+        f"{trace_name}/{name}": _telemetry_digest(
+            trace_name, _OFF_GOLDEN_CONFIGS[name]
+        )
+    }
+    return {"stats": stats, "telemetry": telemetry}
+
+
+class TestOffGoldenDigests:
+    def test_digests_match_fixture(self):
+        expected = json.loads(_OFF_GOLDEN_PATH.read_text())
+        assert _off_golden_digests() == expected
+
+
+if __name__ == "__main__":
+    _OFF_GOLDEN_PATH.write_text(
+        json.dumps(_off_golden_digests(), indent=2, sort_keys=True) + "\n"
+    )
 
 
 # ------------------------------------------------------ subscribed kinds
