@@ -245,17 +245,18 @@ class AuroraProcessor:
         time_store = writecache.time_store
         # Only fetch-stall, stall and redirect events carry a record's pc.
         pcs = (
-            trace.field_list("pc")
+            trace.field_column("pc")
             if probe_fetch or probe_stall or probe_redirect
             else None
         )
 
-        # I-cache: hit/miss comes precomputed per record (every miss
-        # fills, so the tag state follows the address stream alone);
-        # only each set's fill-arrival time is timing state.
+        # I-cache: set and hit/miss come precomputed per record (every
+        # miss fills, so the tag state follows the address stream alone);
+        # only each set's fill-arrival time is timing state.  A miss
+        # reads its line index for the prefetch pool and the BIU.
         icache_lines = cfg.icache_lines
-        imask = icache_lines - 1
         iready = [0] * icache_lines
+        ilines = trace.lines(line_shift)[0]
 
         # Scoreboard: availability time of each unified register, plus
         # whether the last writer was a load-class producer (for stall
@@ -292,7 +293,7 @@ class AuroraProcessor:
         # carries its kind, memory/FP class, taken and FP-condition
         # facts; ``pair_ok`` is the trace's half of the pairing rule.
         for index, (
-            op, dst, s1, s2, iline, dline, imiss, pair_ok, wc,
+            op, dst, s1, s2, iset, dline, imiss, pair_ok, wc,
         ) in enumerate(
             trace.timing_rows(
                 line_shift, icache_lines, cfg.writecache_lines, page_shift
@@ -301,6 +302,7 @@ class AuroraProcessor:
 
             # ---------------------------------------------------- fetch side
             if imiss:
+                iline = ilines[index]
                 request_time = last_issue if last_issue > 0 else 0
                 arrival = pool.lookup(iline, request_time, "I")
                 if arrival is None:
@@ -309,7 +311,7 @@ class AuroraProcessor:
                 elif arrival < request_time:
                     arrival = request_time
                 t_fetch = arrival + 1
-                iready[iline & imask] = t_fetch
+                iready[iset] = t_fetch
                 if probe_fetch:
                     tele.emit(
                         request_time,
@@ -320,7 +322,7 @@ class AuroraProcessor:
                         arrival=t_fetch,
                     )
             else:
-                t_fetch = iready[iline & imask]
+                t_fetch = iready[iset]
             if redirects:
                 redirect_floor = redirects.pop(index, 0)
                 if redirect_floor > t_fetch:

@@ -274,6 +274,8 @@ def _run_attempt(fn, factor: float, tracer=None, anchor=None) -> dict:
         try:
             result = fn(factor)
             envelope = {"ok": True, "text": result.render(), "result": result}
+        except KeyboardInterrupt:
+            raise  # a second SIGINT/SIGTERM: the sweep aborts hard
         except BaseException as error:  # noqa: BLE001 - classified by the loop
             envelope = {"ok": False, "error": error}
     hits, misses = trace_cache.snapshot()
@@ -312,6 +314,8 @@ class _InProcessExecutor(concurrent.futures.Executor):
         def call() -> None:
             try:
                 future.set_result(fn(*args))
+            except KeyboardInterrupt:
+                raise  # the hard abort leaves the loop, not the future
             except BaseException as error:  # noqa: BLE001 - to the loop
                 future.set_exception(error)
 

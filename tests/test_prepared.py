@@ -11,6 +11,8 @@ across every workload in both suites.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,72 @@ def test_op_codes_and_pair_flags_match_records(name):
         )
         prev_pc, prev_mem = pc, mem
     assert list(trace.pair_flags()) == expected
+
+
+#: I-cache sizes in lines: below, at and past the golden set's 64, and
+#: past the 16-bit set-index width.
+TIMING_ICACHE_LINES = (32, 128, 512, 131_072)
+
+
+def _zipped_columns(rows):
+    """The buffers a ``timing_rows`` zip iterates, in tuple order."""
+    return [
+        iterator.__reduce__()[1][0] for iterator in rows.__reduce__()[1]
+    ]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_timing_rows_match_int64_reference(name):
+    trace = scaled_trace(name, FACTOR)
+    shift, wc_lines, page_shift = 5, 4, 12
+    pc, _, dst, src1, src2, addr = trace.array.T.tolist()
+    for lines in TIMING_ICACHE_LINES:
+        sets = [(value >> shift) & (lines - 1) for value in pc]
+        assert list(trace.icache_sets(shift, lines)) == sets
+        reference = zip(
+            trace.op_codes(),
+            dst,
+            src1,
+            src2,
+            sets,
+            [value >> shift for value in addr],
+            trace.icache_misses(shift, lines)[0],
+            trace.pair_flags(),
+            trace.writecache_decisions(shift, wc_lines, page_shift)[0],
+        )
+        rows = trace.timing_rows(shift, lines, wc_lines, page_shift)
+        assert list(rows) == list(reference)
+    assert list(trace.lines(shift)[0]) == [value >> shift for value in pc]
+
+
+def test_timing_rows_columns_are_compact():
+    trace = scaled_trace("espresso", FACTOR)
+    config = baseline_model()
+    shift = config.line_bytes.bit_length() - 1
+    columns = _zipped_columns(
+        trace.timing_rows(
+            shift,
+            config.icache_lines,
+            config.writecache_lines,
+            config.page_bytes.bit_length() - 1,
+        )
+    )
+    assert len(columns) == 9
+    assert all(isinstance(column, (bytes, array)) for column in columns)
+    total = sum(memoryview(column).nbytes for column in columns)
+    assert total <= 24 * len(trace)
+
+
+def test_icache_sets_widen_past_sixteen_bits():
+    trace = scaled_trace("espresso", FACTOR)
+    assert trace.icache_sets(5, 1 << 16).typecode == "H"
+    assert trace.icache_sets(5, 1 << 17).typecode == "I"
+
+
+def test_register_column_rejects_values_past_a_byte():
+    trace = PreparedTrace(np.array([[4096, int(Kind.ALU), 200, -1, -1, 0]]))
+    with pytest.raises(OverflowError):
+        trace.field_column("dst")
 
 
 def test_op_codes_cover_every_control_shape():

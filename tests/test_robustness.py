@@ -640,6 +640,37 @@ class TestRunAllIntegration:
         assert isinstance(results2["fig1"], CheckpointedResult)
         assert "Alpha" in results2["fig1"].render()  # real fig1 content
 
+    def test_second_sigint_aborts_hard(self, tmp_path, monkeypatch):
+        import io
+        import os
+        import signal
+
+        from repro.experiments import table2_cost
+        from repro.experiments.run_all import run_resilient
+
+        def interrupted(*_args, **_kwargs):
+            os.kill(os.getpid(), signal.SIGINT)
+            os.kill(os.getpid(), signal.SIGINT)
+            raise AssertionError("ran on past a second SIGINT")
+
+        monkeypatch.setattr(table2_cost, "run", interrupted)
+        out = tmp_path / "results"
+        before = signal.getsignal(signal.SIGINT)
+        with pytest.raises(KeyboardInterrupt):
+            run_resilient(
+                factor=0.1,
+                out_dir=str(out),
+                only=["fig1", "table2"],
+                stream=io.StringIO(),
+                jobs=1,
+            )
+        assert signal.getsignal(signal.SIGINT) is before
+        manifest = json.loads((out / "manifest.json").read_text())
+        # The experiment before the abort stays checkpointed; the one it
+        # interrupted is not recorded as a failure.
+        assert list(manifest["entries"]) == ["fig1"]
+        assert "runner.experiments_failed" not in manifest["metrics"]["counters"]
+
     def test_run_all_back_compat_returns_results(self, tmp_path):
         import io
 
