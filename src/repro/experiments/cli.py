@@ -16,7 +16,7 @@ Subcommands::
     aurora-sim spans <sweep-trace.json> [--min-ms 0.1]
     aurora-sim perf <workload> [--factor 0.05] [--check] [--seed-baseline]
     aurora-sim serve [--host 127.0.0.1] [--port 8311] [--jobs 2]
-                     [--window 0.01] [--store results/.sim_memo]
+                     [--store results/.sim_memo]
                      [--sample-interval 1.0] [--ring-out ring.jsonl]
     aurora-sim loadgen --url http://127.0.0.1:8311 [--queries q.jsonl]
                        [--concurrency 8] [--requests 64] [--record out.jsonl]
@@ -457,7 +457,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        window=args.window,
         store_root=args.store,
         trace_out=args.trace,
         sample_interval=args.sample_interval,
@@ -747,13 +746,10 @@ def main(argv: list[str] | None = None) -> int:
                          help="listen port (0 = ephemeral; the bound "
                               "port is announced on stdout)")
     p_serve.add_argument("--jobs", type=positive_int, default=1,
-                         help="simulation workers (1 = in-process "
+                         help="simulation slots (1 = in-process "
                               "thread, >1 = process pool over the "
-                              "shared trace cache)")
-    p_serve.add_argument("--window", type=positive_float, default=0.010,
-                         help="batching window in seconds: queries "
-                              "arriving within it coalesce into one "
-                              "simulate_many dispatch")
+                              "shared trace cache); a miss dispatches "
+                              "as soon as a slot is free")
     p_serve.add_argument("--store", default="results/.sim_memo",
                          help="persistent SimStats memo-store root")
     p_serve.add_argument("--trace", default=None, metavar="PATH",

@@ -9,10 +9,11 @@ as traffic instead of batch jobs.  The pieces:
 * :mod:`repro.serve.store` — the persistent :class:`SimStats` memo
   store (same atomic write-then-rename + code-hash keying discipline as
   the checkpoint manifest).
-* :mod:`repro.serve.batcher` — dedups and coalesces concurrent queries
-  by config fingerprint within a short batching window and dispatches
-  each (workload, factor) group as **one**
-  :func:`repro.core.kernel.simulate_many` call.
+* :mod:`repro.serve.batcher` — dispatches a miss as soon as a
+  simulation slot is free; misses that arrive while every slot is busy
+  group by (workload, factor), dedup by config fingerprint and go out
+  as **one** :func:`repro.core.kernel.simulate_many` call when a slot
+  frees, and a query for a config already in flight shares its answer.
 * :mod:`repro.serve.server` — the asyncio HTTP front end (`/query`,
   `/metrics`, `/healthz`), span-per-request, graceful SIGINT/SIGTERM
   drain via :class:`repro.robustness.signals.GracefulSignals`.

@@ -1,22 +1,25 @@
-"""Query batching: dedup by config fingerprint, one dispatch per group.
+"""Query dispatch: dedup by config fingerprint, one group per free slot.
 
 N concurrent queries for the same (workload, factor) share one trace
 lookup, one validation and the trace's per-config result store, and
 identical configs share one simulation — provided someone groups them.
-That someone is :class:`QueryBatcher`:
+That someone is :class:`QueryBatcher`, and it never holds work back
+while a simulation slot is free (continuous batching):
 
-* Queries arriving within a short **batching window** (default 10 ms)
-  for the same ``(workload, factor)`` join one group.
-* Within a group, queries are **deduped by config fingerprint** — two
-  clients asking for the same configuration share one simulation slot
-  (and both get the same answer object).
-* When the window closes, the group dispatches as **one**
-  :func:`repro.core.kernel.simulate_many` call on an executor (thread
-  for ``--jobs 1``, process pool above that — workers mmap traces from
-  the shared disk cache).
-* Results land in the :class:`~repro.serve.store.MemoStore` before any
-  waiter is released, so a memoized answer can never race a concurrent
-  recompute of the same key.
+* The batcher owns ``jobs`` **simulation slots**: one worker thread at
+  ``--jobs 1``, ``jobs`` process-pool workers above that (workers mmap
+  traces from the shared disk cache).
+* A miss whose ``(workload, factor)`` group finds a slot free
+  dispatches on the next event-loop turn.
+* Misses that arrive while every slot is busy join their group,
+  **deduped by config fingerprint**; when a slot frees, the oldest
+  waiting group dispatches whole as **one**
+  :func:`repro.core.kernel.simulate_many` call.
+* A query whose fingerprint is already waiting or simulating attaches
+  to that dispatch (``coalesced``) instead of simulating it again.
+* Results land in the :class:`~repro.serve.store.MemoStore` before the
+  in-flight entry goes and any waiter is released, so a query always
+  finds its answer in the store or in flight, never in neither.
 
 The ``serve.batch_width`` histogram records distinct configs per
 dispatch — the observable proof that N concurrent distinct-config
@@ -33,10 +36,6 @@ from repro.serve.protocol import Query
 from repro.serve.store import MemoStore
 from repro.telemetry import tracing
 from repro.telemetry.metrics import MetricsRegistry
-
-#: Default batching window (seconds): long enough to coalesce a burst,
-#: short against the cost of even the smallest simulation.
-DEFAULT_WINDOW = 0.010
 
 #: ``serve.batch_width`` histogram buckets (configs per dispatch).
 BATCH_WIDTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -75,19 +74,6 @@ def build_executor(jobs: int) -> concurrent.futures.Executor:
     return process_pool(jobs)
 
 
-class _Group:
-    """One open batching window for a (workload, factor) pair."""
-
-    __slots__ = ("query_count", "configs", "futures")
-
-    def __init__(self) -> None:
-        self.query_count = 0
-        #: fingerprint -> config, insertion-ordered (dedup happens here).
-        self.configs: dict[str, MachineConfig] = {}
-        #: fingerprint -> futures awaiting that config's stats.
-        self.futures: dict[str, list[asyncio.Future]] = {}
-
-
 class QueryBatcher:
     """Coalesce concurrent queries into grouped ``simulate_many`` calls."""
 
@@ -97,14 +83,18 @@ class QueryBatcher:
         metrics: MetricsRegistry,
         *,
         executor: concurrent.futures.Executor | None = None,
-        window: float = DEFAULT_WINDOW,
         jobs: int = 1,
     ) -> None:
         self.store = store
         self.metrics = metrics
-        self.window = window
         self.executor = executor if executor is not None else build_executor(jobs)
-        self._groups: dict[tuple[str, float], _Group] = {}
+        self._free_slots = max(1, jobs)
+        #: (workload, factor) -> {fingerprint: config} waiting for a
+        #: slot; oldest group first, dedup happens here.
+        self._waiting: dict[tuple[str, float], dict[str, MachineConfig]] = {}
+        #: (workload, factor, fingerprint) -> futures of every query
+        #: answered by the waiting or running dispatch of that config.
+        self._in_flight: dict[tuple[str, float, str], list[asyncio.Future]] = {}
         self._dispatches: set[asyncio.Task] = set()
         # Pre-register the instruments so /metrics exposes them from the
         # first scrape, not the first query.
@@ -122,9 +112,10 @@ class QueryBatcher:
         """Answer one query; returns ``(stats, meta)``.
 
         ``meta`` reports how the answer was produced: ``memo`` (served
-        without simulating), ``coalesced`` (shared another identical
-        in-flight query's slot) and ``batch_width`` (distinct configs in
-        the dispatch that produced it; 0 for memo answers).
+        without simulating), ``coalesced`` (rode the dispatch of an
+        identical config already waiting or simulating) and
+        ``batch_width`` (distinct configs in the dispatch that produced
+        it; 0 for memo answers).
         """
         self.metrics.counter("serve.queries").inc()
         stats = self.store.get(query.workload, query.factor, query.fingerprint)
@@ -133,22 +124,18 @@ class QueryBatcher:
             return stats, {"memo": True, "coalesced": False, "batch_width": 0}
         self.metrics.counter("serve.memo.misses").inc()
 
-        loop = asyncio.get_running_loop()
-        group = self._groups.get(query.group)
-        if group is None:
-            group = _Group()
-            self._groups[query.group] = group
-            task = loop.create_task(self._close_window(query.group))
-            self._dispatches.add(task)
-            task.add_done_callback(self._dispatches.discard)
-        group.query_count += 1
-        coalesced = query.fingerprint in group.configs
+        key = (*query.group, query.fingerprint)
+        waiters = self._in_flight.get(key)
+        coalesced = waiters is not None
         if coalesced:
             self.metrics.counter("serve.coalesced").inc()
         else:
-            group.configs[query.fingerprint] = query.config
-        future: asyncio.Future = loop.create_future()
-        group.futures.setdefault(query.fingerprint, []).append(future)
+            waiters = self._in_flight[key] = []
+            group = self._waiting.setdefault(query.group, {})
+            group[query.fingerprint] = query.config
+            self._fill_slots()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        waiters.append(future)
 
         with tracing.span(
             "batch_wait", "serve",
@@ -161,14 +148,29 @@ class QueryBatcher:
 
     # ----------------------------------------------------------- dispatch
 
-    async def _close_window(self, group_key: tuple[str, float]) -> None:
-        await asyncio.sleep(self.window)
-        group = self._groups.pop(group_key, None)
-        if group is None:  # drained concurrently
-            return
+    def _fill_slots(self) -> None:
+        """Hand waiting groups, oldest first, to the free slots."""
+        while self._free_slots and self._waiting:
+            group_key = next(iter(self._waiting))
+            configs = self._waiting.pop(group_key)
+            self._free_slots -= 1
+            task = asyncio.get_running_loop().create_task(
+                self._dispatch(group_key, configs)
+            )
+            self._dispatches.add(task)
+            task.add_done_callback(self._release_slot)
+
+    def _release_slot(self, task: asyncio.Task) -> None:
+        self._dispatches.discard(task)
+        self._free_slots += 1
+        self._fill_slots()
+
+    async def _dispatch(
+        self,
+        group_key: tuple[str, float],
+        configs: dict[str, MachineConfig],
+    ) -> None:
         workload, factor = group_key
-        fingerprints = list(group.configs)
-        configs = list(group.configs.values())
         width = len(configs)
         self.metrics.counter("serve.dispatches").inc()
         self.metrics.counter("serve.simulated_configs").inc(width)
@@ -180,28 +182,32 @@ class QueryBatcher:
             ):
                 stats_list = await loop.run_in_executor(
                     self.executor,
-                    _simulate_group, workload, factor, configs,
+                    _simulate_group, workload, factor, list(configs.values()),
                 )
-        except BaseException as error:  # noqa: BLE001 - forwarded to waiters
-            for futures in group.futures.values():
-                for future in futures:
+            with tracing.span(
+                "store", "serve", workload=workload, width=width
+            ):
+                for fingerprint, stats in zip(configs, stats_list):
+                    self.store.put(workload, factor, fingerprint, stats)
+        except BaseException as error:
+            # Every attached query gets the error, and the configs leave
+            # the in-flight map, so the next query simulates them again.
+            for fingerprint in configs:
+                for future in self._in_flight.pop((*group_key, fingerprint)):
                     if not future.done():
                         future.set_exception(error)
+            if not isinstance(error, Exception):
+                raise  # cancellation or interpreter exit
             return
-        with tracing.span(
-            "store", "serve", workload=workload, width=width
-        ):
-            for fingerprint, stats in zip(fingerprints, stats_list):
-                self.store.put(workload, factor, fingerprint, stats)
-        for fingerprint, stats in zip(fingerprints, stats_list):
-            for future in group.futures.get(fingerprint, ()):
+        for fingerprint, stats in zip(configs, stats_list):
+            for future in self._in_flight.pop((*group_key, fingerprint)):
                 if not future.done():
                     future.set_result((stats, width))
 
     # -------------------------------------------------------------- drain
 
     async def drain(self) -> None:
-        """Wait for every open window and in-flight dispatch to finish."""
+        """Dispatch every waiting group and wait for every dispatch."""
         while self._dispatches:
             await asyncio.gather(*list(self._dispatches), return_exceptions=True)
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -62,8 +63,8 @@ _log = get_logger("serve")
 
 #: ``/timeseries`` returns at most this many trailing ring samples.
 TIMESERIES_SCRAPE_LIMIT = 256
-#: Request bodies past this are rejected up front (64 MiB of JSON is an
-#: attack or a bug, not a machine configuration).
+#: Request bodies past this are rejected up front with a 413 (a MiB of
+#: JSON is an attack or a bug, not a machine configuration).
 MAX_BODY_BYTES = 1 << 20
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
@@ -85,7 +86,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is announced on stdout
     jobs: int = 1
-    window: float = 0.010
     store_root: str = "results/.sim_memo"
     trace_out: str | None = None
     quiet: bool = False
@@ -198,7 +198,17 @@ class ServeApp:
     ) -> None:
         try:
             while True:
-                request = await _read_request(reader)
+                try:
+                    request = await _read_request(reader)
+                except _FramingError as error:
+                    # The stream position is unknown past a bad frame:
+                    # answer once and drop the connection.
+                    self.metrics.counter("serve.requests").inc()
+                    self.metrics.counter("serve.errors").inc()
+                    await _write_response(
+                        writer, error.status, {"error": str(error)}, False
+                    )
+                    break
                 if request is None:
                     break
                 method, path, query, headers, body = request
@@ -268,43 +278,64 @@ class ServeApp:
 # ------------------------------------------------------------- HTTP wire
 
 
+class _FramingError(Exception):
+    """A request whose length or request line cannot be trusted."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as error:  # past the stream's line-length limit
+        raise _FramingError(400, "request or header line too long") from error
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, str, dict, bytes] | None:
-    """One HTTP/1.1 request, or None at a clean connection close."""
+    """One HTTP/1.1 request, or None at a clean connection close.
+
+    Raises :class:`_FramingError` (400 or 413) when the request line, a
+    header line or ``Content-Length`` leaves the next request's start
+    unknown.
+    """
     try:
-        request_line = await reader.readline()
+        request_line = await _readline(reader)
     except (ConnectionResetError, OSError):
         return None
     if not request_line:
         return None
     parts = request_line.decode("latin-1").strip().split()
-    if len(parts) < 2:
-        return None
+    if len(parts) not in (2, 3):
+        raise _FramingError(400, "malformed request line")
     method, raw_path = parts[0].upper(), parts[1]
     path, _, query = raw_path.partition("?")
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         if not line or line in (b"\r\n", b"\n"):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = 0
     raw_length = headers.get("content-length", "0")
-    try:
-        length = int(raw_length)
-    except ValueError:
-        length = 0
-    if length < 0 or length > MAX_BODY_BYTES:
-        return None
+    if not re.fullmatch(r"[0-9]+", raw_length):
+        raise _FramingError(400, f"invalid Content-Length: {raw_length!r}")
+    length = int(raw_length)
+    if length > MAX_BODY_BYTES:
+        raise _FramingError(
+            413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+        )
     body = await reader.readexactly(length) if length else b""
     return method, path, query, headers, body
 
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    413: "Content Too Large", 500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
@@ -357,12 +388,7 @@ async def run_server(
 
     metrics = MetricsRegistry()
     store = MemoStore(config.store_root, stream=out if not config.quiet else None)
-    batcher = QueryBatcher(
-        store,
-        metrics,
-        window=config.window,
-        jobs=config.jobs,
-    )
+    batcher = QueryBatcher(store, metrics, jobs=config.jobs)
     ring: TimeSeriesRing | None = None
     if config.sample_interval > 0:
         if config.ring_out:
@@ -406,7 +432,7 @@ async def run_server(
         print(f"serving on http://{config.host}:{port}", file=out, flush=True)
     _log.info(
         "serve.start", host=config.host, port=port, jobs=config.jobs,
-        window=config.window, sample_interval=config.sample_interval,
+        sample_interval=config.sample_interval,
     )
     sampler = (
         loop.create_task(_sample_loop()) if ring is not None else None

@@ -160,7 +160,7 @@ class TestRunLoad:
         memo hits, sane percentiles — the CI smoke in miniature."""
         queries = synthetic_queries(seed=1, count=6, workloads=("sc",))
         config = ServeConfig(
-            store_root=str(tmp_path / "memo"), window=0.02, jobs=1
+            store_root=str(tmp_path / "memo"), jobs=1
         )
         with BackgroundServer(config) as server:
             warm = run_load(server.url, queries, concurrency=2)
@@ -188,7 +188,7 @@ class TestRunLoad:
     def test_request_budget_overrides_query_count(self, tmp_path):
         queries = synthetic_queries(seed=2, count=4, workloads=("sc",))
         config = ServeConfig(
-            store_root=str(tmp_path / "memo"), window=0.02, jobs=1
+            store_root=str(tmp_path / "memo"), jobs=1
         )
         with BackgroundServer(config) as server:
             report = run_load(
@@ -199,7 +199,7 @@ class TestRunLoad:
 
     def test_errors_are_counted_not_raised(self, tmp_path):
         config = ServeConfig(
-            store_root=str(tmp_path / "memo"), window=0.02, jobs=1
+            store_root=str(tmp_path / "memo"), jobs=1
         )
         bad = [{"workload": "espresso", "factor": -1}]
         with BackgroundServer(config) as server:
@@ -233,7 +233,7 @@ class TestCLI:
         assert len(load_queries(recorded)) == 4
 
         config = ServeConfig(
-            store_root=str(tmp_path / "memo"), window=0.02, jobs=1
+            store_root=str(tmp_path / "memo"), jobs=1
         )
         history = tmp_path / "BENCH_history.json"
         with BackgroundServer(config) as server:

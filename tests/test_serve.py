@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import io
 import json
+import socket
 import threading
 import http.client
 
@@ -221,6 +224,232 @@ class TestMemoStore:
         assert key == "espresso|factor=0.05|config=abcd|code=c0de"
 
 
+# ----------------------------------------------------------- dispatch policy
+
+
+class _Call:
+    """One executor call of the gated fake: blocks until released."""
+
+    def __init__(self, workload: str, factor: float, configs: list) -> None:
+        self.workload = workload
+        self.factor = factor
+        self.configs = configs
+        self.error: BaseException | None = None
+        self.gate = threading.Event()
+
+    def release(self, error: BaseException | None = None) -> None:
+        self.error = error
+        self.gate.set()
+
+
+class _GatedExecutor(concurrent.futures.Executor):
+    """Records every ``_simulate_group`` call; each answers (stats with
+    ``cycles = mem_latency``) only once the test releases it."""
+
+    def __init__(self) -> None:
+        self.calls: list[_Call] = []
+        self.open = False  # when set, new calls answer at once
+        self._threads: list[threading.Thread] = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        call = _Call(*args)
+        self.calls.append(call)
+        if self.open:
+            call.gate.set()
+        future: concurrent.futures.Future = concurrent.futures.Future()
+
+        def run() -> None:
+            call.gate.wait()
+            if call.error is not None:
+                future.set_exception(call.error)
+            else:
+                future.set_result(
+                    [_stats(config.mem_latency) for config in call.configs]
+                )
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        self._threads.append(thread)
+        return future
+
+    def release_all(self) -> None:
+        self.open = True
+        for call in self.calls:
+            call.gate.set()
+
+    def shutdown(self, wait: bool = True, **_kwargs) -> None:
+        self.release_all()
+        for thread in self._threads:
+            thread.join()
+
+
+def _miss(mem_latency: int, workload: str = "espresso") -> Query:
+    return parse_query(
+        {
+            "workload": workload,
+            "factor": FACTOR,
+            "config": {"model": "baseline", "mem_latency": mem_latency},
+        }
+    )
+
+
+async def _turns(count: int = 5) -> None:
+    """Let the event loop run ``count`` turns (no wall-clock wait)."""
+    for _ in range(count):
+        await asyncio.sleep(0)
+
+
+async def _answer(task: asyncio.Task):
+    """The task's result; the timeout only guards against a hang."""
+    return await asyncio.wait_for(task, timeout=60)
+
+
+class TestDispatchPolicy:
+    """Slot-gated dispatch, driven turn by turn through a gated fake
+    executor so no assertion depends on timing."""
+
+    def _run(self, tmp_path, scenario, jobs: int = 1) -> None:
+        from repro.serve.batcher import QueryBatcher
+        from repro.telemetry.metrics import MetricsRegistry
+
+        executor = _GatedExecutor()
+        store = MemoStore(tmp_path / "memo", code_hash="c0de")
+        batcher = QueryBatcher(
+            store, MetricsRegistry(), executor=executor, jobs=jobs
+        )
+        try:
+            asyncio.run(scenario(batcher, executor, store))
+        finally:
+            executor.shutdown()
+
+    def test_idle_batcher_dispatches_lone_miss_at_once(self, tmp_path):
+        async def scenario(batcher, executor, store):
+            query = _miss(20)
+            task = asyncio.create_task(batcher.submit(query))
+            await _turns()
+            assert [len(call.configs) for call in executor.calls] == [1]
+            executor.calls[0].release()
+            stats, meta = await _answer(task)
+            assert stats == _stats(20)
+            assert meta == {"memo": False, "coalesced": False, "batch_width": 1}
+            assert store.get("espresso", FACTOR, query.fingerprint) == stats
+
+        self._run(tmp_path, scenario)
+
+    def test_queries_arriving_while_busy_go_out_as_one_dispatch(
+        self, tmp_path
+    ):
+        async def scenario(batcher, executor, store):
+            first = asyncio.create_task(batcher.submit(_miss(20)))
+            await _turns()
+            waiting = [
+                asyncio.create_task(batcher.submit(_miss(latency)))
+                for latency in (21, 22, 23, 22)
+            ]
+            await _turns()
+            assert len(executor.calls) == 1  # the slot is busy
+            executor.calls[0].release()
+            await _answer(first)
+            await _turns()
+            assert len(executor.calls) == 2
+            second = executor.calls[1]
+            assert [c.mem_latency for c in second.configs] == [21, 22, 23]
+            second.release()
+            answers = [await _answer(task) for task in waiting]
+            assert [stats.cycles for stats, _ in answers] == [21, 22, 23, 22]
+            assert [meta["batch_width"] for _, meta in answers] == [3] * 4
+            assert [meta["coalesced"] for _, meta in answers] == [
+                False, False, False, True,
+            ]
+            assert len(executor.calls) == 2
+
+        self._run(tmp_path, scenario)
+
+    def test_in_flight_fingerprint_attaches_to_its_dispatch(self, tmp_path):
+        async def scenario(batcher, executor, store):
+            first = asyncio.create_task(batcher.submit(_miss(30)))
+            await _turns()
+            assert len(executor.calls) == 1
+            again = asyncio.create_task(batcher.submit(_miss(30)))
+            await _turns()
+            assert len(executor.calls) == 1  # no second simulation
+            executor.calls[0].release()
+            stats, meta = await _answer(first)
+            shared, shared_meta = await _answer(again)
+            assert shared is stats
+            assert meta["coalesced"] is False
+            assert shared_meta == {
+                "memo": False, "coalesced": True, "batch_width": 1,
+            }
+            assert batcher.metrics.counter("serve.coalesced").value == 1
+            assert len(executor.calls) == 1
+
+        self._run(tmp_path, scenario)
+
+    def test_two_slots_run_two_dispatches_and_a_third_waits(self, tmp_path):
+        async def scenario(batcher, executor, store):
+            tasks = [
+                asyncio.create_task(batcher.submit(_miss(40, workload)))
+                for workload in ("espresso", "sc")
+            ]
+            await _turns()
+            assert len(executor.calls) == 2
+            assert all(not call.gate.is_set() for call in executor.calls)
+            tasks.append(asyncio.create_task(batcher.submit(_miss(41))))
+            await _turns()
+            assert len(executor.calls) == 2
+            executor.calls[1].release()
+            await _answer(tasks[1])
+            await _turns()
+            assert len(executor.calls) == 3
+            assert [c.mem_latency for c in executor.calls[2].configs] == [41]
+            executor.release_all()
+            for task in tasks:
+                await _answer(task)
+
+        self._run(tmp_path, scenario, jobs=2)
+
+    def test_drain_dispatches_and_answers_waiting_groups(self, tmp_path):
+        async def scenario(batcher, executor, store):
+            running = asyncio.create_task(batcher.submit(_miss(50)))
+            await _turns()
+            waiting = asyncio.create_task(batcher.submit(_miss(51, "sc")))
+            await _turns()
+            assert len(executor.calls) == 1
+            drain = asyncio.create_task(batcher.drain())
+            await _turns()
+            assert not drain.done()
+            executor.release_all()
+            await _answer(drain)
+            assert len(executor.calls) == 2
+            assert running.done() and waiting.done()
+            assert waiting.result()[0] == _stats(51)
+
+        self._run(tmp_path, scenario)
+
+    def test_failed_dispatch_reaches_every_waiter_and_retries(self, tmp_path):
+        async def scenario(batcher, executor, store):
+            tasks = [
+                asyncio.create_task(batcher.submit(_miss(60)))
+                for _ in range(2)
+            ]
+            await _turns()
+            assert len(executor.calls) == 1
+            executor.calls[0].release(RuntimeError("worker died"))
+            for task in tasks:
+                with pytest.raises(RuntimeError, match="worker died"):
+                    await _answer(task)
+            retry = asyncio.create_task(batcher.submit(_miss(60)))
+            await _turns()
+            assert len(executor.calls) == 2  # simulated again, not stuck
+            executor.calls[1].release()
+            stats, meta = await _answer(retry)
+            assert stats == _stats(60)
+            assert meta["coalesced"] is False
+
+        self._run(tmp_path, scenario)
+
+
 # ------------------------------------------------------------------- server
 
 
@@ -253,7 +482,6 @@ def _get(port: int, path: str, timeout: float = 60.0):
 def server(tmp_path_factory):
     config = ServeConfig(
         store_root=str(tmp_path_factory.mktemp("sim-memo")),
-        window=0.05,
         jobs=1,
     )
     with BackgroundServer(config) as handle:
@@ -446,6 +674,74 @@ class TestServerEndToEnd:
         assert metrics["gauges"]["serve.latency_p50_seconds"] > 0
 
 
+def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send raw bytes on one connection; everything read until close."""
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # closed with our unread body still queued
+    return b"".join(chunks)
+
+
+class TestHTTPFraming:
+    """A frame the server cannot trust gets one error and a close; the
+    rest of the stream is never parsed as a request."""
+
+    FOLLOW_UP = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+    def _assert_one_error(self, reply: bytes, status: str) -> dict:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status}".encode()), reply
+        assert b"Connection: close" in head
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        return json.loads(body)
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0", "+4"])
+    def test_bad_content_length_400_then_close(self, server, length):
+        body = b'{"workload": "espresso"}'
+        request = (
+            f"POST /query HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode() + body + self.FOLLOW_UP
+        payload = self._assert_one_error(
+            _raw_exchange(server.port, request), "400"
+        )
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_content_length_413_then_close(self, server):
+        from repro.serve.server import MAX_BODY_BYTES
+
+        request = (
+            f"POST /query HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode()
+        self._assert_one_error(_raw_exchange(server.port, request), "413")
+
+    def test_malformed_request_line_400_then_close(self, server):
+        request = b"NONSENSE\r\n\r\n" + self.FOLLOW_UP
+        payload = self._assert_one_error(
+            _raw_exchange(server.port, request), "400"
+        )
+        assert "request line" in payload["error"]
+
+    def test_overlong_header_line_400_then_close(self, server):
+        request = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 17)
+        payload = self._assert_one_error(
+            _raw_exchange(server.port, request + b"\r\n\r\n"), "400"
+        )
+        assert "too long" in payload["error"]
+
+    def test_server_keeps_serving_after_bad_frames(self, server):
+        _raw_exchange(server.port, b"NONSENSE\r\n\r\n")
+        status, body = _get(server.port, "/healthz")
+        assert status == 200
+        assert body["status"] == "ok"
+
+
 class TestObservabilityRoutes:
     def _get_raw(self, port: int, path: str) -> tuple[int, str, bytes]:
         connection = http.client.HTTPConnection(
@@ -491,7 +787,7 @@ class TestObservabilityRoutes:
 
         store = MemoStore(tmp_path / "memo")
         metrics = MetricsRegistry()
-        batcher = QueryBatcher(store, metrics, window=0.01)
+        batcher = QueryBatcher(store, metrics)
         try:
             app = ServeApp(store, batcher, metrics)
             status, payload = app.readyz_payload()
@@ -589,7 +885,7 @@ def _espresso_scale(factor: float) -> int:
 class TestShutdown:
     def test_background_stop_drains_and_returns_ok(self, tmp_path):
         config = ServeConfig(
-            store_root=str(tmp_path / "memo"), window=0.02, jobs=1
+            store_root=str(tmp_path / "memo"), jobs=1
         )
         handle = BackgroundServer(config).start()
         status, _ = _post(
