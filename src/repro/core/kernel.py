@@ -66,7 +66,6 @@ def simulate_many(
     configs: Sequence[MachineConfig],
     *,
     policy=None,
-    telemetry=None,
 ) -> list[SimulationResult]:
     """Time one trace on many configs; results align with ``configs``.
 
@@ -85,11 +84,11 @@ def simulate_many(
     not yet stored, deduplicated, recorded as one ``simulate_batch``
     span (``configs`` simulated, ``reused`` answered without
     simulating); every result holds the caller's config and its own
-    copy of the stats.  An active ``telemetry`` bus simulates every
-    config, so each emits its events, and stores the stats for later
-    calls.
+    copy of the stats.  Runs that emit telemetry events go through
+    :func:`~repro.core.processor.simulate_trace`.
     """
     from repro.robustness.validation import validate_trace
+    from repro.telemetry import tracing
 
     trace = as_prepared(trace)
     validate_trace(trace)
@@ -97,12 +96,6 @@ def simulate_many(
     store = trace.sim_results
     unobserved = _unobserved_fields(trace)
     keys = [(_observable(config, unobserved), policy) for config in configs]
-    if telemetry:
-        results = _run(trace, configs, policy, telemetry, 0)
-        _remember(
-            store, {key: r.stats.copy() for key, r in zip(keys, results)}, 0
-        )
-        return results
     known: dict = {}
     pending: dict = {}
     with _STORE_LOCK:
@@ -116,8 +109,17 @@ def simulate_many(
     reused = len(configs) - len(pending)
     fresh: dict = {}
     if pending:
-        simulated = _run(trace, list(pending.values()), policy, None, reused)
-        fresh = {key: r.stats for key, r in zip(pending, simulated)}
+        with tracing.span(
+            "simulate_batch",
+            "simulate",
+            records=len(trace),
+            configs=len(pending),
+            reused=reused,
+        ):
+            fresh = {
+                key: AuroraProcessor(config, policy).run(trace).stats
+                for key, config in pending.items()
+            }
     _remember(store, fresh, reused)
     known.update(fresh)
     # Stored stats are never handed out, so copying needs no lock.
@@ -160,31 +162,3 @@ def _remember(store: dict, fresh: dict, reused: int) -> None:
         while len(store) > RESULT_CAP:
             del store[next(iter(store))]
 
-
-def _run(trace, configs, policy, telemetry, reused):
-    """Simulate ``configs`` in order, inside a ``simulate_batch`` span
-    when tracing; with ``telemetry`` on, each run also opens the
-    ``simulate`` span :func:`~repro.core.processor.simulate_trace` opens,
-    so telemetry-on runs show as their own layer."""
-    from repro.telemetry import tracing
-
-    with tracing.span(
-        "simulate_batch",
-        "simulate",
-        records=len(trace),
-        configs=len(configs),
-        reused=reused,
-    ):
-        if not telemetry:
-            return [
-                AuroraProcessor(config, policy).run(trace)
-                for config in configs
-            ]
-        results = []
-        for config in configs:
-            with tracing.span(
-                "simulate", "simulate", records=len(trace), config=config.label
-            ):
-                processor = AuroraProcessor(config, policy, telemetry)
-                results.append(processor.run(trace))
-        return results

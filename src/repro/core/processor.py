@@ -112,10 +112,9 @@ class AuroraProcessor:
     ``telemetry`` optionally attaches an
     :class:`~repro.telemetry.events.EventBus`: every structure then emits
     cycle-stamped events at its stall/allocate/drain decision points (see
-    docs/OBSERVABILITY.md), limited to the kinds the bus subscribes to.
-    ``None`` — or a falsy bus (no sinks, or no kinds) — keeps the
-    default path: each probe site costs one falsy check and nothing is
-    recorded.
+    docs/OBSERVABILITY.md).  ``None`` — or a bus with no sinks — keeps
+    the default path: each probe site costs one falsy check and nothing
+    is recorded.
     """
 
     def __init__(
@@ -174,29 +173,15 @@ class AuroraProcessor:
         )
         fpu = DecoupledFPU(cfg.fpu)
 
-        # Telemetry: one local flag per probe site below, so each site
-        # is a single truth test, and the live bus goes only to the
-        # structures whose kinds it is subscribed to.  A falsy bus (no
-        # sinks, or no kinds) leaves every flag off.
-        tele = self.telemetry if self.telemetry else None
-
-        def probe(*kinds: EventKind) -> bool:
-            return tele is not None and any(map(tele.wants, kinds))
-
-        probe_fetch = probe(EventKind.FETCH_STALL)
-        probe_stall = probe(EventKind.STALL)
-        probe_mshr = probe(EventKind.MSHR_ALLOC, EventKind.MSHR_RELEASE)
-        probe_redirect = probe(EventKind.REDIRECT)
-        probe_retire = probe(EventKind.RETIRE)
-        if probe(EventKind.BIU_TXN):
+        # Telemetry: one local "is there a bus" flag, so every probe site
+        # below is a single truth test, and the live bus goes to each
+        # structure's own probe points.  A sink-less bus leaves it off.
+        tele = self.telemetry
+        probing = bool(tele)
+        if probing:
             biu.telemetry = tele
-        if probe(EventKind.PREFETCH_HIT, EventKind.PREFETCH_MISS):
             pool.telemetry = tele
-        if probe(EventKind.WC_STORE, EventKind.WC_EVICT):
             writecache.telemetry = tele
-        if probe(
-            EventKind.FPQ_ENQUEUE, EventKind.FPQ_ISSUE, EventKind.FPQ_DEQUEUE
-        ):
             fpu.telemetry = tele
 
         # Watchdog: the per-record progress/overflow comparisons and the
@@ -243,12 +228,8 @@ class AuroraProcessor:
         # Write cache: hit, victim and page match come precomputed per
         # record (``wc`` below); each store only times its decision.
         time_store = writecache.time_store
-        # Only fetch-stall, stall and redirect events carry a record's pc.
-        pcs = (
-            trace.field_column("pc")
-            if probe_fetch or probe_stall or probe_redirect
-            else None
-        )
+        # Only telemetry events carry a record's pc.
+        pcs = trace.field_column("pc") if probing else None
 
         # I-cache: set and hit/miss come precomputed per record (every
         # miss fills, so the tag state follows the address stream alone);
@@ -312,7 +293,7 @@ class AuroraProcessor:
                     arrival = request_time
                 t_fetch = arrival + 1
                 iready[iset] = t_fetch
-                if probe_fetch:
+                if probing:
                     tele.emit(
                         request_time,
                         "fetch",
@@ -397,7 +378,7 @@ class AuroraProcessor:
                 else:
                     cause = _C_FPU
                 stall[cause] += issue - floor
-                if probe_stall:
+                if probing:
                     tele.emit(
                         floor,
                         "issue",
@@ -418,7 +399,7 @@ class AuroraProcessor:
                     last_issue = issue
                     slots_used = 1
                     stall[_C_PAIRING] += 1
-                    if probe_stall:
+                    if probing:
                         tele.emit(
                             issue - 1,
                             "issue",
@@ -447,7 +428,7 @@ class AuroraProcessor:
                 access = requested if requested > mshr_min else mshr_min
                 slot = mshr_free.index(mshr_min)
                 mshr_free[slot] = access
-                if probe_mshr:
+                if probing:
                     tele.emit(
                         access,
                         "mshr",
@@ -513,7 +494,7 @@ class AuroraProcessor:
                         complete = access + 1
                     if release > access:  # a release never shortens the hold
                         mshr_free[slot] = release
-                    if probe_mshr:
+                    if probing:
                         tele.emit(
                             mshr_free[slot],
                             "mshr",
@@ -523,7 +504,7 @@ class AuroraProcessor:
 
                 else:  # store
                     mshr_free[slot] = access + dcache_latency
-                    if probe_mshr:
+                    if probing:
                         tele.emit(
                             mshr_free[slot],
                             "mshr",
@@ -565,7 +546,7 @@ class AuroraProcessor:
                     target = index + 2
                     if issue + 3 > redirects.get(target, 0):
                         redirects[target] = issue + 3
-                        if probe_redirect:
+                        if probing:
                             tele.emit(
                                 issue,
                                 "branch",
@@ -616,7 +597,7 @@ class AuroraProcessor:
                 op >= OP_FP_MOVE and complete > issue + 1 + dcache_latency
             )
 
-            if probe_retire:
+            if probing:
                 tele.emit(
                     retire,
                     "rob",
@@ -697,8 +678,8 @@ def simulate_trace(
     points and corrupt traces fail fast with a precise error instead of
     producing garbage numbers.  ``telemetry`` (an
     :class:`repro.telemetry.events.EventBus`) enables event probes for
-    the run; None or a falsy bus keeps every probe compiled down to a
-    single falsy check.
+    the run; None or a sink-less bus keeps every probe compiled down to
+    a single falsy check.
     """
     from repro.robustness.validation import validate_trace
     from repro.telemetry import tracing

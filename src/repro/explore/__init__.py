@@ -9,9 +9,8 @@ repo explores spaces the paper could never enumerate:
   paper's 58-config grid: the Figure 8 catalogue at 17-cycle memory
   latency plus its 21-cycle twins).
 * :mod:`repro.explore.model` — the analytic CPI estimator: a per-kind
-  stall decomposition calibrated from a handful of anchor simulations'
-  ``SimStats`` plus their MSHR and write-cache occupancy histograms
-  (:mod:`repro.telemetry.analysis`).
+  stall decomposition calibrated from the ``SimStats`` of twelve grid
+  simulations, run as one grouped ``simulate_many``.
 * :mod:`repro.explore.search` — the frontier driver: rank every
   candidate by (predicted CPI, RBE cost), simulate only the predicted
   frontier band plus an uncertainty margin, one grouped

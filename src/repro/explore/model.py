@@ -7,25 +7,17 @@ memory latency — moves those components in ways a handful of anchor
 simulations can calibrate:
 
 * **Family anchors** — one simulated ``std`` dual-issue point per
-  I-cache family (the Table 1 models at 17-cycle latency).  Its stall
-  breakdown comes from its ``SimStats``; it runs with telemetry on,
-  subscribed to the four MSHR and write-cache event kinds only
-  (:data:`ANCHOR_KINDS`), so its MSHR and write-cache occupancy
-  histograms are known too.  A family anchor contributes the starting
-  per-kind stall decomposition for every candidate in its family.
+  I-cache family (the Table 1 models at 17-cycle latency).  Its
+  ``SimStats`` give the starting per-kind stall decomposition for every
+  candidate in its family.
 * **Axis response curves** — the calibration family (baseline/2K) is
-  probed at every swept value of each axis in one grouped
-  ``simulate_many``.  The per-kind CPI difference between two axis
-  values is the *response*; predicting a candidate adds the response
-  between its family's std value and its own value.
-* **Demand scaling** — families stress their memory structures
-  differently (a 16 KB D-cache misses more than a 64 KB one).  The
-  write-cache response transfers scaled by the ratio of the families'
-  time-weighted occupancy *utilizations* (mean occupancy over capacity,
-  from the anchors' histograms); the MSHR response transfers unscaled,
-  because the measured absolute stall response is family-invariant and
-  mean MSHR occupancy counts latency-hiding overlap, not queuing delay
-  (see :meth:`CPIEstimator._demand_scale`).
+  probed at every swept value of each axis.  The per-kind CPI
+  difference between two axis values is the *response*; predicting a
+  candidate adds the response between its family's std value and its
+  own value, unscaled.  The absolute MSHR response agrees across the
+  three families to within 0.001 CPI on the anchor workloads, and the
+  families use their write caches alike (time-weighted utilization
+  0.94–1.00 in each), so no per-family demand scale is needed.
 * **Latency slope** — one probe of the calibration config at 21-cycle
   memory gives a per-kind multiplicative slope, interpolated linearly
   in latency.
@@ -46,27 +38,16 @@ from repro.core.config import BASELINE, LARGE, SMALL, MachineConfig
 from repro.core.kernel import simulate_many
 from repro.core.stats import SimStats, StallKind
 from repro.telemetry import tracing
-from repro.telemetry.analysis import mshr_occupancy, writecache_occupancy
-from repro.telemetry.events import EventBus, EventKind, RingBufferSink
 
 #: The decomposition key for non-stall (issue/execute) cycles.
 BASE = "base"
 
-#: Demand-scale clamp: occupancy-ratio transfers outside this range say
-#: the families are too dissimilar for a linear transfer to be credible.
+#: Prefetch-coverage ratio clamp: transfers outside this range say the
+#: families are too dissimilar for a linear transfer to be credible.
 _SCALE_RANGE = (0.25, 4.0)
 
 #: Components below this (CPI) are treated as zero when forming ratios.
 _TINY = 1e-12
-
-#: The event kinds an anchor's telemetry run subscribes to: all its
-#: occupancy histograms read.  Its stall breakdown comes from SimStats.
-ANCHOR_KINDS = (
-    EventKind.MSHR_ALLOC,
-    EventKind.MSHR_RELEASE,
-    EventKind.WC_STORE,
-    EventKind.WC_EVICT,
-)
 
 
 class ModelError(ValueError):
@@ -192,13 +173,11 @@ class ModelReport:
 
 @dataclass(frozen=True)
 class _Anchor:
-    """One telemetry-on family anchor and its calibration inputs."""
+    """One family anchor and its calibration inputs."""
 
     config: MachineConfig
     stats: SimStats
     decomp: Decomp
-    mshr_utilization: float
-    writecache_utilization: float
     prefetch_coverage: float  # (i+d) prefetch hits per instruction
     pair_rate: float  # dual-issued pairs per instruction
 
@@ -241,53 +220,41 @@ class CPIEstimator:
     def calibrate(cls, trace) -> "CPIEstimator":
         """Run the anchor + probe simulations and fit the model.
 
-        Three telemetry runs (one ``std`` dual point per I-cache family,
-        subscribed to :data:`ANCHOR_KINDS`), each through
-        ``simulate_many`` so its stats land in the trace's reuse store,
-        plus one grouped ``simulate_many`` of nine probes:
-        the calibration family's axis sweeps, its no-prefetch and
-        21-cycle-latency variants, and the small/single issue-width
-        anchor.  Twelve simulations total, all of them members of the
-        Figure 8 grid.
+        One grouped ``simulate_many`` of twelve configs, all of them
+        members of the Figure 8 grid: one ``std`` dual point per I-cache
+        family (the anchors), the calibration family's axis sweeps, its
+        no-prefetch and 21-cycle-latency variants, and the small/single
+        issue-width anchor.  Their stats land in the trace's reuse
+        store, so the exhaustive grid later answers them without
+        simulating again.
         """
-        calibration_stats: dict[MachineConfig, SimStats] = {}
-        anchors: dict[int, _Anchor] = {}
+        calib = _CALIBRATION_MODEL.dual_issue().with_latency(_ANCHOR_LATENCY)
+        family = {
+            icache: model.dual_issue().with_latency(_ANCHOR_LATENCY)
+            for icache, model in sorted(_ANCHOR_MODELS.items())
+        }
+        nopf = calib.without_prefetch()
+        slow = calib.with_latency(_LATENCY_PROBE)
+        single = SMALL.single_issue().with_latency(_ANCHOR_LATENCY)
+        configs = list(family.values())
+        for _, fld, values in _AXES:
+            configs.extend(
+                calib.with_(**{fld: v})
+                for v in values
+                if v != getattr(calib, fld)
+            )
+        configs += [nopf, slow, single]
         with tracing.span(
-            "explore_calibrate", "explore", anchors=len(_ANCHOR_MODELS)
+            "explore_calibrate", "explore", anchors=len(family)
         ):
-            for icache, model in sorted(_ANCHOR_MODELS.items()):
-                config = model.dual_issue().with_latency(_ANCHOR_LATENCY)
-                ring = RingBufferSink(capacity=None)
-                bus = EventBus(ring, kinds=ANCHOR_KINDS)
-                try:
-                    # Through the reuse store: the exhaustive grid later
-                    # answers this config without simulating it again.
-                    result = simulate_many(trace, [config], telemetry=bus)
-                    stats = result[0].stats
-                finally:
-                    bus.close()
-                anchors[icache] = cls._build_anchor(config, stats, ring.events)
-                calibration_stats[config] = stats
-
-            calib = _CALIBRATION_MODEL.dual_issue().with_latency(
-                _ANCHOR_LATENCY
-            )
-            probes: list[MachineConfig] = []
-            for _, fld, values in _AXES:
-                probes.extend(
-                    calib.with_(**{fld: v})
-                    for v in values
-                    if v != getattr(calib, fld)
-                )
-            probes.append(calib.without_prefetch())
-            probes.append(calib.with_latency(_LATENCY_PROBE))
-            probes.append(
-                SMALL.single_issue().with_latency(_ANCHOR_LATENCY)
-            )
-            for config, result in zip(
-                probes, simulate_many(trace, probes)
-            ):
-                calibration_stats[config] = result.stats
+            results = simulate_many(trace, configs)
+        calibration_stats = {
+            config: result.stats for config, result in zip(configs, results)
+        }
+        anchors = {
+            icache: cls._build_anchor(config, calibration_stats[config])
+            for icache, config in family.items()
+        }
 
         calib_decomp = anchors[2048].decomp
         curves: dict[str, dict[int, Decomp]] = {}
@@ -303,37 +270,19 @@ class CPIEstimator:
         return cls(
             anchors=anchors,
             curves=curves,
-            nopf_decomp=_decompose(
-                calibration_stats[calib.without_prefetch()]
-            ),
-            single_decomp=_decompose(
-                calibration_stats[
-                    SMALL.single_issue().with_latency(_ANCHOR_LATENCY)
-                ]
-            ),
-            latency_decomp=_decompose(
-                calibration_stats[calib.with_latency(_LATENCY_PROBE)]
-            ),
+            nopf_decomp=_decompose(calibration_stats[nopf]),
+            single_decomp=_decompose(calibration_stats[single]),
+            latency_decomp=_decompose(calibration_stats[slow]),
             calibration_stats=calibration_stats,
         )
 
     @staticmethod
-    def _build_anchor(
-        config: MachineConfig, stats: SimStats, events
-    ) -> _Anchor:
+    def _build_anchor(config: MachineConfig, stats: SimStats) -> _Anchor:
         instructions = stats.instructions or 1
         return _Anchor(
             config=config,
             stats=stats,
             decomp=_decompose(stats),
-            mshr_utilization=(
-                mshr_occupancy(events).time_weighted_mean
-                / config.mshr_entries
-            ),
-            writecache_utilization=(
-                writecache_occupancy(events).time_weighted_mean
-                / config.writecache_lines
-            ),
             prefetch_coverage=(
                 (stats.iprefetch_hits + stats.dprefetch_hits) / instructions
             ),
@@ -345,33 +294,6 @@ class CPIEstimator:
     @property
     def calibration_count(self) -> int:
         return len(self.calibration_stats)
-
-    def _demand_scale(self, axis: str, anchor: _Anchor) -> float:
-        """How much harder this family drives the axis's structure than
-        the calibration family does (occupancy-utilization ratio).
-
-        Only the write-cache axis is scaled.  MSHR responses transfer
-        *unscaled*: the measured per-kind stall response to MSHR sizing
-        is family-invariant in absolute terms (the load/store stall-CPI
-        drop from 1 to 4 MSHRs agrees across all three cache families
-        to within 0.001 CPI on the anchor workloads), while mean MSHR
-        occupancy mostly counts overlapped — latency-hiding — residency
-        rather than queuing delay, so an occupancy ratio overstates the
-        transfer by the families' miss-rate ratio.  The anchors'
-        write-cache occupancy histograms feed the scale below.
-        """
-        calib = self.anchors[2048]
-        if axis == "wc":
-            mine, theirs = (
-                anchor.writecache_utilization,
-                calib.writecache_utilization,
-            )
-        else:  # mshr: absolute transfer; rob: no occupancy probe exists
-            return 1.0
-        if mine <= _TINY or theirs <= _TINY:
-            return 1.0
-        lo, hi = _SCALE_RANGE
-        return min(max(mine / theirs, lo), hi)
 
     def predict_decomp(self, config: MachineConfig) -> Decomp:
         """Predicted per-instruction cycle decomposition for ``config``."""
@@ -390,11 +312,10 @@ class CPIEstimator:
             v_to = getattr(config, fld)
             if v_from == v_to:
                 continue
-            scale = self._demand_scale(axis, anchor)
             hi = _interpolate(self.curves[axis], v_to)
             lo = _interpolate(self.curves[axis], v_from)
             for key in decomp:
-                decomp[key] += scale * (hi[key] - lo[key])
+                decomp[key] += hi[key] - lo[key]
 
         if config.prefetch_enabled != anchor.config.prefetch_enabled:
             calib = self.anchors[2048]

@@ -85,6 +85,7 @@ import multiprocessing
 import os
 import pathlib
 import pickle
+import signal
 import threading
 import time
 from collections import deque
@@ -95,7 +96,7 @@ from typing import Callable, Mapping, NamedTuple
 from repro.core.kernel import reuse_snapshot
 from repro.func.prepared import prepare_snapshot
 from repro.robustness.faults import FaultPlan, InjectedFault, TransientFault
-from repro.robustness.signals import GracefulSignals
+from repro.robustness.signals import GRACEFUL_SIGNALS, GracefulSignals
 from repro.telemetry import tracing
 from repro.telemetry import logging as structlog
 from repro.telemetry.logging import get_logger
@@ -347,7 +348,13 @@ def _pool_initializer(
     Structured logging propagates the same way: the parent forwards its
     installed (destination, level) and workers append whole JSON lines
     to the same file.
+
+    Workers ignore SIGINT and SIGTERM, including a
+    :class:`GracefulSignals` handler inherited through fork: the parent
+    alone drains or aborts, and stops its workers with SIGKILL.
     """
+    for signum in GRACEFUL_SIGNALS:
+        signal.signal(signum, signal.SIG_IGN)
     trace_cache.configure(
         cache_root,
         enabled=cache_enabled,

@@ -10,17 +10,10 @@ Replaying the stream in cycle order reconstructs the run as a timeline.
 Zero overhead when off: instrumented structures hold a ``telemetry``
 attribute that defaults to ``None``, and every probe site is guarded by
 a single falsy check (``if self.telemetry: ...`` in the structures; in
-the processor hot loop, one local flag per probe site, set once per run
-from what the bus wants).  An :class:`EventBus` with no sinks, or
-subscribed to no kinds, is falsy too, so a dangling bus costs one truth
-test per site and emits nothing.  The overhead gate in
+the processor hot loop, one local flag set once per run).  An
+:class:`EventBus` with no sinks is falsy too, so a dangling bus costs
+one truth test per site and emits nothing.  The overhead gate in
 ``benchmarks/test_bench_telemetry_overhead.py`` enforces this.
-
-A bus subscribed to some kinds (``EventBus(sink, kinds=...)``) carries
-exactly the full stream with the other kinds removed, in order; probe
-sites of unsubscribed kinds never build their events.  The explorer's
-calibration anchors subscribe to the four MSHR and write-cache kinds
-only: their stall breakdown comes from ``SimStats``, not from events.
 
 Sinks receive :class:`Event` objects via ``record(event)``:
 
@@ -209,29 +202,11 @@ class NDJSONSink:
 class EventBus:
     """Fans ``emit`` calls out to the attached sinks.
 
-    ``kinds`` subscribes the bus to a set of :class:`EventKind` members:
-    ``emit`` drops every other kind, so the sinks see exactly the full
-    stream with those kinds removed, in the same order.  ``None`` (the
-    default) subscribes to every kind.  Probe sites ask :meth:`wants`
-    once per run and skip unsubscribed kinds without building the event.
-
-    A bus with no sinks, or subscribed to no kinds, is *falsy*, which is
-    what lets probe sites guard with a single truth test and skip
-    building the event entirely.
+    A bus with no sinks is *falsy*, which is what lets probe sites guard
+    with a single truth test and skip building the event entirely.
     """
 
-    def __init__(
-        self, *sinks, kinds: Iterable[EventKind] | None = None
-    ) -> None:
-        if kinds is not None:
-            kinds = tuple(kinds)
-            for kind in kinds:
-                if not isinstance(kind, EventKind):
-                    raise TypeError(
-                        f"kinds entry {kind!r} is not an EventKind"
-                    )
-            kinds = frozenset(kinds)
-        self._kinds: frozenset[EventKind] | None = kinds
+    def __init__(self, *sinks) -> None:
         self._sinks: list = []
         for sink in sinks:
             self.attach(sink)
@@ -251,16 +226,10 @@ class EventBus:
         """The attached sinks (read-only view; health reporting)."""
         return tuple(self._sinks)
 
-    def wants(self, kind: EventKind) -> bool:
-        """Whether the bus is subscribed to ``kind``."""
-        return self._kinds is None or kind in self._kinds
-
     def __bool__(self) -> bool:
-        return bool(self._sinks) and self._kinds != frozenset()
+        return bool(self._sinks)
 
     def emit(self, cycle: int, source: str, kind: EventKind, **fields) -> None:
-        if self._kinds is not None and kind not in self._kinds:
-            return
         event = Event(cycle, source, kind, **fields)
         for sink in self._sinks:
             sink.record(event)

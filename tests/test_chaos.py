@@ -652,6 +652,23 @@ class TestGracefulShutdown:
         )
         assert signal.getsignal(signal.SIGINT) is before
 
+    def test_pool_workers_ignore_graceful_signals(self):
+        # Forked workers must not run the parent's inherited handler: the
+        # parent alone drains, and it stops its workers with SIGKILL.
+        from repro.robustness.runner import process_pool
+        from repro.robustness.signals import GracefulSignals
+
+        with GracefulSignals():
+            pool = process_pool(1)
+            try:
+                handlers = [
+                    pool.submit(signal.getsignal, signum).result(timeout=60)
+                    for signum in (signal.SIGINT, signal.SIGTERM)
+                ]
+            finally:
+                pool.shutdown()
+        assert handlers == [signal.SIG_IGN, signal.SIG_IGN]
+
 
 class TestExitCodes:
     def test_table(self):

@@ -16,6 +16,7 @@ import pytest
 from repro.core.config import BASELINE
 from repro.core.kernel import reuse_snapshot, simulate_many
 from repro.core.processor import simulate_trace
+from repro.core.stats import StallKind
 from repro.experiments import cli
 from repro.experiments.common import scaled_trace
 from repro.explore import (
@@ -33,8 +34,7 @@ from repro.explore import model as model_module
 from repro.explore.model import ModelReport
 from repro.explore.space import SpaceError, fig8_space
 from repro.func.prepared import prepare_trace
-from repro.telemetry import MetricsRegistry
-from repro.telemetry.events import EventBus, RingBufferSink
+from repro.telemetry import MetricsRegistry, tracing
 
 FACTOR = 0.05
 WORKLOAD = "espresso"
@@ -156,31 +156,6 @@ class TestEstimator:
             estimator.predict(alien)
 
 
-class TestAnchorSubscription:
-    @pytest.mark.parametrize("name", ["espresso", "li"])
-    def test_utilizations_match_an_unfiltered_run(self, name):
-        from repro.telemetry.analysis import (
-            mshr_occupancy,
-            writecache_occupancy,
-        )
-
-        trace = scaled_trace(name, FACTOR)
-        estimator = CPIEstimator.calibrate(trace)
-        for anchor in estimator.anchors.values():
-            ring = RingBufferSink(capacity=None)
-            simulate_trace(trace, anchor.config, telemetry=EventBus(ring))
-            events = ring.events
-            config = anchor.config
-            assert anchor.mshr_utilization == (
-                mshr_occupancy(events).time_weighted_mean
-                / config.mshr_entries
-            )
-            assert anchor.writecache_utilization == (
-                writecache_occupancy(events).time_weighted_mean
-                / config.writecache_lines
-            )
-
-
 # ---------------------------------------------------------------- search
 
 
@@ -220,15 +195,7 @@ def exhaustive_frontier(space, trace):
 
 
 class TestAnchorsFeedTheStore:
-    def test_anchor_is_answered_from_the_store(self, trace, monkeypatch):
-        sinks = []
-
-        class RecordingSink(RingBufferSink):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                sinks.append(self)
-
-        monkeypatch.setattr(model_module, "RingBufferSink", RecordingSink)
+    def test_anchor_is_answered_from_the_store(self, trace):
         fresh = prepare_trace(trace.array)  # an empty reuse store
         estimator = CPIEstimator.calibrate(fresh)
         anchor = BASELINE.dual_issue().with_latency(17)
@@ -236,18 +203,32 @@ class TestAnchorsFeedTheStore:
         answered = simulate_many(fresh, [anchor])[0]
         assert reuse_snapshot() == reused + 1
         assert answered.stats == estimator.calibration_stats[anchor]
-        # The anchor's telemetry run saw every event of its subscribed
-        # kinds, in order.
-        bus = EventBus()
-        reference = RingBufferSink(capacity=None)
-        bus.attach(reference)
-        simulate_trace(prepare_trace(trace.array), anchor, telemetry=bus)
-        baseline_sink = sinks[1]  # anchors run in I-cache size order
-        assert [e.to_dict() for e in baseline_sink.events] == [
-            e.to_dict()
-            for e in reference.events
-            if e.kind in model_module.ANCHOR_KINDS
-        ]
+
+    def test_calibration_is_one_batch_without_telemetry(self, trace):
+        fresh = prepare_trace(trace.array)  # an empty reuse store
+        tracer = tracing.SpanTracer()
+        with tracing.use_tracer(tracer):
+            estimator = CPIEstimator.calibrate(fresh)
+        records = tracer.finished_records()
+        batches = [r for r in records if r["name"] == "simulate_batch"]
+        assert [r["args"]["configs"] for r in batches] == [12]
+        assert not [r for r in records if r["name"] == "simulate"]
+        assert estimator.calibration_count == 12
+        for anchor in estimator.anchors.values():
+            stats = simulate_trace(trace, anchor.config).stats
+            per_kind = {
+                kind: stats.stall_cycles[kind] / stats.instructions
+                for kind in StallKind
+            }
+            base = max(stats.cpi - sum(per_kind.values()), 0.0)
+            assert anchor.decomp == {model_module.BASE: base, **per_kind}
+            assert anchor.pair_rate == (
+                stats.dual_issued_pairs / stats.instructions
+            )
+            assert anchor.prefetch_coverage == (
+                (stats.iprefetch_hits + stats.dprefetch_hits)
+                / stats.instructions
+            )
 
 
 class TestExplore:

@@ -19,7 +19,7 @@ import pytest
 
 import repro.core.kernel as kernel_module
 from repro.core.kernel import batch_snapshot, reuse_snapshot, simulate_many
-from repro.core.processor import AuroraProcessor
+from repro.core.processor import AuroraProcessor, simulate_trace
 from repro.core.stats import StallKind
 from repro.func.prepared import prepare_trace
 from repro.isa.instructions import Kind
@@ -125,23 +125,6 @@ class TestAccounting:
             "reused": 1,
         }
 
-    def test_telemetry_runs_open_simulate_spans(self, counting_trace, models):
-        trace = prepare_trace(counting_trace)
-        configs = list(models[:2])
-        tracer = tracing.SpanTracer()
-        with tracing.use_tracer(tracer):
-            simulate_many(
-                trace, configs, telemetry=EventBus(RingBufferSink())
-            )
-        records = tracer.finished_records()
-        (batch,) = [r for r in records if r["name"] == "simulate_batch"]
-        runs = [r for r in records if r["name"] == "simulate"]
-        assert [r["parent"] for r in runs] == [batch["id"]] * 2
-        assert [r["args"] for r in runs] == [
-            {"records": len(counting_trace), "config": config.label}
-            for config in configs
-        ]
-
 
 class TestReuse:
     """simulate_many times each (trace, config) once per trace."""
@@ -184,14 +167,14 @@ class TestReuse:
         assert results[0].stats == results[3].stats
 
     def test_telemetry_bypasses_reuse(self, counting_trace, models):
+        # Telemetry runs go through simulate_trace, which never answers
+        # from the store: a stored config still emits its events.
         trace = prepare_trace(counting_trace)
         baseline = models[1]
         simulate_many(trace, [baseline])
         for _ in range(2):
             sink = RingBufferSink()
-            result = simulate_many(
-                trace, [baseline], telemetry=EventBus(sink)
-            )[0]
+            result = simulate_trace(trace, baseline, telemetry=EventBus(sink))
             assert sink.recorded > 0
             assert result.stats.instructions == len(trace)
 
@@ -224,31 +207,6 @@ class TestReuse:
         assert reuse_snapshot() == reused
         assert default.stats == other[0].stats
         assert list(trace.sim_results) == [(baseline, None), (baseline, loose)]
-
-    def test_sinkless_bus_is_telemetry_off(self, counting_trace, models):
-        # A bus with no sinks is falsy -- the processor normalises it to
-        # None the same way -- so it is answered from the store.
-        trace = prepare_trace(counting_trace)
-        baseline = models[1]
-        simulate_many(trace, [baseline])
-        reused = reuse_snapshot()
-        result = simulate_many(trace, [baseline], telemetry=EventBus())[0]
-        assert reuse_snapshot() == reused + 1
-        assert result.stats.instructions == len(counting_trace)
-
-    def test_telemetry_run_stores_its_stats(self, counting_trace, models):
-        trace = prepare_trace(counting_trace)
-        baseline = models[1]
-        sink = RingBufferSink()
-        observed = simulate_many(
-            trace, [baseline], telemetry=EventBus(sink)
-        )[0]
-        assert sink.recorded > 0
-        reused = reuse_snapshot()
-        again = simulate_many(trace, [baseline])[0]
-        assert reuse_snapshot() == reused + 1
-        assert again.stats == observed.stats
-        assert again.stats is not observed.stats
 
     def test_unobserved_fpu_fields_share_one_simulation(self):
         from repro.core.config import BASELINE

@@ -4,7 +4,6 @@ Synthetic traces with known properties pin down issue, stall and memory
 behaviour; the workload fixtures exercise the full machine.
 """
 
-import functools
 import hashlib
 import io
 import json
@@ -806,47 +805,3 @@ if __name__ == "__main__":
         json.dumps(_off_golden_digests(), indent=2, sort_keys=True) + "\n"
     )
 
-
-# ------------------------------------------------------ subscribed kinds
-
-_KIND_SUBSETS = {
-    "mshr+wc": ("MSHR_ALLOC", "MSHR_RELEASE", "WC_STORE", "WC_EVICT"),
-    "retire": ("RETIRE",),
-    "fpq": ("FPQ_ENQUEUE", "FPQ_ISSUE", "FPQ_DEQUEUE"),
-    # One kind of each structure's several: the bus itself must drop
-    # the siblings the structure still emits.
-    "partial": ("MSHR_ALLOC", "WC_EVICT", "PREFETCH_HIT", "FPQ_ISSUE"),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _full_stream(point):
-    """(plain stats, full event list) at one pinned telemetry point."""
-    from repro.experiments.common import scaled_trace
-    from repro.telemetry.events import EventBus, RingBufferSink
-
-    trace_name, config = _TELEMETRY_POINTS[point]
-    trace = scaled_trace(trace_name, _PINNED_FACTOR)
-    ring = RingBufferSink()
-    simulate_trace(trace, config, telemetry=EventBus(ring))
-    return simulate_trace(trace, config).stats, ring.events
-
-
-class TestSubscribedKinds:
-    @pytest.mark.parametrize("subset", sorted(_KIND_SUBSETS))
-    @pytest.mark.parametrize("point", sorted(_TELEMETRY_POINTS))
-    def test_stream_is_the_full_stream_filtered(self, point, subset):
-        from repro.experiments.common import scaled_trace
-        from repro.telemetry.events import EventBus, EventKind, RingBufferSink
-
-        kinds = {EventKind[name] for name in _KIND_SUBSETS[subset]}
-        plain, full = _full_stream(point)
-        trace_name, config = _TELEMETRY_POINTS[point]
-        ring = RingBufferSink()
-        result = simulate_trace(
-            scaled_trace(trace_name, _PINNED_FACTOR),
-            config,
-            telemetry=EventBus(ring, kinds=kinds),
-        )
-        assert ring.events == [e for e in full if e.kind in kinds]
-        assert result.stats == plain

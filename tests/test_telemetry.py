@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import pytest
 
@@ -103,41 +102,6 @@ class TestEventBus:
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
 
-    def test_kinds_filter_emits_and_wants(self):
-        ring = RingBufferSink()
-        bus = EventBus(ring, kinds=[EventKind.RETIRE, EventKind.WC_EVICT])
-        assert bus
-        assert bus.wants(EventKind.RETIRE)
-        assert not bus.wants(EventKind.STALL)
-        bus.emit(1, "test", EventKind.STALL, stall="lsu", cycles=1)
-        bus.emit(2, "test", EventKind.RETIRE, index=0, issue=1)
-        bus.emit(3, "test", EventKind.WC_EVICT, line=4, done=9)
-        assert [(e.cycle, e.kind) for e in ring] == [
-            (2, EventKind.RETIRE),
-            (3, EventKind.WC_EVICT),
-        ]
-
-    def test_default_bus_wants_every_kind(self):
-        bus = EventBus()
-        assert all(bus.wants(kind) for kind in EventKind)
-
-    @pytest.mark.parametrize(
-        "entry", ["retire", None, 3, StallKind.LSU], ids=repr
-    )
-    def test_non_kind_entry_is_named(self, entry):
-        with pytest.raises(TypeError, match=re.escape(repr(entry))):
-            EventBus(RingBufferSink(), kinds=[EventKind.RETIRE, entry])
-
-    def test_empty_kinds_bus_is_falsy_and_records_nothing(self):
-        ring = RingBufferSink()
-        bus = EventBus(ring, kinds=())
-        assert not bus
-        assert not any(bus.wants(kind) for kind in EventKind)
-        trace = scaled_trace("compress", FACTOR)
-        result = simulate_trace(trace, BASELINE, telemetry=bus)
-        assert len(ring) == 0
-        assert result.stats == simulate_trace(trace, BASELINE).stats
-
     def test_ndjson_round_trip(self, tmp_path):
         path = tmp_path / "trace.ndjson"
         bus = EventBus(NDJSONSink(path))
@@ -228,9 +192,17 @@ class TestTelemetryOff:
         assert plain.cpi == instrumented.cpi
 
     def test_sinkless_bus_records_nothing(self):
+        class CountingBus(EventBus):
+            emitted = 0
+
+            def emit(self, *args, **fields):
+                self.emitted += 1
+                super().emit(*args, **fields)
+
         trace = scaled_trace("compress", FACTOR)
-        bus = EventBus()  # falsy: normalised away inside run()
+        bus = CountingBus()  # falsy: no probe site or structure emits
         result = simulate_trace(trace, BASELINE, telemetry=bus)
+        assert bus.emitted == 0
         ring = RingBufferSink()
         bus.attach(ring)
         assert len(ring) == 0
