@@ -87,6 +87,11 @@ class DecoupledFPU:
         self._sq_releases: deque[int] = deque()
         self._rob_retires: deque[int] = deque()
         self._last_retire = 0
+        #: Largest write time trimmed from the load queue, and whether the
+        #: reorder buffer ever set an issue floor: the timing loop's
+        #: certificate that a larger queue or buffer times identically.
+        self.lq_trimmed_max = 0
+        self.rob_filled = False
         # Register-file write bandwidth: the result busses are shared by
         # functional-unit completions and load-queue data drains.  The
         # dual-issue design pays for two busses; the single-issue and
@@ -154,6 +159,8 @@ class DecoupledFPU:
         rob = self._rob_retires
         if len(rob) >= self._rob_capacity and rob[0] > floor:
             floor = rob[0]
+            if floor > self._last_issue:
+                self.rob_filled = True
         # In-order issue, one per cycle; dual issue pairs two units.
         last = self._last_issue
         if floor <= last:
@@ -240,6 +247,8 @@ class DecoupledFPU:
             rob = self._rob_retires
             if len(rob) >= self._rob_capacity and rob[0] > issue:
                 issue = rob[0]
+                if issue > self._last_issue:
+                    self.rob_filled = True
             if issue <= self._last_issue:
                 issue = self._last_issue + 1
             if issue > arrive:
@@ -262,7 +271,9 @@ class DecoupledFPU:
         lq = self._lq_releases
         lq.append(write_time)
         if len(lq) > self._lq_capacity:
-            lq.popleft()
+            trimmed = lq.popleft()
+            if trimmed > self.lq_trimmed_max:
+                self.lq_trimmed_max = trimmed
         if tele:
             tele.emit(data_arrival, "fpu", EventKind.FPQ_ENQUEUE, queue="lq")
             tele.emit(write_time, "fpu", EventKind.FPQ_DEQUEUE, queue="lq")
@@ -311,6 +322,8 @@ class DecoupledFPU:
         rob = self._rob_retires
         if len(rob) >= self._rob_capacity and rob[0] > floor:
             floor = rob[0]
+            if floor > self._last_issue:
+                self.rob_filled = True
         last = self._last_issue
         if floor <= last:
             if self._dual and self._issued_this_cycle < 2:

@@ -79,14 +79,29 @@ WC_FORWARD_LATENCY = 2
 #: Entry-count bound on the in-flight D-line fill map; crossing it prunes
 #: entries whose fill has already arrived (never genuinely pending ones).
 INFLIGHT_BOUND = 4096
+#: The capacities a run certifies in ``SimulationResult.unfilled``.
+CAPACITY_FIELDS = (
+    "mshr_entries",
+    "fpu.instruction_queue",
+    "fpu.load_queue",
+    "fpu.rob_entries",
+)
 
 
 @dataclass
 class SimulationResult:
-    """Stats plus the configuration that produced them."""
+    """Stats plus the configuration that produced them.
+
+    ``unfilled`` names the :data:`CAPACITY_FIELDS` that never set a
+    timing floor in the run: the same trace on a config
+    that differs only in those fields, each at least as large, has
+    identical stats (docs/PERFORMANCE.md, "Capacities a run never
+    filled").  Empty when nothing is certified.
+    """
 
     config: MachineConfig
     stats: SimStats
+    unfilled: frozenset = frozenset()
 
     @property
     def cpi(self) -> float:
@@ -225,6 +240,10 @@ class AuroraProcessor:
         fpu_iq_capacity = cfg.fpu.instruction_queue
         fpu_lq = fpu._lq_releases
         fpu_lq_capacity = cfg.fpu.load_queue
+        # Whether the MSHR file, the FPU instruction queue or the FPU load
+        # queue ever set a floor; each is set inside a branch the loop
+        # takes anyway (the FPU tracks its reorder buffer itself).
+        mshr_filled = iq_filled = lq_filled = False
         # Write cache: hit, victim and page match come precomputed per
         # record (``wc`` below); each store only times its decision.
         time_store = writecache.time_store
@@ -345,8 +364,10 @@ class AuroraProcessor:
                     mshr_min = min(mshr_free)
                     t_lsu = mshr_min - 1
                     port_floor = dport._next_slot - 1
-                    if port_floor > t_lsu:
+                    if port_floor >= t_lsu:
                         t_lsu = port_floor
+                    elif t_lsu > issue:
+                        mshr_filled = True
                     if t_lsu > issue:
                         issue = t_lsu
                 if op >= OP_FP_ADD:
@@ -355,6 +376,8 @@ class AuroraProcessor:
                         t_fpu = -FPU_TRANSFER
                         if len(fpu_iq) >= fpu_iq_capacity:
                             t_fpu += fpu_iq[0]
+                            if t_fpu > issue:
+                                iq_filled = True
                 else:
                     # bc1t/bc1f: wait for the FP condition flag.
                     t_fpu = fpu.cond_ready + 1
@@ -484,11 +507,15 @@ class AuroraProcessor:
                     else:
                         # FP load: honour load-queue backpressure, hand to
                         # the FPU.
-                        if (
-                            len(fpu_lq) >= fpu_lq_capacity
-                            and fpu_lq[0] > data_ready
-                        ):
-                            data_ready = fpu_lq[0]
+                        # A larger queue's head is an entry this one
+                        # already trimmed: write times are not monotone,
+                        # so those count too.
+                        if len(fpu_lq) >= fpu_lq_capacity:
+                            if fpu_lq[0] > data_ready:
+                                data_ready = fpu_lq[0]
+                                lq_filled = True
+                            elif fpu.lq_trimmed_max > data_ready:
+                                lq_filled = True
                         release = data_ready + 1
                         fpu.load(dst - 32, release, issue + FPU_TRANSFER)
                         complete = access + 1
@@ -658,7 +685,14 @@ class AuroraProcessor:
         stats.dual_issued_pairs = dual_pairs
         stats.fpu_instructions = fpu.instructions
         stats.fpu_busy_cycles = fpu.issue_stall_cycles
-        return SimulationResult(config=self.config, stats=stats)
+        filled = (mshr_filled, iq_filled, lq_filled, fpu.rob_filled)
+        return SimulationResult(
+            config=self.config,
+            stats=stats,
+            unfilled=frozenset(
+                name for name, hit in zip(CAPACITY_FIELDS, filled) if not hit
+            ),
+        )
 
 
 def simulate_trace(

@@ -331,7 +331,24 @@ class _InProcessExecutor(concurrent.futures.Executor):
 # worker entry points live at module level.
 
 
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit this worker once ``parent_pid`` is no longer its parent.
+
+    A parent killed with SIGKILL runs no cleanup, and a worker blocked
+    reading the call queue (whose write end it inherited) never sees
+    EOF; the kernel re-parents the orphan, which this notices.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
 def _pool_initializer(
+    parent_pid: int,
     cache_root: str,
     cache_enabled: bool,
     cache_max_entries: int,
@@ -351,10 +368,18 @@ def _pool_initializer(
 
     Workers ignore SIGINT and SIGTERM, including a
     :class:`GracefulSignals` handler inherited through fork: the parent
-    alone drains or aborts, and stops its workers with SIGKILL.
+    alone drains or aborts, and stops its workers with SIGKILL.  A
+    daemon thread exits the worker when ``parent_pid`` dies, so a
+    parent killed outright leaves no workers behind.
     """
     for signum in GRACEFUL_SIGNALS:
         signal.signal(signum, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(parent_pid,),
+        name="parent-watch",
+        daemon=True,
+    ).start()
     trace_cache.configure(
         cache_root,
         enabled=cache_enabled,
@@ -390,6 +415,7 @@ def process_pool(
         mp_context=context,
         initializer=_pool_initializer,
         initargs=(
+            os.getpid(),
             str(cache.root),
             cache.enabled,
             cache.max_entries,

@@ -669,6 +669,58 @@ class TestGracefulShutdown:
                 pool.shutdown()
         assert handlers == [signal.SIG_IGN, signal.SIG_IGN]
 
+    def test_pool_workers_die_with_a_killed_parent(self):
+        # A parent killed outright runs no cleanup: each worker must
+        # notice it was orphaned and exit on its own.
+        script = (
+            "import os, sys, time\n"
+            "from repro.robustness.runner import process_pool\n"
+            "def pid():\n"
+            "    time.sleep(0.5)\n"
+            "    return os.getpid()\n"
+            "pool = process_pool(2)\n"
+            "futures = [pool.submit(pid) for _ in range(2)]\n"
+            "print(*sorted({f.result(timeout=60) for f in futures}),"
+            " flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, env=env
+        )
+        workers: list[int] = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie no longer runs)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: signal 0 only tests existence
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
 
 class TestExitCodes:
     def test_table(self):

@@ -6,7 +6,9 @@ point every sweep calls.
 per config: both benchmark suites (one small trace each) across the
 three paper models at widths 1, 3 and a full mixed grid.  ``TestReuse``
 covers its per-trace result store: each (trace, config) is simulated
-once.
+once.  ``TestCertifiedReuse`` covers the capacity certificate: a larger
+MSHR file or FPU queue is answered by a run that never filled the
+smaller one.
 """
 
 from __future__ import annotations
@@ -297,3 +299,83 @@ class TestReuse:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(trace.sim_results) <= 2
+
+
+def _paper_capacity_sweeps():
+    """Figure 7's MSHR configs on compress (one call per model, as the
+    figure makes them) and Figure 9's three capacity sweeps on doduc."""
+    from repro.core.config import BASELINE, TABLE1_MODELS
+    from repro.experiments import fig7_mshr, fig9_fpu
+
+    calls = []
+    for model in TABLE1_MODELS:
+        standard = model.with_(issue_width=2, mem_latency=17)
+        varied = fig7_mshr.VARIATIONS[model.name]
+        counts = (standard.mshr_entries, varied, 1, 2, 4, 8)
+        calls.append(
+            ("compress", [standard.with_(mshr_entries=n) for n in counts])
+        )
+    for sweep in ("a_instruction_queue", "b_load_queue", "c_reorder_buffer"):
+        field, values, policy = fig9_fpu.SWEEPS[sweep]
+        calls.append((
+            "doduc",
+            [
+                BASELINE.with_(fpu=BASELINE.fpu.with_(
+                    **{field: value, "issue_policy": policy}
+                ))
+                for value in values
+            ],
+        ))
+    return calls
+
+
+class TestCertifiedReuse:
+    """Configs that differ only in capacities a stored run never filled
+    are answered by that run."""
+
+    def test_paper_sweeps_match_fresh_runs_with_fewer_simulations(self):
+        from repro.experiments.common import scaled_trace
+
+        traces = {
+            name: prepare_trace(scaled_trace(name, 0.05).array)
+            for name in ("compress", "doduc")
+        }
+        tracer = tracing.SpanTracer()
+        requested = 0
+        for name, configs in _paper_capacity_sweeps():
+            trace = traces[name]
+            with tracing.use_tracer(tracer):
+                results = simulate_many(trace, configs)
+            assert [r.stats for r in results] == [
+                r.stats for r in _fresh_runs(trace, configs)
+            ]
+            requested += len(set(configs))
+        simulated = sum(
+            record["args"]["configs"]
+            for record in tracer.finished_records()
+            if record["name"] == "simulate_batch"
+        )
+        assert simulated < requested
+
+    def test_store_answers_a_larger_unfilled_capacity(self, models):
+        from repro.experiments.common import scaled_trace
+
+        trace = prepare_trace(scaled_trace("compress", 0.05).array)
+        four = models[1].with_(mshr_entries=4)
+        first = simulate_many(trace, [four])[0]
+        assert "mshr_entries" in first.unfilled
+        larger = four.with_(mshr_entries=8)
+        reused = reuse_snapshot()
+        answered = simulate_many(trace, [larger])[0]
+        assert reuse_snapshot() == reused + 1
+        assert answered.config is larger
+        assert answered.stats == _fresh_runs(trace, [larger])[0].stats
+        assert answered.unfilled == first.unfilled
+        assert list(trace.sim_results) == [(four, None)]
+        # A smaller size, or another family, is never answered.
+        for config in (
+            four.with_(mshr_entries=3),
+            larger.with_(mem_latency=35),
+        ):
+            simulate_many(trace, [config])
+            assert reuse_snapshot() == reused + 1

@@ -16,6 +16,7 @@ from array import array
 import numpy as np
 import pytest
 
+from repro.core.biu import BusInterfaceUnit
 from repro.core.caches import DirectMappedCache
 from repro.core.config import (
     MachineConfig,
@@ -25,6 +26,13 @@ from repro.core.config import (
 )
 from repro.core.kernel import simulate_many
 from repro.core.processor import AuroraProcessor, simulate_trace
+from repro.core.writecache import (
+    WC_EVICT,
+    WC_HIT,
+    WC_RESIDENT,
+    WC_SLOT_SHIFT,
+    WriteCache,
+)
 from repro.experiments.common import scaled_trace
 from repro.func.prepared import (
     OP_BRANCH,
@@ -148,17 +156,20 @@ def test_compute_stats_vectorized_matches_loop(name):
 # ------------------------------------------------ hoisted per-trace columns
 
 
-def _replay_icache_misses(trace, size_bytes, line_bytes):
+def _replay_icache(trace, size_bytes, line_bytes):
     """Reference: replay the pcs through a DirectMappedCache that fills
-    on every miss, as the timing loop used to per record."""
+    on every miss, as the timing loop used to per record.  Returns the
+    miss flags, the miss count and the set each pc indexed."""
     cache = DirectMappedCache(size_bytes, line_bytes)
     flags = bytearray()
+    sets = []
     for pc in trace.pc.tolist():
         hit = cache.lookup(pc)
         if not hit:
             cache.fill(pc, 0)
         flags.append(0 if hit else 1)
-    return bytes(flags), cache.accesses - cache.hits
+        sets.append(cache._split(pc)[0])
+    return bytes(flags), cache.accesses - cache.hits, sets
 
 
 #: (I-cache bytes, line bytes): the three models' I-caches and a 1-line
@@ -182,11 +193,70 @@ ICACHE_GEOMETRIES = [
 def test_icache_misses_match_replay(suite, size_bytes, line_bytes, request):
     trace = request.getfixturevalue(suite)
     shift = line_bytes.bit_length() - 1
-    flags, misses = trace.icache_misses(shift, size_bytes // line_bytes)
-    assert (flags, misses) == _replay_icache_misses(
+    lines = size_bytes // line_bytes
+    flags, misses = trace.icache_misses(shift, lines)
+    want_flags, want_misses, want_sets = _replay_icache(
         trace, size_bytes, line_bytes
     )
+    assert (flags, misses) == (want_flags, want_misses)
     assert misses == sum(flags)
+    assert list(trace.icache_sets(shift, lines)) == want_sets
+
+
+def _replay_writecache(trace, line_bytes, lines, page_bytes):
+    """Reference: each record's write-cache decision code and the
+    totals, read off a live WriteCache fed the loads and stores."""
+    biu = BusInterfaceUnit(latency=17, occupancy=4)
+    wc = WriteCache(lines, line_bytes, biu, page_bytes=page_bytes)
+    line_shift = line_bytes.bit_length() - 1
+    loads = (int(Kind.LOAD), int(Kind.FP_LOAD))
+    stores = (int(Kind.STORE), int(Kind.FP_STORE))
+    codes = []
+    time = 0
+    for kind, address in zip(trace.kind.tolist(), trace.addr.tolist()):
+        time += 1
+        if kind in loads:
+            codes.append(WC_HIT if wc.load_lookup(address, time) else 0)
+        elif kind in stores:
+            hits, mmu, writes = wc.stats.hits, biu.stats.mmu, biu.stats.write
+            time = wc.store(address, time)
+            line = address >> line_shift
+            (slot,) = [
+                k for k, entry in enumerate(wc._lines) if entry.line == line
+            ]
+            code = slot << WC_SLOT_SHIFT
+            if wc.stats.hits > hits:
+                code |= WC_HIT
+            elif biu.stats.mmu == mmu:
+                code |= WC_RESIDENT
+            if biu.stats.write > writes:
+                code |= WC_EVICT
+            codes.append(code)
+        else:
+            codes.append(0)
+    wc.flush(time)
+    stats = wc.stats
+    return codes, (
+        stats.accesses,
+        stats.hits,
+        stats.store_instructions,
+        stats.store_transactions,
+    )
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_writecache_decisions_match_live_write_cache(name):
+    trace = scaled_trace(name, FACTOR)
+    for model in (small_model(), baseline_model(), large_model()):
+        line_bytes, lines = model.line_bytes, model.writecache_lines
+        codes, totals = trace.writecache_decisions(
+            line_bytes.bit_length() - 1,
+            lines,
+            model.page_bytes.bit_length() - 1,
+        )
+        assert (list(codes), totals) == _replay_writecache(
+            trace, line_bytes, lines, model.page_bytes
+        )
 
 
 def test_icache_misses_empty_trace():

@@ -2,6 +2,7 @@
 the functional/timing pipeline."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,11 @@ from repro.core.config import (
 )
 from repro.core.kernel import simulate_many
 from repro.core.mshr import MSHRFile
-from repro.core.processor import AuroraProcessor, simulate_trace
+from repro.core.processor import (
+    CAPACITY_FIELDS,
+    AuroraProcessor,
+    simulate_trace,
+)
 from repro.core.writecache import WriteCache
 from repro.func.machine import run_program
 from repro.func.trace import NO_REG
@@ -422,6 +427,70 @@ class TestRandomConfigProperties:
         assert [r.config for r in results] == configs
         for config, result in zip(configs, results):
             assert result.stats == AuroraProcessor(config).run(trace).stats
+
+
+#: Cheap factor-0.05 traces for the capacity certificate, integer and FP.
+_CERTIFY_TRACES = ("eqntott", "hydro2d", "ora", "su2cor")
+
+
+def _with_capacity(config: MachineConfig, field: str, value: int):
+    """``config`` with one of ``CAPACITY_FIELDS`` set to ``value``."""
+    if field == "mshr_entries":
+        return config.with_(mshr_entries=value)
+    return config.with_(fpu=config.fpu.with_(**{field[4:]: value}))
+
+
+class TestCapacityCertificate:
+    """``SimulationResult.unfilled`` is sound: a capacity a run never
+    filled gives identical stats at every larger size."""
+
+    @pytest.mark.parametrize("field", CAPACITY_FIELDS)
+    @given(
+        config=machine_configs(),
+        name=st.sampled_from(_CERTIFY_TRACES),
+        small=st.integers(1, 8),
+        extra=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_traces(self, field, config, name, small, extra):
+        trace = _mix_trace(name)
+        first = AuroraProcessor(_with_capacity(config, field, small)).run(
+            trace
+        )
+        if field in first.unfilled:
+            larger = _with_capacity(config, field, small + extra)
+            second = AuroraProcessor(larger).run(trace)
+            assert second.stats == first.stats
+            assert second.unfilled == first.unfilled
+
+    def test_load_queue_counts_trimmed_entries(self):
+        # FP load data arrives out of order (misses behind hits), so a
+        # 4-entry queue's head can be a late miss the 3-entry queue had
+        # already trimmed: the larger queue stalls more, and the smaller
+        # one must not be certified although its own head never bound.
+        loads = [
+            (int(Kind.LOAD), 8, 0x10000),
+            (int(Kind.LOAD), 8, 0x10020),
+            (int(Kind.FP_LOAD), 42, 0x80300),
+            (int(Kind.FP_LOAD), 44, 0x10060),
+            (int(Kind.FP_LOAD), 44, 0x10080),
+            (int(Kind.FP_LOAD), 46, 0x82B40),
+            (int(Kind.FP_LOAD), 36, 0x10000),
+            (int(Kind.FP_LOAD), 44, 0x100E0),
+        ]
+        trace = [
+            (TEXT_BASE + 4 * i, kind, dst, 29, NO_REG, addr)
+            for i, (kind, dst, addr) in enumerate(loads)
+        ]
+        config = BASELINE.with_(mshr_entries=4)
+        three, four = (
+            AuroraProcessor(_with_capacity(config, "fpu.load_queue", n)).run(
+                trace
+            )
+            for n in (3, 4)
+        )
+        assert four.stats != three.stats
+        assert "fpu.load_queue" not in three.unfilled
 
 
 def test_direct_mapped_icache_inclusion():
