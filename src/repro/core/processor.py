@@ -446,9 +446,11 @@ class AuroraProcessor:
             elif op >= OP_FP_LOAD:
                 # Every load and store reserves the earliest-free MSHR
                 # while it is active in the LSU (``mshr_min`` is still
-                # that entry's busy-until time).
-                requested = dport.start_access(issue + 1)
-                access = requested if requested > mshr_min else mshr_min
+                # that entry's busy-until time).  The access never waits
+                # for it: the LSU floor holds ``issue >= mshr_min - 1``
+                # and ``start_access(t) >= t``, so ``access >= mshr_min``
+                # and an MSHR wait shows up as an LSU stall at issue.
+                access = dport.start_access(issue + 1)
                 slot = mshr_free.index(mshr_min)
                 mshr_free[slot] = access
                 if probing:
@@ -457,8 +459,8 @@ class AuroraProcessor:
                         "mshr",
                         EventKind.MSHR_ALLOC,
                         slot=slot,
-                        requested=requested,
-                        wait=access - requested,
+                        requested=access,
+                        wait=0,
                     )
 
                 if op == OP_LOAD or op == OP_FP_LOAD:

@@ -5,7 +5,10 @@ Subcommands::
     aurora-sim run <workload> [--model baseline] [--issue 2] [--latency 17]
     aurora-sim suite [--suite int|fp] [--model baseline]
     aurora-sim experiments [--only fig4 table6 ...] [--factor 0.5] [--out d/]
-                           [--trace sweep-trace.json]
+                           [--timeout 600] [--retries 2] [--jobs 4]
+                           [--no-resume] [--manifest path.json]
+                           [--no-trace-cache] [--trace sweep-trace.json]
+                           [--chaos SPEC] [--chaos-seed N]
     aurora-sim trace <workload> [--factor 0.05] [--out trace.ndjson]
     aurora-sim report <trace.ndjson> [--window 1000] [--occupancy-out o.json]
     aurora-sim explore [workload] [--space fig8] [--factor 0.05]
@@ -17,13 +20,13 @@ Subcommands::
     aurora-sim perf <workload> [--factor 0.05] [--check] [--seed-baseline]
     aurora-sim serve [--host 127.0.0.1] [--port 8311] [--jobs 2]
                      [--store results/.sim_memo]
-                     [--sample-interval 1.0] [--ring-out ring.jsonl]
     aurora-sim loadgen --url http://127.0.0.1:8311 [--queries q.jsonl]
                        [--concurrency 8] [--requests 64] [--record out.jsonl]
-                       [--slo p99:0.5] [--slo error-rate:0.01]
-    aurora-sim top --url http://127.0.0.1:8311 [--interval 2] [--no-clear]
     aurora-sim cost [--model baseline] [--issue 2]
     aurora-sim list
+
+``python -m repro.experiments.run_all [flags]`` is ``aurora-sim
+experiments [flags]``: this module holds the one sweep parser.
 
 Structured JSON-lines logging is available on every subcommand via the
 global ``--log-file PATH`` / ``--log-level LEVEL`` flags (or the
@@ -36,7 +39,7 @@ Exit codes are unified across subcommands (see
 environment, ``perf --check`` without a stored baseline), 3 perf
 regression, 4 partial experiment results (some failed, the rest
 completed and checkpointed), 5 interrupted by SIGINT/SIGTERM after a
-graceful checkpoint flush, 6 SLO violation (``loadgen --slo``).
+graceful checkpoint flush.
 """
 
 from __future__ import annotations
@@ -60,12 +63,15 @@ from repro.experiments.exit_codes import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_PERF_REGRESSION,
-    EXIT_SLO_VIOLATION,
     EXIT_USAGE,
     sweep_exit_code,
 )
-from repro.experiments.run_all import nonneg_int, positive_float, positive_int
-from repro.robustness.validation import EnvValidationError, validate_environment
+from repro.experiments.run_all import EXPERIMENTS
+from repro.robustness.validation import (
+    EnvValidationError,
+    validate_environment,
+    validate_factor,
+)
 from repro.telemetry import logging as structlog
 from repro.workloads.registry import WorkloadError, all_specs
 
@@ -75,6 +81,38 @@ _MODELS = {
     "large": LARGE,
     "recommended": RECOMMENDED,
 }
+
+
+def positive_float(text: str) -> float:
+    """Argparse type for ``--factor``, ``--timeout`` and the like:
+    strictly positive and finite."""
+    try:
+        return validate_factor(float(text), where="value")
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _int_at_least(minimum: int):
+    """Argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+nonneg_int = _int_at_least(0)  # --retries, --seed
+positive_int = _int_at_least(1)  # --jobs, --window, --count, ...
 
 
 def _configure(args: argparse.Namespace) -> MachineConfig:
@@ -459,20 +497,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         store_root=args.store,
         trace_out=args.trace,
-        sample_interval=args.sample_interval,
-        ring_capacity=args.ring_capacity,
-        ring_out=args.ring_out,
     )
     return serve_forever(config)
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Drive a live serve endpoint and report p50/p99/throughput.
-
-    With ``--slo``, the declared objectives are evaluated over the
-    run's own time-series samples; any violation exits 6
-    (``EXIT_SLO_VIOLATION``) so CI can gate on service health.
-    """
+    """Drive a live serve endpoint and report p50/p99/throughput."""
     from repro.serve.loadgen import (
         LoadError,
         load_queries,
@@ -481,13 +511,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         write_queries,
     )
     from repro.telemetry.baseline import BaselineError, PerfHistory, git_sha
-    from repro.telemetry.slo import SLOError, parse_slo
 
-    try:
-        slos = [parse_slo(spec) for spec in args.slo or []]
-    except SLOError as error:
-        print(f"error: --slo: {error}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         if args.queries:
             queries = load_queries(args.queries)
@@ -510,8 +534,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             concurrency=args.concurrency,
             requests=args.requests,
             duration=args.duration,
-            slos=slos,
-            sample_interval=args.sample_interval,
         )
     except LoadError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -536,27 +558,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             print(f"perf history: {error}", file=sys.stderr)
             return EXIT_ERROR
         print(f"perf history: {history.path} (serve-mode record appended)")
-    if report.slo_violated:
-        return EXIT_SLO_VIOLATION
     return EXIT_ERROR if report.errors else EXIT_OK
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live terminal dashboard over a running server's /metrics."""
-    from repro.serve.top import TopError, run_top
-
-    try:
-        return run_top(
-            args.url,
-            interval=args.interval,
-            iterations=args.iterations,
-            clear=False if args.no_clear else None,
-        )
-    except TopError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    except KeyboardInterrupt:
-        return EXIT_OK  # ^C is how a dashboard session normally ends
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
@@ -601,9 +603,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_exp = sub.add_parser("experiments", help="regenerate paper experiments")
     p_exp.add_argument("--factor", type=positive_float, default=1.0)
-    p_exp.add_argument("--out", default=None)
-    p_exp.add_argument("--only", nargs="*", default=None)
-    p_exp.add_argument("--timeout", type=float, default=None,
+    p_exp.add_argument("--out", default=None,
+                       help="directory for .txt reports")
+    p_exp.add_argument("--only", nargs="*", default=None,
+                       choices=sorted(EXPERIMENTS),
+                       help="run only these experiment ids")
+    p_exp.add_argument("--timeout", type=positive_float, default=None,
                        help="per-experiment wall-clock budget (seconds)")
     p_exp.add_argument("--retries", type=nonneg_int, default=2,
                        help="retries for transient failures")
@@ -755,18 +760,11 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--trace", default=None, metavar="PATH",
                          help="export request spans as Chrome trace-"
                               "event JSON on shutdown (see 'spans')")
-    p_serve.add_argument("--sample-interval", type=float, default=1.0,
-                         dest="sample_interval",
-                         help="metrics time-series sampling interval "
-                              "in seconds (0 disables sampling and "
-                              "the /timeseries route)")
-    p_serve.add_argument("--ring-capacity", type=positive_int,
-                         default=2048, dest="ring_capacity",
-                         help="time-series ring capacity (samples)")
-    p_serve.add_argument("--ring-out", default=None, metavar="PATH",
-                         dest="ring_out",
-                         help="persist time-series samples to this "
-                              "JSONL file (reloaded on restart)")
+    # bench/serve_mixed.py passes "--sample-interval 0" and bench/ is
+    # frozen outside benchmark changes, so 0 alone parses and does
+    # nothing.  This goes once bench/ drops the flag (ROADMAP item 4).
+    p_serve.add_argument("--sample-interval", type=float, default=0.0,
+                         choices=(0.0,), help=argparse.SUPPRESS)
     p_serve.set_defaults(func=cmd_serve)
 
     p_load = sub.add_parser(
@@ -801,32 +799,7 @@ def main(argv: list[str] | None = None) -> int:
                              "BENCH_history.json")
     p_load.add_argument("--series-workload", default="mixed",
                         help="workload label for the history record")
-    p_load.add_argument("--slo", action="append", default=None,
-                        metavar="KIND:VALUE",
-                        help="declare an objective to evaluate after "
-                             "the run: p99:SECONDS, error-rate:FRAC, "
-                             "or availability:FRAC (repeatable; any "
-                             "violation exits 6)")
-    p_load.add_argument("--sample-interval", type=positive_float,
-                        default=0.25, dest="sample_interval",
-                        help="loadgen-side time-series sampling "
-                             "interval for --slo evaluation (seconds)")
     p_load.set_defaults(func=cmd_loadgen)
-
-    p_top = sub.add_parser(
-        "top", help="live terminal dashboard over a serve endpoint"
-    )
-    p_top.add_argument("--url", required=True,
-                       help="serve endpoint, e.g. http://127.0.0.1:8311")
-    p_top.add_argument("--interval", type=positive_float, default=2.0,
-                       help="refresh interval in seconds")
-    p_top.add_argument("--iterations", type=positive_int, default=None,
-                       help="render this many frames then exit "
-                            "(default: run until ^C)")
-    p_top.add_argument("--no-clear", action="store_true",
-                       help="never emit the ANSI clear between frames "
-                            "(frames append; good for piping)")
-    p_top.set_defaults(func=cmd_top)
 
     p_cost = sub.add_parser("cost", help="RBE cost of a configuration")
     _add_machine_args(p_cost)

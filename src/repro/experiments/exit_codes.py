@@ -1,8 +1,9 @@
 """Unified ``aurora-sim`` process exit codes.
 
 One table, used by every entry point (``aurora-sim`` subcommands and
-``python -m repro.experiments.run_all``), so scripts and CI can branch
-on *why* a run ended without parsing output:
+``python -m repro.experiments.run_all``, which runs ``aurora-sim
+experiments``), so scripts and CI can branch on *why* a run ended
+without parsing output:
 
 ====  =======================================================
 code  meaning
@@ -16,18 +17,16 @@ code  meaning
       and were checkpointed
 5     interrupted (SIGINT/SIGTERM): graceful shutdown, the
       checkpoint manifest was flushed; resume to continue
-6     SLO violation (``aurora-sim loadgen --slo``): the load
-      run completed, but at least one declared objective
-      burned its error budget in every evaluation window
 ====  =======================================================
 
 Codes 4 and 5 are deliberately distinct: "something broke" (4) wants a
-bug report, "the operator stopped it" (5) wants a resume.  Argparse
-itself exits 2 on bad flags, which this table deliberately matches for
-the eager environment validation path.  One code lives outside the
-table: a downstream consumer closing stdout (``run_all | head``) exits
-``128 + SIGPIPE`` (141), the status a signal-killed process reports —
-it is the pipeline's business, not a sweep outcome.
+bug report, "the operator stopped it" (5) wants a resume.  Code 6 is
+retired (it meant a load-generator SLO violation) and is not reused.
+Argparse itself exits 2 on bad flags, which this table deliberately
+matches for the eager environment validation path.  One code lives
+outside the table: a downstream consumer closing stdout (``run_all |
+head``) exits ``128 + SIGPIPE`` (141), the status a signal-killed
+process reports — it is the pipeline's business, not a sweep outcome.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ EXIT_USAGE = 2
 EXIT_PERF_REGRESSION = 3
 EXIT_PARTIAL = 4
 EXIT_INTERRUPTED = 5
-EXIT_SLO_VIOLATION = 6
 
 
 def sweep_exit_code(report) -> int:

@@ -2,12 +2,10 @@
 
 Usage::
 
-    python -m repro.experiments.run_all [--factor 0.5] [--out results/]
-                                        [--only fig4 ...] [--timeout 600]
-                                        [--retries 2] [--no-resume]
-                                        [--manifest path.json]
-                                        [--jobs 4] [--no-trace-cache]
-                                        [--chaos SPEC] [--chaos-seed N]
+    python -m repro.experiments.run_all [--factor 0.5] [--out results/] ...
+
+takes the flags of ``aurora-sim experiments`` and runs it: the one
+sweep parser is in :mod:`repro.experiments.cli`.
 
 ``--factor`` shrinks every workload to that fraction of its default size
 for faster turnarounds; 1.0 reproduces the shipped EXPERIMENTS.md runs.
@@ -32,25 +30,13 @@ docs/ROBUSTNESS.md).
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import os
 import pathlib
-import signal
 import sys
 from dataclasses import dataclass
 
-from repro.experiments.exit_codes import (
-    EXIT_INTERRUPTED,
-    EXIT_USAGE,
-    sweep_exit_code,
-)
 from repro.robustness.runner import MANIFEST_NAME, ResilientRunner, RunReport
-from repro.robustness.validation import (
-    EnvValidationError,
-    validate_environment,
-    validate_factor,
-)
+from repro.robustness.validation import validate_factor
 from repro.workloads import trace_cache
 
 
@@ -195,169 +181,11 @@ def run_resilient(
         )
 
 
-def run_all(
-    factor: float = 1.0,
-    out_dir: str | None = None,
-    only: list[str] | None = None,
-    stream=None,
-    **kwargs,
-) -> dict[str, object]:
-    """Back-compatible wrapper around :func:`run_resilient`.
-
-    Returns only the ``{id: result}`` mapping the original bare loop
-    returned; keyword arguments pass through to :func:`run_resilient`.
-    """
-    results, _report = run_resilient(
-        factor=factor, out_dir=out_dir, only=only, stream=stream, **kwargs
-    )
-    return results
-
-
-def positive_float(text: str) -> float:
-    """Argparse type for ``--factor``: strictly positive, finite."""
-    try:
-        return validate_factor(float(text), where="--factor")
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-def nonneg_int(text: str) -> int:
-    """Argparse type for ``--retries``: integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def positive_int(text: str) -> int:
-    """Argparse type for ``--jobs``: integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--factor", type=positive_float, default=1.0)
-    parser.add_argument("--out", default=None, help="directory for .txt reports")
-    parser.add_argument(
-        "--only",
-        nargs="*",
-        default=None,
-        choices=sorted(EXPERIMENTS),
-        help="run only these experiment ids",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-experiment wall-clock budget in seconds",
-    )
-    parser.add_argument(
-        "--retries",
-        type=nonneg_int,
-        default=2,
-        help="retry attempts for transient failures",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=positive_int,
-        default=1,
-        help="experiments run at once: 1 runs them in this process, "
-             "N > 1 in N worker processes",
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="disable the persistent on-disk trace cache",
-    )
-    parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="ignore the checkpoint manifest and re-run everything",
-    )
-    parser.add_argument(
-        "--manifest",
-        default=None,
-        help="checkpoint manifest path (default: <out>/manifest.json)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="record host-side spans and export Chrome trace-event "
-             "JSON here (view with 'aurora-sim spans' or Perfetto)",
-    )
-    parser.add_argument(
-        "--chaos",
-        default=None,
-        metavar="SPEC",
-        help="chaos plan: comma-separated kind[:target[:count[:seconds]]] "
-             "tokens (see docs/ROBUSTNESS.md)",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the chaos plan's deterministic injections",
-    )
-    args = parser.parse_args(argv)
-    try:
-        validate_environment()
-    except EnvValidationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    from repro.robustness.chaos import ChaosError
-    from repro.telemetry import logging as structlog
+    """``aurora-sim experiments`` with ``argv`` (default: ``sys.argv[1:]``)."""
+    from repro.experiments.cli import main as cli_main
 
-    try:
-        structlog.configure_from_env()
-    except structlog.LogConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _results, report = run_resilient(
-            factor=args.factor,
-            out_dir=args.out,
-            only=args.only,
-            resume=not args.no_resume,
-            manifest=args.manifest,
-            timeout=args.timeout,
-            retries=args.retries,
-            jobs=args.jobs,
-            use_trace_cache=not args.no_trace_cache,
-            trace_out=args.trace,
-            chaos=args.chaos,
-            chaos_seed=args.chaos_seed,
-        )
-    except ChaosError as error:
-        print(f"error: --chaos: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyboardInterrupt:
-        # Second signal (hard abort): no report exists to salvage.
-        print("aborted", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except BrokenPipeError:
-        # Downstream consumer (e.g. `| head`) closed stdout: not a bug
-        # in the sweep.  Point the interpreter's shutdown flush at
-        # devnull so it cannot traceback, and report the conventional
-        # 128+SIGPIPE status a signal-killed process would have.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 128 + signal.SIGPIPE
-    finally:
-        structlog.shutdown()
-    return sweep_exit_code(report)
+    return cli_main(["experiments", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

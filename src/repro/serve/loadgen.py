@@ -23,14 +23,6 @@ Latency percentiles are derived through
 ``LATENCY_BUCKETS`` the server's ``serve.latency_seconds`` histogram
 uses, so the client-side and server-side numbers agree by construction
 (bucket resolution included).
-
-**SLOs**: ``run_load(..., slos=[...])`` additionally samples its own
-``loadgen.*`` registry into a
-:class:`~repro.telemetry.timeseries.TimeSeriesRing` during the run and
-evaluates the declarative objectives (:mod:`repro.telemetry.slo`) over
-it at the end; ``aurora-sim loadgen --slo`` exits
-``EXIT_SLO_VIOLATION`` (6) when any objective burns its budget in
-every window.
 """
 
 from __future__ import annotations
@@ -46,14 +38,7 @@ import urllib.parse
 from dataclasses import dataclass, field
 
 from repro.serve.protocol import parse_query
-from repro.serve.server import percentile  # noqa: F401 - public re-export
-from repro.telemetry.metrics import (
-    LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.slo import SLODef, SLOResult, evaluate_slos
-from repro.telemetry.timeseries import TimeSeriesRing, sample_registry
+from repro.telemetry.metrics import LATENCY_BUCKETS, Histogram
 
 #: Default synthetic workloads: small integer kernels so a smoke run
 #: simulates in seconds, not minutes.
@@ -141,7 +126,6 @@ class LoadReport:
     wall_seconds: float = 0.0
     latencies: list[float] = field(default_factory=list)
     error_samples: list[str] = field(default_factory=list)
-    slo_results: list[SLOResult] = field(default_factory=list)
 
     @property
     def throughput(self) -> float:
@@ -167,10 +151,6 @@ class LoadReport:
     def p99_ms(self) -> float:
         return self.latency_histogram().quantile(0.99) * 1000.0
 
-    @property
-    def slo_violated(self) -> bool:
-        return any(result.violated for result in self.slo_results)
-
     def render(self) -> str:
         lines = [
             f"requests      {self.requests:>10,}",
@@ -184,8 +164,6 @@ class LoadReport:
         ]
         for sample in self.error_samples[:3]:
             lines.append(f"error sample: {sample}")
-        for result in self.slo_results:
-            lines.append(result.render())
         return "\n".join(lines)
 
     def as_perf_record(
@@ -241,18 +219,11 @@ def run_load(
     requests: int | None = None,
     duration: float | None = None,
     timeout: float = 300.0,
-    slos: list[SLODef] | None = None,
-    sample_interval: float = 0.25,
 ) -> LoadReport:
     """Drive ``queries`` at the server; closed loop per worker thread.
 
     Stops after ``requests`` total completions (default: one pass over
     the query list) or ``duration`` seconds, whichever is given.
-
-    With ``slos``, a sampler thread snapshots the driver's own
-    ``loadgen.*`` registry every ``sample_interval`` seconds into a
-    time-series ring, and the objectives are evaluated over it after
-    the run (results land in ``report.slo_results``).
     """
     if concurrency < 1:
         raise LoadError(f"concurrency must be >= 1, got {concurrency}")
@@ -261,27 +232,6 @@ def run_load(
     report = LoadReport()
     lock = threading.Lock()
     source = itertools.cycle(queries)
-    registry = MetricsRegistry()
-    requests_counter = registry.counter("loadgen.requests")
-    errors_counter = registry.counter("loadgen.errors")
-    latency_hist = registry.histogram(
-        "loadgen.latency_seconds", LATENCY_BUCKETS
-    )
-    ring: TimeSeriesRing | None = None
-    sampler: threading.Thread | None = None
-    sampling_done = threading.Event()
-    if slos:
-        ring = TimeSeriesRing(max(16, int(3600 / max(sample_interval, 0.01))))
-        ring.append(sample_registry(registry))
-
-        def sample_loop() -> None:
-            while not sampling_done.wait(sample_interval):
-                ring.append(sample_registry(registry))
-
-        sampler = threading.Thread(
-            target=sample_loop, daemon=True, name="loadgen-sampler"
-        )
-        sampler.start()
     deadline = time.monotonic() + duration if duration else None
     started = time.monotonic()
 
@@ -297,14 +247,11 @@ def run_load(
     in_flight = [0]
 
     def settle(latency: float, response: dict | None, problem: str | None) -> None:
-        requests_counter.inc()
-        latency_hist.observe(latency)
         with lock:
             in_flight[0] -= 1
             report.requests += 1
             report.latencies.append(latency)
             if problem is not None:
-                errors_counter.inc()
                 report.errors += 1
                 if len(report.error_samples) < 8:
                     report.error_samples.append(problem)
@@ -359,10 +306,4 @@ def run_load(
     for thread in threads:
         thread.join()
     report.wall_seconds = time.monotonic() - started
-    if slos and ring is not None:
-        sampling_done.set()
-        if sampler is not None:
-            sampler.join(timeout=5.0)
-        ring.append(sample_registry(registry))
-        report.slo_results = evaluate_slos(slos, ring, prefix="loadgen")
     return report

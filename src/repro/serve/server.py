@@ -2,7 +2,7 @@
 
 A deliberately small HTTP/1.1 server on stdlib asyncio streams (no new
 dependencies): request line + headers + Content-Length body, keep-alive
-connections, JSON in and out.  Three routes:
+connections, JSON in and out.  Four routes:
 
 * ``POST /query`` — one design-space query (see
   :mod:`repro.serve.protocol`); answers from the memo store or through
@@ -17,8 +17,6 @@ connections, JSON in and out.  Three routes:
 * ``GET /healthz`` — liveness plus the in-flight gauge.
 * ``GET /readyz`` — readiness: 503 until the listener is up and the
   batch dispatcher can accept work, 200 after.
-* ``GET /timeseries`` — the in-process sampling ring's recent samples
-  (present when ``--sample-interval`` is positive).
 
 Every request runs under a ``request`` span with nested ``validate``,
 ``batch_wait``, ``simulate_batch`` (recorded inside ``simulate_many``)
@@ -40,7 +38,7 @@ import json
 import re
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.experiments.exit_codes import EXIT_INTERRUPTED, EXIT_OK
 from repro.robustness.signals import GracefulSignals
@@ -55,28 +53,16 @@ from repro.telemetry import tracing
 from repro.telemetry.logging import get_logger
 from repro.telemetry.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.telemetry.prom import render_prom
-from repro.telemetry.timeseries import TimeSeriesRing, sample_registry
 
 from repro.workloads.registry import WorkloadError
 
 _log = get_logger("serve")
 
-#: ``/timeseries`` returns at most this many trailing ring samples.
-TIMESERIES_SCRAPE_LIMIT = 256
 #: Request bodies past this are rejected up front with a 413 (a MiB of
 #: JSON is an attack or a bug, not a machine configuration).
 MAX_BODY_BYTES = 1 << 20
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
-
-
-def percentile(samples: list[float], fraction: float) -> float:
-    """Nearest-rank percentile (0 for an empty sample set)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 @dataclass
@@ -89,32 +75,17 @@ class ServeConfig:
     store_root: str = "results/.sim_memo"
     trace_out: str | None = None
     quiet: bool = False
-    extra_metrics: dict = field(default_factory=dict)
-    #: Registry-sampling interval (seconds) for the time-series ring;
-    #: 0 disables sampling entirely (no ring, no task — zero overhead).
-    sample_interval: float = 1.0
-    #: Ring capacity (samples kept in memory).
-    ring_capacity: int = 2048
-    #: Optional JSONL persistence path for the ring (crash-tolerant;
-    #: reloaded on restart so history survives).
-    ring_out: str | None = None
 
 
 class ServeApp:
     """Route table + per-request accounting over one shared batcher."""
 
     def __init__(
-        self,
-        store: MemoStore,
-        batcher: QueryBatcher,
-        metrics: MetricsRegistry,
-        *,
-        ring: TimeSeriesRing | None = None,
+        self, store: MemoStore, batcher: QueryBatcher, metrics: MetricsRegistry
     ) -> None:
         self.store = store
         self.batcher = batcher
         self.metrics = metrics
-        self.ring = ring
         #: Readiness: False until the listener is up and the batch
         #: dispatcher can accept work; ``/readyz`` answers 503 before.
         self.ready = False
@@ -185,12 +156,6 @@ class ServeApp:
             return 200, {"status": "ready"}
         return 503, {"status": "starting"}
 
-    def timeseries_payload(self) -> dict:
-        if self.ring is None:
-            return {"sampling": False, "samples": []}
-        samples = self.ring.samples()[-TIMESERIES_SCRAPE_LIMIT:]
-        return {"sampling": True, "samples": samples}
-
     # --------------------------------------------------------- connection
 
     async def handle_connection(
@@ -252,8 +217,6 @@ class ServeApp:
                     status, payload = 200, self.healthz_payload()
                 elif path == "/readyz" and method == "GET":
                     status, payload = self.readyz_payload()
-                elif path == "/timeseries" and method == "GET":
-                    status, payload = 200, self.timeseries_payload()
                 else:
                     status, payload = 404, {
                         "error": f"no route for {method} {path}"
@@ -389,19 +352,7 @@ async def run_server(
     metrics = MetricsRegistry()
     store = MemoStore(config.store_root, stream=out if not config.quiet else None)
     batcher = QueryBatcher(store, metrics, jobs=config.jobs)
-    ring: TimeSeriesRing | None = None
-    if config.sample_interval > 0:
-        if config.ring_out:
-            # Crash-tolerant: reload whatever history survived, keep
-            # appending to the same JSONL file.
-            ring = TimeSeriesRing.load(
-                config.ring_out,
-                capacity=config.ring_capacity,
-                persist=True,
-            )
-        else:
-            ring = TimeSeriesRing(config.ring_capacity)
-    app = ServeApp(store, batcher, metrics, ring=ring)
+    app = ServeApp(store, batcher, metrics)
 
     def _notify(name: str) -> None:
         loop.call_soon_threadsafe(stop.set)
@@ -412,12 +363,6 @@ async def run_server(
                 "and flushing the memo store (repeat to abort hard)",
                 file=out,
             )
-
-    async def _sample_loop() -> None:
-        while True:
-            await asyncio.sleep(config.sample_interval)
-            app.refresh_gauges()
-            ring.append(sample_registry(metrics))
 
     signals = GracefulSignals(notify=_notify)
     signals.install()
@@ -430,13 +375,7 @@ async def run_server(
         port_holder["app"] = app
     if not config.quiet:
         print(f"serving on http://{config.host}:{port}", file=out, flush=True)
-    _log.info(
-        "serve.start", host=config.host, port=port, jobs=config.jobs,
-        sample_interval=config.sample_interval,
-    )
-    sampler = (
-        loop.create_task(_sample_loop()) if ring is not None else None
-    )
+    _log.info("serve.start", host=config.host, port=port, jobs=config.jobs)
     # The listener is up and the batcher can dispatch: ready for traffic.
     app.mark_ready()
     if ready is not None:
@@ -447,17 +386,9 @@ async def run_server(
         app.ready = False
         server.close()
         await server.wait_closed()
-        if sampler is not None:
-            sampler.cancel()
-            try:
-                await sampler
-            except asyncio.CancelledError:
-                pass
         await batcher.drain()
         batcher.shutdown()
         persisted = store.flush()
-        if ring is not None:
-            ring.close()
         signals.restore()
         if tracer is not None:
             tracing.set_tracer(None)

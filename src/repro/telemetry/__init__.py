@@ -79,19 +79,6 @@ from repro.telemetry.prom import (  # noqa: F401
     parse_prom,
     render_prom,
 )
-from repro.telemetry.slo import (  # noqa: F401
-    SLODef,
-    SLOError,
-    SLOResult,
-    evaluate_slos,
-    parse_slo,
-    render_results,
-)
-from repro.telemetry.timeseries import (  # noqa: F401
-    TimeSeriesRing,
-    quantile_over_window,
-    sample_registry,
-)
 from repro.telemetry.profiling import (  # noqa: F401
     PerfReport,
     PhaseSampler,

@@ -1,12 +1,9 @@
 """The production observability plane: structured JSON-lines logging,
-Prometheus exposition, the metrics time-series ring, and declarative
-SLOs (docs/OBSERVABILITY.md)."""
+Prometheus exposition, histogram quantiles and the metrics registry
+(docs/OBSERVABILITY.md)."""
 
 from __future__ import annotations
 
-import io
-import json
-import sys
 import threading
 
 import pytest
@@ -28,20 +25,6 @@ from repro.telemetry.prom import (
     parse_prom,
     prom_name,
     render_prom,
-)
-from repro.telemetry.slo import (
-    SLOError,
-    evaluate_slos,
-    parse_slo,
-    render_results,
-)
-from repro.telemetry.timeseries import (
-    TimeSeriesRing,
-    bucket_deltas,
-    fraction_over,
-    quantile_over_window,
-    rate,
-    sample_registry,
 )
 
 
@@ -344,190 +327,3 @@ class TestRegistryEdgeCases:
         assert snapshot["telemetry.sinks"] == 1
         assert snapshot["telemetry.events_recorded"] == 5
         assert snapshot["telemetry.events_dropped"] == 3
-
-
-# -------------------------------------------------------- time-series ring
-
-
-def _ring_with(counts: list[float], *, step: float = 1.0) -> TimeSeriesRing:
-    ring = TimeSeriesRing(64)
-    for index, count in enumerate(counts):
-        ring.append(
-            {"t": 100.0 + index * step, "values": {"c.total": count}}
-        )
-    return ring
-
-
-class TestTimeSeriesRing:
-    def test_capacity_bound(self):
-        ring = TimeSeriesRing(4)
-        for index in range(10):
-            ring.append({"t": float(index), "values": {}})
-        assert len(ring) == 4
-        assert ring.latest()["t"] == 9.0
-
-    def test_sample_registry_flattens_histograms(self):
-        registry = _loaded_registry()
-        sample = sample_registry(registry, now=123.0)
-        values = sample["values"]
-        assert sample["t"] == 123.0
-        assert values["serve.requests"] == 17
-        assert values["serve.latency_seconds.count"] == 4
-        assert values["serve.latency_seconds.bucket.0.01"] == 1
-        assert "serve.unset_gauge" not in values
-
-    def test_rate_over_window(self):
-        ring = _ring_with([0.0, 10.0, 30.0])
-        assert rate(ring, "c.total", 2.0) == pytest.approx(15.0)
-
-    def test_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "ring.jsonl"
-        ring = TimeSeriesRing(8, path=str(path))
-        ring.append({"t": 1.0, "values": {"x": 1.0}})
-        ring.append({"t": 2.0, "values": {"x": 4.0}})
-        ring.close()
-        loaded = TimeSeriesRing.load(str(path), capacity=8)
-        assert [s["t"] for s in loaded.samples()] == [1.0, 2.0]
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "ring.jsonl"
-        path.write_text(
-            '{"t": 1.0, "values": {"x": 1.0}}\n'
-            '{"t": 2.0, "values": {"x": 2.0}}\n'
-            '{"t": 3.0, "val'  # torn mid-write
-        )
-        loaded = TimeSeriesRing.load(str(path), capacity=8)
-        assert len(loaded) == 2
-        assert loaded.malformed == 1
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        loaded = TimeSeriesRing.load(str(tmp_path / "absent"), capacity=8)
-        assert len(loaded) == 0
-
-    def test_bucket_deltas_and_windowed_quantile(self):
-        ring = TimeSeriesRing(8)
-        ring.append(
-            {
-                "t": 0.0,
-                "values": {
-                    "h.count": 0,
-                    "h.bucket.0.01": 0,
-                    "h.bucket.0.1": 0,
-                },
-            }
-        )
-        ring.append(
-            {
-                "t": 10.0,
-                "values": {
-                    "h.count": 10,
-                    "h.bucket.0.01": 9,
-                    "h.bucket.0.1": 10,
-                },
-            }
-        )
-        series, count = bucket_deltas(ring, "h", 10.0)
-        assert count == 10
-        assert series == [(0.01, 9.0), (0.1, 10.0)]
-        assert quantile_over_window(ring, "h", 0.5, 10.0) == 0.01
-        assert fraction_over(ring, "h", 0.01, 10.0) == pytest.approx(0.1)
-
-
-# ------------------------------------------------------------------- SLOs
-
-
-def _slo_ring(*, errors: float, requests: float = 100.0) -> TimeSeriesRing:
-    ring = TimeSeriesRing(8)
-    ring.append(
-        {
-            "t": 0.0,
-            "values": {"loadgen.requests": 0.0, "loadgen.errors": 0.0},
-        }
-    )
-    ring.append(
-        {
-            "t": 60.0,
-            "values": {
-                "loadgen.requests": requests,
-                "loadgen.errors": errors,
-            },
-        }
-    )
-    return ring
-
-
-class TestSLOs:
-    def test_parse_valid(self):
-        slo = parse_slo("p99:0.5")
-        assert (slo.kind, slo.threshold) == ("p99", 0.5)
-        assert parse_slo("error-rate:0.01").budget == 0.01
-        assert parse_slo("availability:0.999").name == "availability:0.999"
-
-    @pytest.mark.parametrize(
-        "spec", ["", "p99", "p99:", "p99:zero", "p98:1", "error-rate:2",
-                 "availability:0", "p99:-1"]
-    )
-    def test_parse_rejects(self, spec):
-        with pytest.raises(SLOError):
-            parse_slo(spec)
-
-    def test_error_rate_within_budget_passes(self):
-        results = evaluate_slos(
-            [parse_slo("error-rate:0.05")], _slo_ring(errors=2.0)
-        )
-        (result,) = results
-        assert not result.violated
-        assert result.observations == 100
-
-    def test_error_rate_over_budget_violates(self):
-        (result,) = evaluate_slos(
-            [parse_slo("error-rate:0.05")], _slo_ring(errors=50.0)
-        )
-        assert result.violated
-        assert max(result.burn_rates.values()) > 1.0
-
-    def test_availability(self):
-        (result,) = evaluate_slos(
-            [parse_slo("availability:0.999")], _slo_ring(errors=50.0)
-        )
-        assert result.violated
-        (result,) = evaluate_slos(
-            [parse_slo("availability:0.9")], _slo_ring(errors=2.0)
-        )
-        assert not result.violated
-
-    def test_no_observations_is_not_a_violation(self):
-        ring = TimeSeriesRing(8)
-        ring.append({"t": 0.0, "values": {}})
-        (result,) = evaluate_slos([parse_slo("error-rate:0.01")], ring)
-        assert not result.violated
-        assert result.observations == 0
-
-    def test_render_results(self):
-        results = evaluate_slos(
-            [parse_slo("error-rate:0.05")], _slo_ring(errors=50.0)
-        )
-        text = render_results(results)
-        assert "error-rate:0.05" in text and "VIOLATED" in text
-
-
-# ------------------------------------------------------ sparkline renderer
-
-
-class TestSparkline:
-    def test_flat_series(self):
-        from repro.serve.top import sparkline
-
-        assert sparkline([3.0, 3.0, 3.0]) == "▁▁▁"
-
-    def test_ramp_hits_both_ends(self):
-        from repro.serve.top import SPARK_CHARS, sparkline
-
-        strip = sparkline([0.0, 1.0, 2.0, 3.0])
-        assert strip[0] == SPARK_CHARS[0]
-        assert strip[-1] == SPARK_CHARS[-1]
-
-    def test_width_truncates_to_tail(self):
-        from repro.serve.top import sparkline
-
-        assert len(sparkline(list(map(float, range(50))), width=10)) == 10

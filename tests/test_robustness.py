@@ -674,19 +674,19 @@ class TestRunAllIntegration:
     def test_run_all_back_compat_returns_results(self, tmp_path):
         import io
 
-        from repro.experiments.run_all import run_all
+        from repro.experiments.run_all import run_resilient
 
-        results = run_all(
+        results, _report = run_resilient(
             factor=0.1, only=["fig1"], stream=io.StringIO()
         )
         assert set(results) == {"fig1"}
         assert "per year" in results["fig1"].render()
 
     def test_run_all_rejects_bad_factor(self):
-        from repro.experiments.run_all import run_all
+        from repro.experiments.run_all import run_resilient
 
         with pytest.raises(ValueError, match="factor"):
-            run_all(factor=0)
+            run_resilient(factor=0)
 
 
 # --------------------------------------------------------------------------
@@ -983,3 +983,52 @@ class TestParallelRunAllIntegration:
     def test_runner_rejects_negative_retries(self):
         with pytest.raises(ValueError, match="retries"):
             ResilientRunner(retries=-3)
+
+
+def _run_all_entry(argv):
+    from repro.experiments.run_all import main
+
+    return main(argv)
+
+
+def _experiments_entry(argv):
+    from repro.experiments.cli import main
+
+    return main(["experiments", *argv])
+
+
+class TestSweepEntryPoints:
+    """``run_all`` and ``aurora-sim experiments`` share one parser."""
+
+    @pytest.mark.parametrize(
+        "entry", [_run_all_entry, _experiments_entry],
+        ids=["run_all", "experiments"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--only", "nosuch"],
+            ["--timeout", "-1", "--only", "fig1"],
+            ["--timeout", "0", "--only", "fig1"],
+        ],
+        ids=["unknown-id", "negative-timeout", "zero-timeout"],
+    )
+    def test_bad_arguments_exit_usage(self, entry, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            entry([*argv, "--out", str(tmp_path)])
+        assert info.value.code == 2  # argparse usage error, not a traceback
+        assert argv[0] in capsys.readouterr().err
+
+    def test_fig1_reports_byte_identical(self, tmp_path, capsys):
+        for name, entry in (
+            ("run_all", _run_all_entry), ("experiments", _experiments_entry)
+        ):
+            out = tmp_path / name
+            assert entry(
+                ["--factor", "0.05", "--only", "fig1", "--no-resume",
+                 "--out", str(out)]
+            ) == 0
+        capsys.readouterr()
+        assert (tmp_path / "run_all" / "fig1.txt").read_bytes() == (
+            tmp_path / "experiments" / "fig1.txt"
+        ).read_bytes()
