@@ -4,9 +4,8 @@ The explorer exists to spend simulations only where the Pareto frontier
 might be: calibrate the analytic CPI model from a dozen anchor runs,
 then simulate just the predicted-frontier band.  This bench runs both
 the exhaustive 58-config sweep and the guided exploration at the CI
-smoke factor, gates the acceptance criteria (exact frontier recovery,
-at most half the grid simulated, model error within budget), and
-records the guided run as a ``mode="explore"`` perf-history series.
+smoke factor and gates the acceptance criteria (exact frontier recovery,
+at most half the grid simulated, model error within budget).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import time
 from repro.core.kernel import simulate_many
 from repro.cost.rbe import total_cost
 from repro.explore import explore, frontier_indices, get_space
-from repro.telemetry.baseline import BaselineError, PerfHistory, git_sha
 
 WORKLOAD = "espresso"
 #: The acceptance gates run at the CI smoke factor: frontier recovery
@@ -29,32 +27,7 @@ GATE_FRACTION = 0.5
 GATE_MEAN_REL_ERROR = 0.15
 
 
-def _record(result, wall: float) -> dict:
-    return {
-        "git_sha": git_sha(),
-        "recorded_at": time.time(),
-        "workload": WORKLOAD,
-        "factor": GATE_FACTOR,
-        "config": "space:fig8",
-        "instructions": result.sim_instructions,
-        "sim_cycles": result.sim_cycles,
-        "wall_seconds": wall,
-        "cycles_per_second": (
-            result.sim_cycles / wall if wall > 0 else 0.0
-        ),
-        "instructions_per_second": (
-            result.sim_instructions / wall if wall > 0 else 0.0
-        ),
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "mode": "explore",
-        "configs_considered": result.configs_considered,
-        "configs_simulated": result.configs_simulated,
-        "model_mean_rel_error": result.model.mean_rel_error,
-    }
-
-
-def test_guided_exploration_recovers_frontier(benchmark, tmp_path):
+def test_guided_exploration_recovers_frontier(benchmark):
     from repro.experiments.common import scaled_trace
     from repro.explore.model import CPIEstimator
 
@@ -86,25 +59,6 @@ def test_guided_exploration_recovers_frontier(benchmark, tmp_path):
         [(c.config, s) for c, s in zip(candidates, stats)]
     )
     assert grid_model.mean_rel_error <= GATE_MEAN_REL_ERROR
-
-    # The guided run is a mode="explore" perf series: it appends and
-    # seeds like any other record, and a cross-mode check must refuse.
-    record = _record(result, wall)
-    history = PerfHistory(tmp_path / "BENCH_history.json")
-    history.append(record)
-    history.seed_baseline(record)
-    check = history.compare(record)
-    assert not check.regressed
-
-    simulate_record = dict(record, mode="simulate", config="fig8-grid")
-    try:
-        history.compare(simulate_record)
-    except BaselineError as error:
-        assert "mode" in str(error)
-    else:
-        raise AssertionError(
-            "cross-mode perf comparison should refuse: different series"
-        )
 
     print()
     print(

@@ -15,9 +15,8 @@ Subcommands::
                        [--budget 0.5] [--jobs 2]
                        [--validate] [--out explore.json]
                        [--metrics-out m.json] [--trace spans.json]
-                       [--history BENCH_history.json] [--check]
     aurora-sim spans <sweep-trace.json> [--min-ms 0.1]
-    aurora-sim perf <workload> [--factor 0.05] [--check] [--seed-baseline]
+    aurora-sim perf <workload> [--factor 0.05] [--no-sample] [--cprofile]
     aurora-sim serve [--host 127.0.0.1] [--port 8311] [--jobs 2]
                      [--store results/.sim_memo]
     aurora-sim loadgen --url http://127.0.0.1:8311 [--queries q.jsonl]
@@ -36,8 +35,7 @@ see docs/OBSERVABILITY.md.
 Exit codes are unified across subcommands (see
 :mod:`repro.experiments.exit_codes`): 0 success, 1 internal error,
 2 usage error (bad arguments, unknown workload, invalid ``REPRO_*``
-environment, ``perf --check`` without a stored baseline), 3 perf
-regression, 4 partial experiment results (some failed, the rest
+environment), 4 partial experiment results (some failed, the rest
 completed and checkpointed), 5 interrupted by SIGINT/SIGTERM after a
 graceful checkpoint flush.
 """
@@ -62,7 +60,6 @@ from repro.experiments.exit_codes import (
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PARTIAL,
-    EXIT_PERF_REGRESSION,
     EXIT_USAGE,
     sweep_exit_code,
 )
@@ -92,8 +89,8 @@ def positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
-def _int_at_least(minimum: int):
-    """Argparse type: an integer >= ``minimum``."""
+def _bounded_int(minimum: int, maximum: int | None = None):
+    """Argparse type: an integer >= ``minimum`` (and <= ``maximum``)."""
 
     def parse(text: str) -> int:
         try:
@@ -106,13 +103,18 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(
                 f"must be >= {minimum}, got {value}"
             )
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {maximum}, got {value}"
+            )
         return value
 
     return parse
 
 
-nonneg_int = _int_at_least(0)  # --retries, --seed
-positive_int = _int_at_least(1)  # --jobs, --window, --count, ...
+nonneg_int = _bounded_int(0)  # --retries, --seed
+positive_int = _bounded_int(1)  # --jobs, --window, --count, ...
+port_number = _bounded_int(0, 65535)  # serve --port (0 = ephemeral)
 
 
 def _configure(args: argparse.Namespace) -> MachineConfig:
@@ -258,12 +260,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
     predicted-frontier band (docs/EXPLORATION.md), and reports the
     simulated Pareto frontier.  ``--validate`` additionally simulates
     the *entire* space and asserts the guided frontier matches the
-    exhaustive one (exit 1 when it does not); ``--history``/``--check``
-    track a ``mode="explore"`` series in BENCH_history.json.  Exits 4
-    when the simulation budget ran out before the frontier stabilised.
+    exhaustive one (exit 1 when it does not).  Exits 4 when the
+    simulation budget ran out before the frontier stabilised.
     """
     import json
-    import time
 
     from repro.core.kernel import simulate_many
     from repro.explore import ExploreError, explore, get_space
@@ -272,8 +272,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from repro.explore.space import SpaceError
     from repro.experiments.common import scaled_trace
     from repro.telemetry import MetricsRegistry, tracing
-    from repro.telemetry.baseline import BaselineError, PerfHistory, git_sha
-    from repro.workloads import trace_cache
 
     try:
         candidates = get_space(args.space)
@@ -285,8 +283,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     tracer = None
     if args.trace:
         tracer = tracing.SpanTracer()
-    base_hits, base_misses = trace_cache.snapshot()
-    started = time.perf_counter()
     try:
         with tracing.use_tracer(tracer):
             result = explore(
@@ -311,8 +307,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     except ExploreError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    wall = time.perf_counter() - started
-    hits, misses = trace_cache.snapshot()
     if tracer is not None:
         tracer.write_chrome(args.trace)
         print(f"spans: {args.trace}")
@@ -349,51 +343,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
             json.dump(document, handle, indent=2)
             handle.write("\n")
         print(f"summary: {args.out}")
-    status = EXIT_OK
-    if args.history:
-        record = {
-            "git_sha": git_sha(),
-            "recorded_at": time.time(),
-            "workload": args.workload,
-            "factor": args.factor,
-            "config": f"space:{args.space}",
-            "instructions": result.sim_instructions,
-            "sim_cycles": result.sim_cycles,
-            "wall_seconds": wall,
-            "cycles_per_second": result.sim_cycles / wall if wall > 0 else 0.0,
-            "instructions_per_second": (
-                result.sim_instructions / wall if wall > 0 else 0.0
-            ),
-            "cache_hits": max(hits - base_hits, 0),
-            "cache_misses": max(misses - base_misses, 0),
-            "mode": "explore",
-            "configs_considered": result.configs_considered,
-            "configs_simulated": result.configs_simulated,
-            "model_mean_rel_error": result.model.mean_rel_error,
-        }
-        history = PerfHistory(args.history)
-        try:
-            history.append(record)
-            if args.seed_baseline:
-                history.seed_baseline(record)
-        except BaselineError as error:
-            print(f"perf history: {error}", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"perf history: {history.path} (explore-mode record appended)")
-        if args.check:
-            try:
-                check = history.compare(record, threshold=args.threshold)
-            except BaselineError as error:
-                print(f"perf check: {error}", file=sys.stderr)
-                return EXIT_USAGE
-            print(f"perf check: {check.render()}")
-            if check.regressed:
-                status = EXIT_PERF_REGRESSION
     if validation is not None and not validation["frontier_match"]:
         return EXIT_ERROR
     if result.budget_exhausted:
         return EXIT_PARTIAL
-    return status
+    return EXIT_OK
 
 
 def _explore_validation(result, grid_stats, report_cls, frontier_fn) -> dict:
@@ -441,8 +395,11 @@ def cmd_spans(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    """Profile the simulator on one workload; track/check perf history."""
-    from repro.telemetry.baseline import BaselineError, PerfHistory, record_now
+    """Profile the simulator on one workload and print the report.
+
+    A one-shot profiler: it writes nothing.  The benchmark of record is
+    bench/ (docs/PERFORMANCE.md).
+    """
     from repro.telemetry.profiling import profile_workload
 
     config = _configure(args)
@@ -455,30 +412,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         top=args.top,
     )
     print(report.render())
-    history = PerfHistory(args.history)
-    record = record_now(report)
-    try:
-        history.append(record)
-        if args.seed_baseline:
-            history.seed_baseline(record)
-    except BaselineError as error:
-        print(f"perf history: {error}", file=sys.stderr)
-        return EXIT_ERROR
-    print()
-    print(
-        f"perf history: {history.path} "
-        f"({len(history.records())} records"
-        + (", baseline seeded from this run)" if args.seed_baseline else ")")
-    )
-    if not args.check:
-        return EXIT_OK
-    try:
-        check = history.compare(record, threshold=args.threshold)
-    except BaselineError as error:
-        print(f"perf check: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"perf check: {check.render()}")
-    return EXIT_PERF_REGRESSION if check.regressed else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -510,7 +444,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         synthetic_queries,
         write_queries,
     )
-    from repro.telemetry.baseline import BaselineError, PerfHistory, git_sha
 
     try:
         if args.queries:
@@ -542,22 +475,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     print(f"queries:  {len(queries)} ({'recorded' if args.queries else 'synthetic'})")
     print(f"workers:  {args.concurrency}")
     print(report.render())
-    if args.history:
-        import time as _time
-
-        record = report.as_perf_record(
-            git_sha=git_sha(),
-            recorded_at=_time.time(),
-            workload=args.series_workload,
-            factor=args.factor,
-        )
-        history = PerfHistory(args.history)
-        try:
-            history.append(record)
-        except BaselineError as error:
-            print(f"perf history: {error}", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"perf history: {history.path} (serve-mode record appended)")
     return EXIT_ERROR if report.errors else EXIT_OK
 
 
@@ -697,16 +614,6 @@ def main(argv: list[str] | None = None) -> int:
     p_explore.add_argument("--trace", default=None, metavar="PATH",
                            help="export calibration/round spans as "
                                 "Chrome trace-event JSON (see 'spans')")
-    p_explore.add_argument("--history", default=None, metavar="PATH",
-                           help="append a mode=\"explore\" record to "
-                                "this BENCH_history.json")
-    p_explore.add_argument("--seed-baseline", action="store_true",
-                           help="promote this run to the stored baseline")
-    p_explore.add_argument("--check", action="store_true",
-                           help="compare throughput against the stored "
-                                "baseline; exit 3 on regression")
-    p_explore.add_argument("--threshold", type=float, default=0.20,
-                           help="regression threshold as a fraction")
     p_explore.set_defaults(func=cmd_explore)
 
     p_spans = sub.add_parser(
@@ -719,27 +626,17 @@ def main(argv: list[str] | None = None) -> int:
     p_spans.set_defaults(func=cmd_spans)
 
     p_perf = sub.add_parser(
-        "perf", help="profile simulator throughput; track perf history"
+        "perf", help="profile simulator throughput (one-shot)"
     )
     p_perf.add_argument("workload")
     p_perf.add_argument("--factor", type=positive_float, default=1.0,
                         help="workload scale factor (as in 'experiments')")
-    p_perf.add_argument("--history", default="BENCH_history.json",
-                        help="perf-history JSON path")
     p_perf.add_argument("--no-sample", action="store_true",
                         help="skip the sampling phase profiler")
     p_perf.add_argument("--cprofile", action="store_true",
                         help="also run cProfile (exact but ~2x slower)")
     p_perf.add_argument("--top", type=positive_int, default=15,
                         help="cProfile rows to show")
-    p_perf.add_argument("--seed-baseline", action="store_true",
-                        help="promote this run to the stored baseline")
-    p_perf.add_argument("--check", action="store_true",
-                        help="compare against the baseline; exit 3 on "
-                             "regression, 2 when no baseline is stored")
-    p_perf.add_argument("--threshold", type=float, default=0.20,
-                        help="regression threshold as a fraction "
-                             "(0.20 = fail when >20%% slower)")
     _add_machine_args(p_perf)
     p_perf.set_defaults(func=cmd_perf)
 
@@ -747,7 +644,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve", help="coalescing design-space query service (long-lived)"
     )
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8311,
+    p_serve.add_argument("--port", type=port_number, default=8311,
                          help="listen port (0 = ephemeral; the bound "
                               "port is announced on stdout)")
     p_serve.add_argument("--jobs", type=positive_int, default=1,
@@ -794,11 +691,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="synthetic queries to generate")
     p_load.add_argument("--factor", type=positive_float, default=0.05,
                         help="workload scale factor for synthetic queries")
-    p_load.add_argument("--history", default=None, metavar="PATH",
-                        help="append a serve-mode record to this "
-                             "BENCH_history.json")
-    p_load.add_argument("--series-workload", default="mixed",
-                        help="workload label for the history record")
     p_load.set_defaults(func=cmd_loadgen)
 
     p_cost = sub.add_parser("cost", help="RBE cost of a configuration")

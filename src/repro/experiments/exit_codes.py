@@ -11,7 +11,6 @@ code  meaning
 0     success (all selected work completed)
 1     internal error (unexpected exception; a bug, not usage)
 2     usage error (bad arguments or invalid ``REPRO_*`` env)
-3     performance regression detected (``aurora-sim perf``)
 4     partial results: one or more experiments failed, timed
       out, or were lost to a worker death — the rest completed
       and were checkpointed
@@ -20,8 +19,9 @@ code  meaning
 ====  =======================================================
 
 Codes 4 and 5 are deliberately distinct: "something broke" (4) wants a
-bug report, "the operator stopped it" (5) wants a resume.  Code 6 is
-retired (it meant a load-generator SLO violation) and is not reused.
+bug report, "the operator stopped it" (5) wants a resume.  Codes 3 and
+6 are retired (they meant a perf-history regression and a
+load-generator SLO violation) and are not reused.
 Argparse itself exits 2 on bad flags, which this table deliberately
 matches for the eager environment validation path.  One code lives
 outside the table: a downstream consumer closing stdout (``run_all |
@@ -34,7 +34,6 @@ from __future__ import annotations
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
-EXIT_PERF_REGRESSION = 3
 EXIT_PARTIAL = 4
 EXIT_INTERRUPTED = 5
 

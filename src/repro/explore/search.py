@@ -96,10 +96,6 @@ class ExploreResult:
     model: ModelReport = field(
         default_factory=lambda: ModelReport(0, 0.0, 0.0, 1.0)
     )
-    #: Simulated-cycle / retired-instruction totals over every
-    #: simulation the exploration ran (the perf-series numerators).
-    sim_cycles: int = 0
-    sim_instructions: int = 0
 
     @property
     def simulated_fraction(self) -> float:
@@ -401,10 +397,6 @@ def explore(
             budget_exhausted=budget_exhausted,
             margin=margin,
             model=model,
-            sim_cycles=sum(s.cycles for s in simulated.values()),
-            sim_instructions=sum(
-                s.instructions for s in simulated.values()
-            ),
         )
         if metrics is not None:
             _publish(result, metrics)

@@ -839,7 +839,7 @@ class ResilientRunner:
                     publish_outcome(outcomes[exp_id])
 
         # Sweep-level throughput gauges: how fast the host chewed through
-        # the simulated work (the perf-baseline observatory's inputs).
+        # the simulated work.
         wall = self._clock() - run_started
         registry.gauge("runner.wall_seconds").set(wall)
         executed = [o for o in outcomes.values() if o.status == "ok"]

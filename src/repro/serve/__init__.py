@@ -19,8 +19,7 @@ as traffic instead of batch jobs.  The pieces:
   drain via :class:`repro.robustness.signals.GracefulSignals`.
 * :mod:`repro.serve.loadgen` — the closed-loop load driver
   (``aurora-sim loadgen``): recorded or synthetic query streams at
-  configurable concurrency, p50/p99/throughput reporting, and
-  ``BENCH_history.json`` records tagged ``mode="serve"``.
+  configurable concurrency and p50/p99/throughput reporting.
 
 See docs/SERVING.md for the API schema and operational notes.
 """

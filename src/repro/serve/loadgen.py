@@ -14,9 +14,7 @@ the request budget (or duration) is spent.  Two query sources:
   mirroring the recorded-vs-generated split of production load drivers.
 
 The report carries p50/p99 latency, throughput, error and memo-hit
-counts, and converts to a ``BENCH_history.json`` record tagged
-``mode="serve"`` — a separate perf series that ``perf --check``
-refuses to compare against simulate-mode baselines.
+counts.
 
 Latency percentiles are derived through
 :meth:`repro.telemetry.metrics.Histogram.quantile` over the same
@@ -121,8 +119,6 @@ class LoadReport:
     errors: int = 0
     memo_hits: int = 0
     coalesced: int = 0
-    instructions: int = 0
-    sim_cycles: int = 0
     wall_seconds: float = 0.0
     latencies: list[float] = field(default_factory=list)
     error_samples: list[str] = field(default_factory=list)
@@ -166,41 +162,6 @@ class LoadReport:
             lines.append(f"error sample: {sample}")
         return "\n".join(lines)
 
-    def as_perf_record(
-        self,
-        *,
-        git_sha: str,
-        recorded_at: float,
-        workload: str,
-        factor: float,
-        config: str = "grid",
-    ) -> dict:
-        """A ``BENCH_history.json`` record for the ``serve`` series.
-
-        ``cycles_per_second`` keeps its simulate-mode meaning (simulated
-        cycles delivered per wall second, summed over every response);
-        the serve-only latency facts ride in the optional fields.
-        """
-        wall = self.wall_seconds or 1e-9
-        return {
-            "git_sha": git_sha,
-            "recorded_at": recorded_at,
-            "workload": workload,
-            "factor": factor,
-            "config": config,
-            "instructions": self.instructions,
-            "sim_cycles": self.sim_cycles,
-            "wall_seconds": self.wall_seconds,
-            "cycles_per_second": self.sim_cycles / wall,
-            "instructions_per_second": self.instructions / wall,
-            "cache_hits": self.memo_hits,
-            "cache_misses": max(0, self.requests - self.memo_hits),
-            "mode": "serve",
-            "requests_per_second": self.throughput,
-            "latency_p50_ms": self.p50_ms,
-            "latency_p99_ms": self.p99_ms,
-        }
-
 
 def _parse_url(url: str) -> tuple[str, int]:
     parsed = urllib.parse.urlsplit(url)
@@ -208,7 +169,11 @@ def _parse_url(url: str) -> tuple[str, int]:
         raise LoadError(
             f"url must be http://host:port, got {url!r}"
         )
-    return parsed.hostname, parsed.port or 80
+    try:
+        port = parsed.port
+    except ValueError as error:
+        raise LoadError(f"bad port in url {url!r}: {error}") from None
+    return parsed.hostname, port or 80
 
 
 def run_load(
@@ -260,9 +225,6 @@ def run_load(
                 report.memo_hits += 1
             if response.get("coalesced"):
                 report.coalesced += 1
-            stats = response.get("stats", {})
-            report.instructions += int(stats.get("instructions", 0))
-            report.sim_cycles += int(stats.get("cycles", 0))
 
     def worker() -> None:
         connection = http.client.HTTPConnection(host, port, timeout=timeout)

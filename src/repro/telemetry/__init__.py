@@ -19,9 +19,6 @@ Host time:
 * :mod:`repro.telemetry.profiling` — simulator throughput (cycles/s,
   instructions/s), sampling-based per-structure host-time attribution,
   and opt-in cProfile reports (``aurora-sim perf``).
-* :mod:`repro.telemetry.baseline` — the ``BENCH_history.json`` perf
-  observatory: append-per-run records, a seeded baseline, and threshold
-  regression checks (``aurora-sim perf --check`` exits 3 on regression).
 * :mod:`repro.telemetry.metrics` — a counter/gauge/histogram registry
   with JSON export, fed by ``SimStats`` and the resilient runner.
 """
@@ -52,12 +49,6 @@ from repro.telemetry.events import (  # noqa: F401
     RingBufferSink,
     TelemetryError,
     load_ndjson,
-)
-from repro.telemetry.baseline import (  # noqa: F401
-    BaselineError,
-    PerfHistory,
-    RegressionCheck,
-    validate_record,
 )
 from repro.telemetry.logging import (  # noqa: F401
     LogConfigError,

@@ -18,9 +18,7 @@ run" — the number every optimisation PR must move:
   sampling stays the default because deterministic profiling roughly
   doubles the wall time of the loop it measures.
 
-The result is a :class:`PerfReport` with ``render()`` for humans and
-:meth:`PerfReport.as_record` for the perf-history store
-(:mod:`repro.telemetry.baseline`).
+The result is a :class:`PerfReport` whose ``render()`` is printed.
 """
 
 from __future__ import annotations
@@ -162,23 +160,6 @@ class PerfReport:
     def cache_hit_rate(self) -> float:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
-
-    def as_record(self, *, git_sha: str, recorded_at: float) -> dict:
-        """Schema-valid perf-history record (see telemetry.baseline)."""
-        return {
-            "git_sha": git_sha,
-            "recorded_at": recorded_at,
-            "workload": self.workload,
-            "factor": self.factor,
-            "config": self.config_label,
-            "instructions": self.instructions,
-            "sim_cycles": self.sim_cycles,
-            "wall_seconds": self.wall_seconds,
-            "cycles_per_second": self.cycles_per_second,
-            "instructions_per_second": self.instructions_per_second,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
 
     def render(self) -> str:
         lines = [

@@ -296,18 +296,15 @@ class TestExplore:
 
 
 class TestExploreCli:
-    def test_full_run_with_history(self, tmp_path, capsys):
+    def test_full_run(self, tmp_path, capsys):
         out = tmp_path / "explore.json"
         metrics_out = tmp_path / "metrics.json"
-        history = tmp_path / "BENCH_history.json"
         assert cli.main([
             "explore", WORKLOAD, "--factor", str(FACTOR),
             "--out", str(out), "--metrics-out", str(metrics_out),
-            "--history", str(history), "--seed-baseline", "--check",
         ]) == 0
         stdout = capsys.readouterr().out
         assert "Guided exploration" in stdout
-        assert "perf check:" in stdout
 
         document = json.loads(out.read_text())
         assert document["simulated_fraction"] <= 0.5
@@ -316,53 +313,6 @@ class TestExploreCli:
         snapshot = json.loads(metrics_out.read_text())
         assert snapshot["counters"]["explore.configs_considered"] == 58
 
-        record = json.loads(history.read_text())["records"][-1]
-        assert record["mode"] == "explore"
-        assert record["config"] == "space:fig8"
-        assert record["configs_simulated"] <= 29
-
     def test_unknown_space_exits_2(self, capsys):
         assert cli.main(["explore", WORKLOAD, "--space", "fig99"]) == 2
         assert "unknown space" in capsys.readouterr().err
-
-
-# --------------------------------------------- cross-series refusal text
-
-
-class TestCrossSeriesRefusal:
-    def _record(self, **overrides):
-        record = {
-            "git_sha": "deadbee",
-            "recorded_at": 1.0,
-            "workload": "espresso",
-            "factor": 0.05,
-            "config": "baseline",
-            "instructions": 1000,
-            "sim_cycles": 2000,
-            "wall_seconds": 0.5,
-            "cycles_per_second": 4000.0,
-            "instructions_per_second": 2000.0,
-            "cache_hits": 1,
-            "cache_misses": 0,
-            "kernel": "batched",
-            "mode": "explore",
-        }
-        record.update(overrides)
-        return record
-
-    def test_refusal_names_every_offending_axis(self, tmp_path):
-        from repro.telemetry.baseline import BaselineError, PerfHistory
-
-        history = PerfHistory(tmp_path / "history.json")
-        history.seed_baseline(self._record())
-        divergent = self._record(
-            workload="compress", kernel="scalar", mode="simulate"
-        )
-        with pytest.raises(BaselineError) as excinfo:
-            history.compare(divergent)
-        message = str(excinfo.value)
-        assert "workload='espresso'" in message
-        assert "workload='compress'" in message
-        assert "kernel='batched'" in message
-        assert "mode='explore'" in message
-        assert "factor" not in message  # matching axes stay out of it

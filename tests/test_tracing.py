@@ -1,11 +1,10 @@
-"""Host-side observability: span tracing, profiling, perf baselines.
+"""Host-side observability: span tracing and profiling.
 
 The load-bearing tests: a traced sweep (serial or parallel) produces one
 merged span tree whose worker-side spans are grafted under the right
 attempt, retries appear as sibling attempts, and switching tracing off
-leaves the sweep report byte-identical.  The perf observatory must
-append schema-valid history records and exit 3 from ``perf --check``
-when throughput regresses beyond the threshold.
+leaves the sweep report byte-identical.  ``aurora-sim perf`` is a
+one-shot profiler: it prints its report and writes nothing.
 """
 
 from __future__ import annotations
@@ -21,13 +20,6 @@ from repro.experiments import cli
 from repro.robustness.faults import FaultPlan
 from repro.robustness.runner import ResilientRunner
 from repro.telemetry import tracing
-from repro.telemetry.baseline import (
-    BaselineError,
-    PerfHistory,
-    RegressionCheck,
-    git_sha,
-    validate_record,
-)
 from repro.telemetry.profiling import PerfReport, profile_workload
 from repro.telemetry.tracing import (
     SpanError,
@@ -397,116 +389,6 @@ class TestRunnerSpans:
         assert normalize(plain) == normalize(traced)
 
 
-# ------------------------------------------------------------ perf baseline
-
-
-def _record(**overrides):
-    base = {
-        "git_sha": "abc123",
-        "recorded_at": 1722950000.0,
-        "workload": "compress",
-        "factor": 0.05,
-        "config": "baseline/dual/L17",
-        "instructions": 40000,
-        "sim_cycles": 90000,
-        "wall_seconds": 0.5,
-        "cycles_per_second": 180000.0,
-        "instructions_per_second": 80000.0,
-        "cache_hits": 1,
-        "cache_misses": 0,
-    }
-    base.update(overrides)
-    return base
-
-
-class TestPerfHistory:
-    def test_validate_record_accepts_good(self):
-        assert validate_record(_record()) == _record()
-
-    @pytest.mark.parametrize(
-        "mutation, match",
-        [
-            ({"git_sha": None}, "git_sha"),
-            ({"sim_cycles": 1.5}, "sim_cycles"),
-            ({"cache_hits": True}, "cache_hits"),
-            ({"wall_seconds": -1.0}, "wall_seconds"),
-        ],
-    )
-    def test_validate_record_rejects_bad_fields(self, mutation, match):
-        with pytest.raises(BaselineError, match=match):
-            validate_record(_record(**mutation))
-
-    def test_validate_record_rejects_missing_field(self):
-        record = _record()
-        del record["workload"]
-        with pytest.raises(BaselineError, match="workload"):
-            validate_record(record)
-
-    def test_append_and_load_round_trip(self, tmp_path):
-        history = PerfHistory(tmp_path / "BENCH_history.json")
-        assert history.records() == []
-        history.append(_record())
-        history.append(_record(git_sha="def456"))
-        records = history.records()
-        assert len(records) == 2
-        assert records[1]["git_sha"] == "def456"
-        assert history.baseline() is None
-
-    def test_corrupt_history_is_an_error_not_data_loss(self, tmp_path):
-        path = tmp_path / "BENCH_history.json"
-        path.write_text("{broken")
-        with pytest.raises(BaselineError, match="unreadable"):
-            PerfHistory(path).records()
-
-    def test_compare_requires_baseline(self, tmp_path):
-        history = PerfHistory(tmp_path / "h.json")
-        history.append(_record())
-        with pytest.raises(BaselineError, match="no baseline"):
-            history.compare(_record())
-
-    def test_compare_refuses_cross_series(self, tmp_path):
-        history = PerfHistory(tmp_path / "h.json")
-        history.seed_baseline(_record())
-        with pytest.raises(BaselineError, match="workload"):
-            history.compare(_record(workload="li"))
-        with pytest.raises(BaselineError, match="factor"):
-            history.compare(_record(factor=0.1))
-
-    def test_regression_thresholds(self, tmp_path):
-        history = PerfHistory(tmp_path / "h.json")
-        history.seed_baseline(_record(cycles_per_second=100000.0))
-        fine = history.compare(_record(cycles_per_second=85000.0))
-        assert not fine.regressed
-        bad = history.compare(_record(cycles_per_second=75000.0))
-        assert bad.regressed
-        assert "REGRESSION" in bad.render()
-        assert bad.ratio == pytest.approx(0.75)
-
-    def test_regression_check_math(self):
-        check = RegressionCheck(
-            baseline_throughput=200.0,
-            current_throughput=100.0,
-            threshold=0.2,
-        )
-        assert check.ratio == pytest.approx(0.5)
-        assert check.delta_percent == pytest.approx(-50.0)
-        assert check.regressed
-
-    def test_git_sha_smoke(self):
-        sha = git_sha()
-        assert isinstance(sha, str) and sha
-
-    def test_records_with_retired_trace_path_tag_still_load(self, tmp_path):
-        # Records written while the history had a trace-representation
-        # axis carry a ``trace_path`` tag; it is ignored, not rejected,
-        # and is no longer part of the series key.
-        history = PerfHistory(tmp_path / "h.json")
-        history.seed_baseline(_record(trace_path="prepared"))
-        history.append(_record(trace_path="tuples"))
-        assert len(history.records()) == 1
-        assert not history.compare(_record()).regressed
-
-
 # --------------------------------------------------------------- profiling
 
 
@@ -520,10 +402,6 @@ class TestProfiling:
         assert report.sim_cycles > 0
         assert report.wall_seconds > 0
         assert report.cycles_per_second > 0
-        record = report.as_record(git_sha="abc", recorded_at=1.0)
-        assert validate_record(record) == record
-        assert "trace_path" not in record
-        assert "kernel" not in record
         text = report.render()
         assert "sim-cycles/s" in text
 
@@ -564,53 +442,14 @@ class TestSimulateBatchSpan:
 
 
 class TestPerfCli:
-    def test_perf_appends_and_seeds(self, tmp_path, capsys):
-        history_path = tmp_path / "BENCH_history.json"
+    def test_perf_is_one_shot(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         code = cli.main(
-            [
-                "perf", "compress", "--factor", "0.02", "--no-sample",
-                "--history", str(history_path), "--seed-baseline",
-            ]
+            ["perf", "compress", "--factor", "0.02", "--no-sample"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "sim-cycles/s" in out
-        history = PerfHistory(history_path)
-        assert len(history.records()) == 1
-        assert history.baseline() is not None
-        assert validate_record(history.records()[0])
-
-    def test_perf_check_exits_3_on_injected_regression(self, tmp_path, capsys):
-        history_path = tmp_path / "BENCH_history.json"
-        assert cli.main(
-            [
-                "perf", "compress", "--factor", "0.02", "--no-sample",
-                "--history", str(history_path), "--seed-baseline",
-            ]
-        ) == 0
-        # Inject a >20% regression by inflating the stored baseline.
-        history = PerfHistory(history_path)
-        document = history.load()
-        document["baseline"]["cycles_per_second"] *= 100.0
-        history_path.write_text(json.dumps(document))
-        code = cli.main(
-            [
-                "perf", "compress", "--factor", "0.02", "--no-sample",
-                "--history", str(history_path), "--check",
-            ]
-        )
-        assert code == 3
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_perf_check_without_baseline_exits_2(self, tmp_path, capsys):
-        code = cli.main(
-            [
-                "perf", "compress", "--factor", "0.02", "--no-sample",
-                "--history", str(tmp_path / "h.json"), "--check",
-            ]
-        )
-        assert code == 2
-        assert "no baseline" in capsys.readouterr().err
+        assert "sim-cycles/s" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_spans_verb_renders_tree(self, tmp_path, capsys):
         tracer = SpanTracer()
