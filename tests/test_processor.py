@@ -735,7 +735,10 @@ class TestPinnedDigests:
 # bench/golden.json only reaches 1-4 KB I-caches (at most 128 sets).
 # These points hold the larger I-cache geometries (256 to 131,072 sets,
 # past the 16-bit set-index width), a 128 KB D-cache and the ablations
-# to digests written before the timing columns went compact.  Rewrite
+# to digests written before the timing columns went compact, and retire
+# widths, reorder-buffer sizes and FPU queue depths off the paper's
+# models to digests written before the loop's retire and reorder-buffer
+# bookkeeping was rewritten.  Rewrite
 # tests/data/off_golden_digests.json only for an intended timing change:
 #
 #     PYTHONPATH=src python -m tests.test_processor
@@ -772,8 +775,26 @@ _OFF_GOLDEN_CONFIGS = {
     "fpu-dual-buses1-icache32k": _fp_policy(
         _icache(32), FPIssuePolicy.DUAL_ISSUE, result_buses=1
     ),
+    # Retire widths and reorder-buffer sizes the paper's models never
+    # use (they retire two a cycle from ROBs of 2, 6 and 8).
+    "retire1": BASELINE.with_(retire_width=1),
+    "retire3": BASELINE.with_(retire_width=3),
+    "retire4": BASELINE.with_(retire_width=4),
+    "rob1": BASELINE.with_(rob_entries=1),
+    "rob16": BASELINE.with_(rob_entries=16),
+    "retire1-rob1": BASELINE.with_(retire_width=1, rob_entries=1),
+    "width1-retire1": BASELINE.single_issue().with_(retire_width=1),
+    "fpu-single-rob1-iq1": _fp_policy(
+        BASELINE, FPIssuePolicy.SINGLE_ISSUE, rob_entries=1,
+        instruction_queue=1,
+    ),
 }
-_OFF_GOLDEN_TELEMETRY = ("espresso", "icache16k")
+#: (trace, config) points whose whole telemetry stream is digested; at
+#: ``retire1-rob1`` the RETIRE events carry every retire time.
+_OFF_GOLDEN_TELEMETRY = (
+    ("espresso", "icache16k"),
+    ("su2cor", "retire1-rob1"),
+)
 
 
 def _off_golden_digests():
@@ -785,11 +806,11 @@ def _off_golden_digests():
         for name, config in _OFF_GOLDEN_CONFIGS.items():
             result = AuroraProcessor(config).run(trace)
             stats[f"{trace_name}/{name}"] = _stats_digest(result.stats)
-    trace_name, name = _OFF_GOLDEN_TELEMETRY
     telemetry = {
         f"{trace_name}/{name}": _telemetry_digest(
             trace_name, _OFF_GOLDEN_CONFIGS[name]
         )
+        for trace_name, name in _OFF_GOLDEN_TELEMETRY
     }
     return {"stats": stats, "telemetry": telemetry}
 
