@@ -7,7 +7,10 @@ per-kind tables: a 256-instruction loop body, loads and stores
 striding through 4,096 words, FP arithmetic cycling over 8 register
 pairs, FP loads and stores striding through 2,048 doubles.  Each trace
 is timed ``--repeats`` times in this process after one warm-up run and
-the best run is reported.  Prints one ``kind  µs/record`` line per kind.
+the best run is reported.  One more run counts the interpreter
+bytecodes it executes (``sys.settrace`` opcode events), a cost host
+noise cannot move.  Prints one ``kind  µs/record  bytecodes/record``
+line per kind.
 
 Run from the repository root::
 
@@ -20,6 +23,7 @@ This is a measuring script, not a test: it gates nothing.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from repro.core.config import BASELINE
@@ -63,8 +67,33 @@ KINDS = (
 )
 
 
-def kind_cost(kind: str, records: int, repeats: int) -> float:
-    """Best-of-``repeats`` host seconds per record for one kind."""
+def bytecodes_per_record(processor: AuroraProcessor, trace) -> float:
+    """Interpreter bytecodes one run executes per record, counted with
+    ``sys.settrace`` opcode events in every frame the run enters."""
+    count = 0
+
+    def count_opcodes(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return count_opcodes
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return count_opcodes
+
+    sys.settrace(enter)
+    try:
+        processor.run(trace)
+    finally:
+        sys.settrace(None)
+    return count / len(trace)
+
+
+def kind_cost(kind: str, records: int, repeats: int) -> tuple[float, float]:
+    """Best-of-``repeats`` host seconds per record for one kind, and the
+    bytecodes per record of one more run."""
     trace = prepare_trace([_record(kind, i) for i in range(records)])
     processor = AuroraProcessor(BASELINE)
     processor.run(trace)  # warm the trace's per-geometry memos
@@ -73,7 +102,7 @@ def kind_cost(kind: str, records: int, repeats: int) -> float:
         started = time.perf_counter()
         processor.run(trace)
         best = min(best, time.perf_counter() - started)
-    return best / records
+    return best / records, bytecodes_per_record(processor, trace)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,11 +112,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.records < 1 or args.repeats < 1:
         parser.error("--records and --repeats must be >= 1")
-    print(f"{'record kind':<14} µs/record  ({args.records} records, "
-          f"best of {args.repeats})")
+    print(f"{'record kind':<14} µs/record  bytecodes/record  "
+          f"({args.records} records, best of {args.repeats}; "
+          f"Python {sys.version.split()[0]})")
     for kind in KINDS:
-        cost = kind_cost(kind, args.records, args.repeats)
-        print(f"{kind:<14} {cost * 1e6:9.2f}")
+        cost, bytecodes = kind_cost(kind, args.records, args.repeats)
+        print(f"{kind:<14} {cost * 1e6:9.2f}  {bytecodes:16.1f}")
     return 0
 
 

@@ -44,16 +44,17 @@ class FPUnit(Enum):
     CVT = "cvt"
 
 
-#: Functional units in enum order; unit state is indexed by position.
+#: Functional units in enum order; unit state is indexed by position,
+#: which is an arithmetic record's kind minus ``Kind.FP_ADD``.
 _UNITS = tuple(FPUnit)
-_ADD, _MUL, _DIV, _CVT = range(len(_UNITS))
+_FIRST_UNIT_KIND = int(Kind.FP_ADD)  # FP_ADD, FP_MUL, FP_DIV, FP_CVT
 
-_KIND_TO_UNIT = {
-    int(Kind.FP_ADD): _ADD,
-    int(Kind.FP_MUL): _MUL,
-    int(Kind.FP_DIV): _DIV,
-    int(Kind.FP_CVT): _CVT,
-}
+#: Register-file slots: the 32 FP registers, then the FPU-local ids of
+#: unified registers 64..66 (``fs``/``ft`` are unified ids minus 32), of
+#: which 66 is :data:`repro.func.prepared.NO_SOURCE`.  Nothing writes
+#: past slot 31, so an absent source (34, or -1 from a direct caller)
+#: reads ready at cycle 0.
+_RF_SLOTS = 35
 
 
 class DecoupledFPU:
@@ -61,7 +62,7 @@ class DecoupledFPU:
 
     def __init__(self, config: FPUConfig) -> None:
         self.cfg = config
-        self.reg_ready = [0] * 32  # FP register availability (forwarded)
+        self.reg_ready = [0] * _RF_SLOTS  # availability (forwarded)
         self.cond_ready = 0  # FP condition flag availability
         self._unit_free = [0] * len(_UNITS)
         self._unit_latency = [
@@ -79,13 +80,16 @@ class DecoupledFPU:
         # In-order issue bookkeeping.
         self._last_issue = -1
         self._issued_this_cycle = 0
-        self._units_this_cycle: set[int] = set()
+        self._units_this_cycle = 0  # bit ``1 << unit`` per unit issued
         self._prev_completion = 0  # for the in-order-completion policy
-        # Queue/ROB occupancy as deques of release times.
-        self._iq_releases: deque[int] = deque()  # instruction leaves queue
-        self._lq_releases: deque[int] = deque()
-        self._sq_releases: deque[int] = deque()
-        self._rob_retires: deque[int] = deque()
+        # Queue/ROB occupancy as deques of release times, each seeded
+        # with one 0 per entry: an entry never used yet is free from
+        # cycle 0, so the head is the floor the structure sets, and every
+        # append is followed by a trim back to capacity.
+        self._iq_releases = deque([0] * config.instruction_queue)
+        self._lq_releases = deque([0] * config.load_queue)
+        self._sq_releases = deque([0] * config.store_queue)
+        self._rob_retires = deque([0] * config.rob_entries)
         self._last_retire = 0
         #: Largest write time trimmed from the load queue, and whether the
         #: reorder buffer ever set an issue floor: the timing loop's
@@ -108,9 +112,14 @@ class DecoupledFPU:
         self._rob_capacity = config.rob_entries
         self.instructions = 0
         self.issue_stall_cycles = 0
-        self.last_event = 0
+        self._last_write = 0  # latest decoupled load-queue write
         #: Optional :class:`repro.telemetry.events.EventBus`; falsy = off.
         self.telemetry = None
+
+    @property
+    def last_event(self) -> int:
+        """The latest FPU retirement or load-queue register write."""
+        return max(self._last_retire, self._last_write)
 
     # ------------------------------------------------------------- IPU side
 
@@ -120,16 +129,12 @@ class DecoupledFPU:
         The instruction queue has ``cfg.instruction_queue`` entries; entry
         *n* frees when instruction *n* issues into a functional unit.
         """
-        if len(self._iq_releases) >= self._iq_capacity:
-            return self._iq_releases[0]
-        return 0
+        return self._iq_releases[0]
 
     def load_data_floor(self) -> int:
         """Earliest time the LSU may deliver the next FP load's data
         (load-queue backpressure)."""
-        if len(self._lq_releases) >= self._lq_capacity:
-            return self._lq_releases[0]
-        return 0
+        return self._lq_releases[0]
 
     # ------------------------------------------------------------ dispatch
     # Each operation does its issue floor, width rules, result-bus slot
@@ -138,11 +143,13 @@ class DecoupledFPU:
     def arith(self, kind: int, fd: int, fs: int, ft: int, arrive: int) -> int:
         """Process an arithmetic/convert/compare op arriving at ``arrive``.
 
-        ``fd`` is -1 for compares (they set the condition flag instead).
-        ``fs``/``ft`` are FPU-local register numbers (-1 when absent).
-        Returns the completion time.
+        ``fd`` is negative for compares (they set the condition flag
+        instead).  ``fs``/``ft`` are FPU-local register numbers; an
+        absent source is 34 or -1, a slot nothing writes.  Returns the
+        completion time.
         """
-        unit = _KIND_TO_UNIT[kind]
+        unit = kind - _FIRST_UNIT_KIND
+        unit_bit = 1 << unit
         tele = self.telemetry
         if tele:
             tele.emit(arrive, "fpu", EventKind.FPQ_ENQUEUE, queue="iq")
@@ -150,14 +157,14 @@ class DecoupledFPU:
         floor = self._unit_free[unit]
         if arrive > floor:
             floor = arrive
-        if fs >= 0 and reg_ready[fs] > floor:
+        if reg_ready[fs] > floor:
             floor = reg_ready[fs]
-        if ft >= 0 and reg_ready[ft] > floor:
+        if reg_ready[ft] > floor:
             floor = reg_ready[ft]
         if self._prev_completion > floor:  # 0 unless fully serialised
             floor = self._prev_completion
         rob = self._rob_retires
-        if len(rob) >= self._rob_capacity and rob[0] > floor:
+        if rob[0] > floor:
             floor = rob[0]
             if floor > self._last_issue:
                 self.rob_filled = True
@@ -167,7 +174,7 @@ class DecoupledFPU:
             if (
                 self._dual
                 and self._issued_this_cycle < 2
-                and unit not in self._units_this_cycle
+                and not self._units_this_cycle & unit_bit
             ):
                 floor = last
             else:
@@ -184,10 +191,7 @@ class DecoupledFPU:
             taken = slots.get(completion, 0)
         slots[completion] = taken + 1
         if len(slots) > 4096:
-            # Prune slots far in the past to bound memory.
-            horizon = completion - 64
-            for key in [k for k in slots if k < horizon]:
-                del slots[key]
+            self._prune_bus_slots(completion - 64)
         if fd >= 0:
             reg_ready[fd] = completion
         else:
@@ -200,11 +204,11 @@ class DecoupledFPU:
             tele.emit(issue, "fpu", EventKind.FPQ_DEQUEUE, queue="iq")
         if issue == last:
             self._issued_this_cycle += 1
+            self._units_this_cycle |= unit_bit
         else:
             self._last_issue = issue
             self._issued_this_cycle = 1
-            self._units_this_cycle.clear()
-        self._units_this_cycle.add(unit)
+            self._units_this_cycle = unit_bit
         iq = self._iq_releases
         iq.append(issue)
         if len(iq) > self._iq_capacity:
@@ -217,8 +221,6 @@ class DecoupledFPU:
             rob.popleft()
         if self._in_order:
             self._prev_completion = completion
-        if retire > self.last_event:
-            self.last_event = retire
         self.instructions += 1
         return completion
 
@@ -245,7 +247,7 @@ class DecoupledFPU:
             if self._prev_completion > issue:
                 issue = self._prev_completion
             rob = self._rob_retires
-            if len(rob) >= self._rob_capacity and rob[0] > issue:
+            if rob[0] > issue:
                 issue = rob[0]
                 if issue > self._last_issue:
                     self.rob_filled = True
@@ -263,10 +265,7 @@ class DecoupledFPU:
                 taken = slots.get(write_time, 0)
             slots[write_time] = taken + 1
             if len(slots) > 4096:
-                # Prune slots far in the past to bound memory.
-                horizon = write_time - 64
-                for key in [k for k in slots if k < horizon]:
-                    del slots[key]
+                self._prune_bus_slots(write_time - 64)
         self.reg_ready[fd] = write_time
         lq = self._lq_releases
         lq.append(write_time)
@@ -293,10 +292,8 @@ class DecoupledFPU:
             rob.append(retire)
             if len(rob) > self._rob_capacity:
                 rob.popleft()
-            if retire > self.last_event:
-                self.last_event = retire
-        elif write_time > self.last_event:
-            self.last_event = write_time
+        elif write_time > self._last_write:
+            self._last_write = write_time
         self.instructions += 1
         return write_time
 
@@ -315,12 +312,12 @@ class DecoupledFPU:
             tele.emit(arrive, "fpu", EventKind.FPQ_ENQUEUE, queue="iq")
         sq = self._sq_releases
         floor = arrive
-        if len(sq) >= self._sq_capacity and sq[0] > floor:
+        if sq[0] > floor:
             floor = sq[0]
         if self._prev_completion > floor:
             floor = self._prev_completion
         rob = self._rob_retires
-        if len(rob) >= self._rob_capacity and rob[0] > floor:
+        if rob[0] > floor:
             floor = rob[0]
             if floor > self._last_issue:
                 self.rob_filled = True
@@ -333,7 +330,7 @@ class DecoupledFPU:
         issue = floor
         if issue > arrive:
             self.issue_stall_cycles += issue - arrive
-        operand_ready = self.reg_ready[ft] if ft >= 0 else 0
+        operand_ready = self.reg_ready[ft]
         # Data leaves over the data-cache input busses once produced.
         data_out = max(issue, operand_ready) + 1
         sq.append(data_out)
@@ -349,7 +346,7 @@ class DecoupledFPU:
         else:
             self._last_issue = issue
             self._issued_this_cycle = 1
-            self._units_this_cycle.clear()
+            self._units_this_cycle = 0
         iq = self._iq_releases
         iq.append(issue)
         if len(iq) > self._iq_capacity:
@@ -362,10 +359,17 @@ class DecoupledFPU:
             rob.popleft()
         if self._in_order:
             self._prev_completion = data_out
-        if retire > self.last_event:
-            self.last_event = retire
         self.instructions += 1
         return data_out
+
+    def _prune_bus_slots(self, horizon: int) -> None:
+        """Forget result-bus cycles before ``horizon`` to bound memory.
+
+        The survivors are picked by C-level iteration (``horizon <= key``
+        per cycle), so the scan costs no interpreter work per entry."""
+        slots = self._bus_slots
+        live = list(filter(horizon.__le__, slots))
+        self._bus_slots = dict(zip(live, map(slots.__getitem__, live)))
 
     def mtc1(self, fd: int, data_arrival: int, arrive: int) -> int:
         """Move from IPU: behaves like a load whose data comes from the IPU."""

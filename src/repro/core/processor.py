@@ -27,6 +27,7 @@ tracked separately.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.biu import BusInterfaceUnit
@@ -49,6 +50,7 @@ from repro.func.prepared import (
     OP_SIMPLE,
     OP_TAKEN,
     OP_TAKEN_REG,
+    NO_SOURCE,
     PreparedTrace,
     as_prepared,
 )
@@ -199,12 +201,21 @@ class AuroraProcessor:
             writecache.telemetry = tele
             fpu.telemetry = tele
 
-        # Watchdog: the per-record progress/overflow comparisons and the
-        # structure-check countdown run inline below; the Watchdog object
-        # raises the errors (after the stall counters are published to
-        # ``stats`` so its snapshot is exact).
+        # Watchdog: each record compares its retire time with
+        # ``stall_bound`` and its index with ``poll_at``.  The bound is
+        # never above min(previous retire + max_stall_cycles, cycle_limit)
+        # (it is refreshed from a retire time no later than the previous
+        # one), so a record that could trip the progress or overflow test
+        # always takes the slow path, which runs the exact tests; the
+        # structures are polled at indices check_period - 1,
+        # 2 * check_period - 1, ...  The Watchdog object raises the errors
+        # (after the stall counters are published to ``stats`` so its
+        # snapshot is exact).
         watchdog: Watchdog | None = None
         policy = self.policy
+        max_stall_cycles = policy.max_stall_cycles
+        cycle_limit = policy.cycle_limit
+        check_period = policy.check_period
         if policy.enabled:
             watchdog = Watchdog(
                 cfg, policy, stall_source=stats.stall_cycles
@@ -212,15 +223,18 @@ class AuroraProcessor:
             watchdog.watch(mshr)
             watchdog.watch(writecache)
             watchdog.watch(fpu)
-        max_stall_cycles = policy.max_stall_cycles
-        cycle_limit = policy.cycle_limit
-        check_period = policy.check_period
-        countdown = check_period
+            stall_bound = min(max_stall_cycles, cycle_limit)
+            poll_at = check_period - 1
+        else:  # no slow path
+            stall_bound = float("inf")
+            poll_at = -1
 
         line_shift = cfg.line_bytes.bit_length() - 1
         page_shift = cfg.page_bytes.bit_length() - 1
         dcache_latency = cfg.dcache_latency
-        issue_width = cfg.issue_width
+        # A memory record completing later than this after its issue is
+        # still waiting on its data.
+        hit_done = 1 + dcache_latency
         retire_width = cfg.retire_width
         rob_capacity = cfg.rob_entries
         redirecting = (
@@ -231,19 +245,20 @@ class AuroraProcessor:
         # Per-record structure state the loop reads and updates in place
         # (the watchdog polls the same objects): MSHR busy-until times,
         # D-cache tags and fill-ready times, and the FPU instruction and
-        # load queues for the IPU-side backpressure floors.
+        # load queues for the IPU-side backpressure floors.  The loop
+        # counts D-cache misses and write-cache load forwards; the access
+        # and hit counts follow from the trace's load and store counts.
         mshr_free = mshr._free_at
         dtags = dcache._tags
         dready = dcache._ready
         dset_mask = dcache._index_mask
         fpu_iq = fpu._iq_releases
-        fpu_iq_capacity = cfg.fpu.instruction_queue
         fpu_lq = fpu._lq_releases
-        fpu_lq_capacity = cfg.fpu.load_queue
         # Whether the MSHR file, the FPU instruction queue or the FPU load
         # queue ever set a floor; each is set inside a branch the loop
         # takes anyway (the FPU tracks its reorder buffer itself).
         mshr_filled = iq_filled = lq_filled = False
+        dmisses = forwards = 0
         # Write cache: hit, victim and page match come precomputed per
         # record (``wc`` below); each store only times its decision.
         time_store = writecache.time_store
@@ -260,25 +275,33 @@ class AuroraProcessor:
 
         # Scoreboard: availability time of each unified register, plus
         # whether the last writer was a load-class producer (for stall
-        # attribution per Figure 6).
-        reg_ready = [0] * 66
-        reg_from_load = [False] * 66
+        # attribution per Figure 6).  Slot NO_SOURCE, an absent source,
+        # is never written.
+        reg_ready = [0] * (NO_SOURCE + 1)
+        reg_from_load = [False] * (NO_SOURCE + 1)
 
-        # Retire ring: slot (j & ring_mask) holds record j's retire time
-        # and whether it was a missing memory instruction.  Reading at
-        # (index - rob_capacity) gives the reorder-buffer head, at
-        # (index - retire_width) the retire-window floor; unwritten slots
-        # are 0/False, as the zero-seeded reorder buffer and retire
-        # window would give.  The ring is strictly larger than both, so a
-        # slot is never overwritten before its last read.
-        ring_size = 1 << max(rob_capacity, retire_width).bit_length()
-        ring_mask = ring_size - 1
-        ring = [0] * ring_size
-        ring_mem = [False] * ring_size
+        # Reorder buffer: the retire times of the last rob_capacity
+        # records, oldest (the head) first, seeded with zeros.
+        rob = deque([0] * rob_capacity, maxlen=rob_capacity)
+        rob_append = rob.append
+        # Indices of the last rob_capacity memory records still waiting on
+        # their data at completion: the ROB head, index - rob_capacity,
+        # is one exactly when it is listed here.
+        missing = deque(maxlen=rob_capacity)
+        missing_append = missing.append
+        # Retirement: at most retire_width records retire in any cycle.
+        # ``retired_together`` counts the records retired in cycle
+        # last_retire; seeding it at retire_width stands for the zeros
+        # the window starts with.
         last_retire = 0
+        retired_together = retire_width
 
+        # Issue: ``closed`` is 1 when cycle last_issue has no issue slot
+        # left (always, at single issue), so the in-order floor is
+        # last_issue + closed.
         last_issue = -1
-        slots_used = issue_width  # force the first instruction to cycle 0
+        closed = 1  # force the first instruction to cycle 0
+        closes_alone = 1 if cfg.issue_width == 1 else 0
         dual_pairs = 0
         stall = [0] * len(_STALL_KINDS)  # indexed by the _C_* constants
 
@@ -289,9 +312,19 @@ class AuroraProcessor:
         # slot), so this must hold more than one entry.
         redirects: dict[int, int] = {}
 
+        # The op codes the loop tests, as locals.
+        (
+            op_simple, op_fcond, op_fp_add, op_fp_cvt, op_fp_move,
+            op_fp_load, op_fp_store, op_load,
+        ) = (
+            OP_SIMPLE, OP_FCOND, OP_FP_ADD, OP_FP_CVT, OP_FP_MOVE,
+            OP_FP_LOAD, OP_FP_STORE, OP_LOAD,
+        )
+
         # One op code per record (func/prepared.py's OP_* constants)
         # carries its kind, memory/FP class, taken and FP-condition
-        # facts; ``pair_ok`` is the trace's half of the pairing rule.
+        # facts; ``pair_ok`` is the trace's half of the pairing rule.  An
+        # absent source reads as NO_SOURCE.
         for index, (
             op, dst, s1, s2, iset, dline, imiss, pair_ok, wc,
         ) in enumerate(
@@ -329,23 +362,13 @@ class AuroraProcessor:
                     t_fetch = redirect_floor
 
             # ------------------------------------------------ in-order floor
-            if slots_used < issue_width:
-                floor = last_issue
-            else:
-                floor = last_issue + 1
+            floor = last_issue + closed
 
             # ------------------------------------------------ hazard floors
-            t_operand = 0
-            operand_from_load = False
-            if s1 >= 0:
-                t_operand = reg_ready[s1]
-                operand_from_load = reg_from_load[s1]
-            if s2 >= 0 and reg_ready[s2] > t_operand:
+            t_operand = reg_ready[s1]
+            if reg_ready[s2] > t_operand:
                 t_operand = reg_ready[s2]
-                operand_from_load = reg_from_load[s2]
-
-            rob_slot = (index - rob_capacity) & ring_mask
-            t_rob = ring[rob_slot]
+            t_rob = rob[0]
 
             issue = floor
             if t_fetch > issue:
@@ -355,9 +378,10 @@ class AuroraProcessor:
             if t_rob > issue:
                 issue = t_rob
 
-            t_lsu = t_fpu = 0
-            if op >= OP_FCOND:
-                if op >= OP_FP_MOVE:
+            # ``t_lsu`` is set on FP and memory records: the stall
+            # attribution below reads it only on those.
+            if op >= op_fcond:
+                if op >= op_fp_move:
                     # One min per memory instruction, shared with the
                     # MSHR allocation below (nothing touches the file in
                     # between).
@@ -370,32 +394,40 @@ class AuroraProcessor:
                         mshr_filled = True
                     if t_lsu > issue:
                         issue = t_lsu
-                if op >= OP_FP_ADD:
-                    if op <= OP_FP_STORE:
-                        # A full queue frees at its head's issue.
-                        t_fpu = -FPU_TRANSFER
-                        if len(fpu_iq) >= fpu_iq_capacity:
-                            t_fpu += fpu_iq[0]
-                            if t_fpu > issue:
-                                iq_filled = True
+                    # The queue's head entry frees when it issues.
+                    if op <= op_fp_store:
+                        t_fpu = fpu_iq[0] - FPU_TRANSFER
+                        if t_fpu > issue:
+                            issue = t_fpu
+                            iq_filled = True
                 else:
-                    # bc1t/bc1f: wait for the FP condition flag.
-                    t_fpu = fpu.cond_ready + 1
-                if t_fpu > issue:
-                    issue = t_fpu
+                    t_lsu = 0
+                    if op >= op_fp_add:
+                        t_fpu = fpu_iq[0] - FPU_TRANSFER
+                        if t_fpu > issue:
+                            issue = t_fpu
+                            iq_filled = True
+                    else:
+                        # bc1t/bc1f: wait for the FP condition flag.
+                        t_fpu = fpu.cond_ready + 1
+                        if t_fpu > issue:
+                            issue = t_fpu
 
             # --------------------------------------------- stall attribution
             if issue > floor:
                 if issue == t_fetch:
                     cause = _C_ICACHE
                 elif issue == t_operand:
-                    cause = _C_LOAD if operand_from_load else _C_PAIRING
+                    # The later source binds; the first when they tie.
+                    source = s2 if reg_ready[s2] > reg_ready[s1] else s1
+                    cause = _C_LOAD if reg_from_load[source] else _C_PAIRING
                 elif issue == t_rob:
                     # The paper charges a full reorder buffer to the LSU
                     # when the entry blocking retirement is a memory
                     # instruction still waiting on its data ("most cycles
                     # are spent waiting for data from the LSU").
-                    cause = _C_LSU if ring_mem[rob_slot] else _C_ROB_FULL
+                    head = index - rob_capacity
+                    cause = _C_LSU if head in missing else _C_ROB_FULL
                 elif issue == t_lsu:
                     cause = _C_LSU
                 else:
@@ -413,14 +445,15 @@ class AuroraProcessor:
                     )
 
             # ------------------------------------------------------ pairing
+            # Issuing in cycle last_issue means its slot was open (closed
+            # is 0), so only the trace's half of the rule can refuse.
             if issue == last_issue:
-                if issue_width == 2 and slots_used == 1 and pair_ok:
+                if pair_ok:
                     dual_pairs += 1
-                    slots_used += 1
+                    closed = 1
                 else:
                     issue += 1
                     last_issue = issue
-                    slots_used = 1
                     stall[_C_PAIRING] += 1
                     if probing:
                         tele.emit(
@@ -434,16 +467,16 @@ class AuroraProcessor:
                         )
             else:
                 last_issue = issue
-                slots_used = 1
+                closed = closes_alone
 
             # ------------------------------------------------------ execute
-            if op == OP_SIMPLE:
+            if op == op_simple:
                 complete = issue + 1
                 if dst >= 0:
                     reg_ready[dst] = complete
                     reg_from_load[dst] = False
 
-            elif op >= OP_FP_LOAD:
+            elif op >= op_fp_load:
                 # Every load and store reserves the earliest-free MSHR
                 # while it is active in the LSU (``mshr_min`` is still
                 # that entry's busy-until time).  The access never waits
@@ -463,22 +496,21 @@ class AuroraProcessor:
                         wait=0,
                     )
 
-                if op == OP_LOAD or op == OP_FP_LOAD:
+                if op == op_load or op == op_fp_load:
                     # The write cache is on chip and probed first; a
                     # forward from it never goes out to the external
                     # data cache.
                     dset = dline & dset_mask
                     if wc:
+                        forwards += 1
                         data_ready = access + WC_FORWARD_LATENCY
                     elif dtags[dset] == dline:
-                        dcache.accesses += 1
-                        dcache.hits += 1
                         ready_at = dready[dset]
                         data_ready = (
                             access if access > ready_at else ready_at
                         ) + dcache_latency
                     else:
-                        dcache.accesses += 1
+                        dmisses += 1
                         arrival = inflight.get(dline)
                         if arrival is None:
                             parr = pool.lookup(dline, access, "D")
@@ -501,7 +533,7 @@ class AuroraProcessor:
                                     if fill_at > access
                                 }
                         data_ready = arrival + 1
-                    if op == OP_LOAD:
+                    if op == op_load:
                         release = complete = data_ready
                         if dst >= 0:
                             reg_ready[dst] = data_ready
@@ -512,12 +544,11 @@ class AuroraProcessor:
                         # A larger queue's head is an entry this one
                         # already trimmed: write times are not monotone,
                         # so those count too.
-                        if len(fpu_lq) >= fpu_lq_capacity:
-                            if fpu_lq[0] > data_ready:
-                                data_ready = fpu_lq[0]
-                                lq_filled = True
-                            elif fpu.lq_trimmed_max > data_ready:
-                                lq_filled = True
+                        if fpu_lq[0] > data_ready:
+                            data_ready = fpu_lq[0]
+                            lq_filled = True
+                        elif fpu.lq_trimmed_max > data_ready:
+                            lq_filled = True
                         release = data_ready + 1
                         fpu.load(dst - 32, release, issue + FPU_TRANSFER)
                         complete = access + 1
@@ -540,25 +571,29 @@ class AuroraProcessor:
                             EventKind.MSHR_RELEASE,
                             slot=slot,
                         )
-                    dcache.accesses += 1
                     dset = dline & dset_mask
-                    if dtags[dset] == dline:
-                        dcache.hits += 1
-                    else:
+                    if dtags[dset] != dline:
                         # Write-validate allocation: the coalescing write
                         # cache assembles whole lines, so a store miss
                         # installs the line without a memory fetch when
                         # the line drains.
+                        dmisses += 1
                         dtags[dset] = dline
                         dready[dset] = access + dcache_latency
                     pool.drop_line(dline)
-                    if op == OP_FP_STORE:
+                    if op == op_fp_store:
                         data_out = fpu.store(s2 - 32, issue + FPU_TRANSFER)
                         complete = time_store(wc, dline, access, data_out)
                     else:
                         complete = time_store(wc, dline, access)
+                # Only a *missing* memory instruction at the ROB head
+                # counts as an LSU wait; one completing at cache-hit speed
+                # that still backs up retirement is a genuine
+                # reorder-buffer-size stall.
+                if complete > issue + hit_done:
+                    missing_append(index)
 
-            elif op < OP_FP_ADD:  # branches and jumps
+            elif op < op_fp_add:  # branches and jumps
                 complete = issue + 1
                 if dst >= 0:  # jal/jalr write the link register
                     reg_ready[dst] = complete
@@ -585,11 +620,13 @@ class AuroraProcessor:
                                 floor=issue + 3,
                             )
 
-            elif op <= OP_FP_CVT:  # FP arithmetic: the op code is the kind
-                fd = dst - 32 if dst >= 32 else -1
-                fs = s1 - 32 if s1 >= 32 else -1
-                ft = s2 - 32 if s2 >= 32 else -1
-                fp_done = fpu.arith(op, fd, fs, ft, issue + FPU_TRANSFER)
+            elif op <= op_fp_cvt:  # FP arithmetic: the op code is the kind
+                # FPU-local register ids; a compare's absent destination
+                # is negative, an absent source the FPU's never-written
+                # slot NO_SOURCE - 32.
+                fp_done = fpu.arith(
+                    op, dst - 32, s1 - 32, s2 - 32, issue + FPU_TRANSFER
+                )
                 if precise:
                     # Conservative mode: hold the IPU reorder-buffer entry
                     # until the FPU result (and its exception status) is
@@ -609,22 +646,23 @@ class AuroraProcessor:
                     if dst >= 0:
                         reg_ready[dst] = value_at
                         reg_from_load[dst] = True
+                if complete > issue + hit_done:
+                    missing_append(index)
 
             # ------------------------------------------------------- retire
-            retire = complete
-            if last_retire > retire:
+            # Retire times never decrease, so the window floor (the retire
+            # time retire_width records back, plus one) binds exactly when
+            # those records all retired in cycle last_retire.
+            if complete > last_retire:
+                retire = complete
+                retired_together = 1
+            elif retired_together < retire_width:
                 retire = last_retire
-            window_floor = ring[(index - retire_width) & ring_mask] + 1
-            if window_floor > retire:
-                retire = window_floor
-            ring_slot = index & ring_mask
-            ring[ring_slot] = retire
-            # Only a *missing* memory instruction at the ROB head counts as
-            # an LSU wait; one completing at cache-hit speed that still
-            # backs up retirement is a genuine reorder-buffer-size stall.
-            ring_mem[ring_slot] = (
-                op >= OP_FP_MOVE and complete > issue + 1 + dcache_latency
-            )
+                retired_together += 1
+            else:
+                retire = last_retire + 1
+                retired_together = 1
+            rob_append(retire)
 
             if probing:
                 tele.emit(
@@ -635,18 +673,14 @@ class AuroraProcessor:
                     issue=issue,
                 )
 
-            if watchdog is not None:
-                if (
-                    retire - last_retire > max_stall_cycles
-                    or retire > cycle_limit
-                ):
+            if retire > stall_bound or index == poll_at:
+                if watchdog is not None:
                     stats.stall_cycles.update(zip(_STALL_KINDS, stall))
                     watchdog.check_progress(index, last_retire, retire)
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = check_period
-                    stats.stall_cycles.update(zip(_STALL_KINDS, stall))
-                    watchdog.check_structures(index, retire)
+                    if index == poll_at:
+                        poll_at += check_period
+                        watchdog.check_structures(index, retire)
+                    stall_bound = min(retire + max_stall_cycles, cycle_limit)
             last_retire = retire
 
         # ------------------------------------------------------------ drain
@@ -662,8 +696,6 @@ class AuroraProcessor:
         stats.icache_hits = (
             record_count - trace.icache_misses(line_shift, icache_lines)[1]
         )
-        stats.dcache_accesses = dcache.accesses
-        stats.dcache_hits = dcache.hits
         pool_stats = pool.stats
         stats.iprefetch_lookups = pool_stats.i_lookups
         stats.iprefetch_hits = pool_stats.i_hits
@@ -684,6 +716,10 @@ class AuroraProcessor:
             stats.taken_branches,
             stats.fp_instructions,
         ) = trace.class_counts()
+        # Every store and every load the write cache does not forward
+        # goes to the D-cache; which of those miss depends on timing.
+        stats.dcache_accesses = stats.loads + stats.stores - forwards
+        stats.dcache_hits = stats.dcache_accesses - dmisses
         stats.dual_issued_pairs = dual_pairs
         stats.fpu_instructions = fpu.instructions
         stats.fpu_busy_cycles = fpu.issue_stall_cycles

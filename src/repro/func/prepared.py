@@ -40,6 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.func.trace import (
+    NUM_UNIFIED_REGS,
     TraceRecord,
     TraceStats,
     _CONTROL_KINDS,
@@ -61,6 +62,10 @@ _FIELDS = ("pc", "kind", "dst", "src1", "src2", "addr")
 _FIELD_TYPECODES = {
     "pc": "q", "kind": "b", "dst": "b", "src1": "b", "src2": "b", "addr": "q",
 }
+#: The register id :meth:`PreparedTrace.timing_rows` gives an absent
+#: source: one past the unified space, so no record writes it and a
+#: scoreboard that reserves the slot finds it ready at cycle 0.
+NO_SOURCE = NUM_UNIFIED_REGS
 
 #: Per-record op codes (:meth:`PreparedTrace.op_codes`): the record's
 #: kind folded with the trace facts the timing loop branches on, ordered
@@ -132,7 +137,7 @@ class PreparedTrace(collections.abc.Sequence):
     __slots__ = (
         "_array", "pc", "kind", "dst", "src1", "src2", "addr",
         "mem_mask", "fp_dispatch_mask", "branch_taken_mask",
-        "_fields", "_flag_lists", "_lines", "_icache_sets",
+        "_fields", "_sources", "_flag_lists", "_lines", "_icache_sets",
         "_icache_misses", "_kind_counts", "_class_counts", "_op_codes",
         "_pair_flags", "_wc_decisions", "prepare_seconds", "source",
         "validated", "sim_results", "__weakref__",
@@ -169,6 +174,7 @@ class PreparedTrace(collections.abc.Sequence):
         #: Field name -> its compact column, built on first use (a
         #: report-only consumer never pays for them).
         self._fields: dict[str, array] = {}
+        self._sources: tuple[array, array] | None = None
         self._flag_lists: tuple[list[bool], list[bool]] | None = None
         #: line_shift -> (I-line, D-line) columns, memoized because the
         #: paper's models share one 32-byte line size.
@@ -251,6 +257,17 @@ class PreparedTrace(collections.abc.Sequence):
                 getattr(self, name), _FIELD_TYPECODES[name]
             )
         return column
+
+    def sources(self) -> tuple[array, array]:
+        """(``src1``, ``src2``) as signed-byte columns with every absent
+        source (``NO_REG``) read as :data:`NO_SOURCE`, built on first
+        use."""
+        if self._sources is None:
+            self._sources = tuple(
+                _compact(np.where(column < 0, NO_SOURCE, column), "b")
+                for column in (self.src1, self.src2)
+            )
+        return self._sources
 
     def lines(self, line_shift: int) -> tuple[array, array]:
         """(I-line, D-line) index columns for one cache-line shift, held
@@ -430,7 +447,8 @@ class PreparedTrace(collections.abc.Sequence):
     ) -> Iterator[tuple]:
         """The timing loop's iterator: ``(op, dst, src1, src2,
         iset, dline, imiss, pair_ok, wc)`` per record — the op code, the
-        register fields, the I-cache set (:meth:`icache_sets`), the
+        destination, the sources (:meth:`sources`, an absent one read as
+        :data:`NO_SOURCE`), the I-cache set (:meth:`icache_sets`), the
         D-line index, and the per-trace memos (:meth:`icache_misses`,
         :meth:`pair_flags`, :meth:`writecache_decisions`) for this
         geometry.  Every column is a ``bytes`` or ``array`` buffer; the
@@ -438,8 +456,7 @@ class PreparedTrace(collections.abc.Sequence):
         return zip(
             self.op_codes(),
             self.field_column("dst"),
-            self.field_column("src1"),
-            self.field_column("src2"),
+            *self.sources(),
             self.icache_sets(line_shift, icache_lines),
             self.lines(line_shift)[1],
             self.icache_misses(line_shift, icache_lines)[0],

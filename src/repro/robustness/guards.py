@@ -123,9 +123,11 @@ class Watchdog:
 
     :meth:`observe` takes every instruction's retire time;
     occupancy-checked structures are registered and polled every
-    ``policy.check_period`` instructions.  The timing loop runs the same
-    per-instruction comparisons and countdown inline, and calls
-    :meth:`check_progress` and :meth:`check_structures` to raise.
+    ``policy.check_period`` instructions.  The timing loop keeps one
+    lazily refreshed retire bound and the next poll index inline, and
+    calls :meth:`check_progress` and :meth:`check_structures` only when a
+    record reaches either; the errors, indices and snapshots are those
+    :meth:`observe` would give.
     """
 
     config: MachineConfig

@@ -35,12 +35,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import re
 import sys
 import threading
 from dataclasses import dataclass
 
-from repro.experiments.exit_codes import EXIT_INTERRUPTED, EXIT_OK
+from repro.experiments.exit_codes import (
+    EXIT_INTERRUPTED,
+    EXIT_OK,
+    EXIT_USAGE,
+)
 from repro.robustness.signals import GracefulSignals
 from repro.serve.batcher import QueryBatcher
 from repro.serve.protocol import (
@@ -339,7 +344,11 @@ async def run_server(
     port_holder: dict | None = None,
 ) -> int:
     """Serve until the first SIGINT/SIGTERM (or ``stop_event``); drain,
-    flush, and return the exit code (5 when signalled, 0 otherwise)."""
+    flush, and return the exit code (5 when signalled, 0 otherwise).
+
+    A listener that cannot bind (the port is taken, the host is not
+    local) prints one ``error:`` line naming the host and port on stderr
+    and returns 2 (``EXIT_USAGE``), the code of an out-of-range port."""
     out = stream if stream is not None else sys.stdout
     loop = asyncio.get_running_loop()
     stop = stop_event if stop_event is not None else asyncio.Event()
@@ -366,9 +375,21 @@ async def run_server(
 
     signals = GracefulSignals(notify=_notify)
     signals.install()
-    server = await asyncio.start_server(
-        app.handle_connection, config.host, config.port
-    )
+    try:
+        server = await asyncio.start_server(
+            app.handle_connection, config.host, config.port
+        )
+    except OSError as error:
+        batcher.shutdown()
+        signals.restore()
+        if tracer is not None:
+            tracing.set_tracer(None)
+        reason = os.strerror(error.errno) if error.errno else str(error)
+        print(
+            f"error: cannot listen on {config.host}:{config.port}: {reason}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     port = server.sockets[0].getsockname()[1]
     if port_holder is not None:
         port_holder["port"] = port
@@ -441,12 +462,19 @@ class BackgroundServer:
                 port_holder=self._holder,
             )
 
-        self._exit_code = asyncio.run(main())
+        try:
+            self._exit_code = asyncio.run(main())
+        finally:
+            self._ready.set()  # wakes start() if the server never listened
 
     def start(self) -> "BackgroundServer":
         self._thread.start()
         if not self._ready.wait(timeout=60):
             raise RuntimeError("server failed to start within 60s")
+        if "port" not in self._holder:
+            raise RuntimeError(
+                f"server exited with code {self._exit_code} before listening"
+            )
         return self
 
     @property

@@ -46,6 +46,7 @@ from repro.func.prepared import (
     OP_STORE,
     OP_TAKEN,
     OP_TAKEN_REG,
+    NO_SOURCE,
     PreparedTrace,
     compute_stats_prepared,
     prepare_snapshot,
@@ -54,6 +55,7 @@ from repro.func.prepared import (
 from repro.func.trace import (
     _CONTROL_KINDS,
     _MEMORY_KINDS,
+    NO_REG,
     TraceStats,
     compute_stats,
 )
@@ -335,6 +337,11 @@ def test_timing_rows_match_int64_reference(name):
     trace = scaled_trace(name, FACTOR)
     shift, wc_lines, page_shift = 5, 4, 12
     pc, _, dst, src1, src2, addr = trace.array.T.tolist()
+    # The loop reads an absent source (NO_REG) as NO_SOURCE.
+    src1, src2 = (
+        [NO_SOURCE if value == NO_REG else value for value in column]
+        for column in (src1, src2)
+    )
     for lines in TIMING_ICACHE_LINES:
         sets = [(value >> shift) & (lines - 1) for value in pc]
         assert list(trace.icache_sets(shift, lines)) == sets
@@ -352,6 +359,34 @@ def test_timing_rows_match_int64_reference(name):
         rows = trace.timing_rows(shift, lines, wc_lines, page_shift)
         assert list(rows) == list(reference)
     assert list(trace.lines(shift)[0]) == [value >> shift for value in pc]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_no_record_writes_an_absent_source_slot(name):
+    """Slot NO_SOURCE of the scoreboard and slot NO_SOURCE - 32 (34) of
+    the FPU register file stand for an absent source, so no record may
+    write either: no ``dst`` is NO_SOURCE, and every FPU register write
+    (an FP load, an ``mtc1``, FP arithmetic with a destination) lands
+    on one of the 32 FP registers.  FP arithmetic reads its sources at
+    unified id - 32, so those are FP registers or absent."""
+    trace = scaled_trace(name, FACTOR)
+    kind, dst = trace.kind, trace.dst
+    assert NO_SOURCE - 32 == 34
+    assert not (dst == NO_SOURCE).any()
+    arith = (kind >= Kind.FP_ADD) & (kind <= Kind.FP_CVT)
+    fpu_writes = (
+        (kind == Kind.FP_LOAD)
+        | ((kind == Kind.FP_MOVE) & (dst >= 32))
+        | (arith & (dst >= 0))
+    )
+    assert ((dst[fpu_writes] >= 32) & (dst[fpu_writes] < 64)).all()
+    for column in (trace.src1, trace.src2):
+        sources = column[arith]
+        assert (
+            (sources == NO_REG) | ((sources >= 32) & (sources < 64))
+        ).all()
+    sources = trace.sources()
+    assert NO_REG not in sources[0] and NO_REG not in sources[1]
 
 
 def test_timing_rows_columns_are_compact():

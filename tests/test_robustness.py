@@ -34,6 +34,7 @@ from repro.robustness.validation import (
     validate_scale,
     validate_trace,
 )
+from repro.telemetry.events import EventBus, EventKind, RingBufferSink
 from repro.workloads.registry import get_trace
 
 
@@ -377,6 +378,71 @@ class TestWatchdog:
         assert "forward-progress" in message
         assert "baseline/dual/L17" in message
         assert "fingerprint" in message
+
+
+class TestWatchdogSemantics:
+    """Where each guard fires, against the retire times of an unguarded
+    run (its RETIRE events, one per record in order)."""
+
+    @pytest.fixture(scope="class")
+    def retires(self, small_trace):
+        sink = RingBufferSink()
+        simulate_trace(
+            small_trace,
+            BASELINE,
+            policy=RobustnessPolicy(enabled=False),
+            telemetry=EventBus(sink),
+        )
+        events = [e for e in sink if e.kind is EventKind.RETIRE]
+        assert [e.fields["index"] for e in events] == list(
+            range(len(small_trace))
+        )
+        return [e.cycle for e in events]
+
+    def _run(self, trace, **policy):
+        return AuroraProcessor(BASELINE, RobustnessPolicy(**policy)).run(
+            trace
+        )
+
+    def test_structures_polled_every_check_period(
+        self, small_trace, retires, monkeypatch
+    ):
+        polls = []
+        monkeypatch.setattr(
+            Watchdog,
+            "check_structures",
+            lambda self, index, cycle: polls.append((index, cycle)),
+        )
+        self._run(small_trace, check_period=3)
+        indices = range(2, len(small_trace), 3)
+        assert polls == [(i, retires[i]) for i in indices]
+
+    def test_stall_bound_trips_at_the_first_gap_past_it(
+        self, small_trace, retires
+    ):
+        gaps = [b - a for a, b in zip([0] + retires, retires)]
+        widest = max(gaps)
+        assert widest >= 2
+        # Total progress passes the bound many times; no single gap does.
+        assert retires[-1] > 20 * widest
+        self._run(small_trace, max_stall_cycles=widest)
+        with pytest.raises(SimulationError) as excinfo:
+            self._run(small_trace, max_stall_cycles=widest - 1)
+        first = gaps.index(widest)
+        assert excinfo.value.reason == "forward-progress"
+        assert excinfo.value.instruction_index == first
+        assert excinfo.value.cycle == retires[first]
+
+    def test_cycle_limit_trips_at_the_first_retire_past_it(
+        self, small_trace, retires
+    ):
+        limit = retires[len(retires) // 2]
+        first = next(i for i, cycle in enumerate(retires) if cycle > limit)
+        with pytest.raises(SimulationError) as excinfo:
+            self._run(small_trace, cycle_limit=limit)
+        assert excinfo.value.reason == "cycle-overflow"
+        assert excinfo.value.instruction_index == first
+        assert excinfo.value.cycle == retires[first]
 
 
 class TestStructureGuards:

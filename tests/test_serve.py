@@ -836,6 +836,27 @@ class TestSampleIntervalShim:
         assert "--sample-interval" in capsys.readouterr().err
 
 
+class TestBindFailure:
+    def test_port_in_use_is_one_line_usage_error(self, tmp_path, capsys):
+        import socket
+
+        from repro.experiments.cli import main
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            code = main(
+                ["serve", "--port", str(port), "--jobs", "1",
+                 "--store", str(tmp_path)]
+            )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestShutdown:
     def test_background_stop_drains_and_returns_ok(self, tmp_path):
         config = ServeConfig(
