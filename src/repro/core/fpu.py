@@ -51,9 +51,9 @@ _FIRST_UNIT_KIND = int(Kind.FP_ADD)  # FP_ADD, FP_MUL, FP_DIV, FP_CVT
 
 #: Register-file slots: the 32 FP registers, then the FPU-local ids of
 #: unified registers 64..66 (``fs``/``ft`` are unified ids minus 32), of
-#: which 66 is :data:`repro.func.prepared.NO_SOURCE`.  Nothing writes
-#: past slot 31, so an absent source (34, or -1 from a direct caller)
-#: reads ready at cycle 0.
+#: which 66 is :data:`repro.func.prepared.NO_SOURCE`.  Trace records
+#: write only FP registers here, so an absent source (34, or -1 from a
+#: direct caller) reads ready at cycle 0.
 _RF_SLOTS = 35
 
 

@@ -211,7 +211,6 @@ class AuroraProcessor:
         # 2 * check_period - 1, ...  The Watchdog object raises the errors
         # (after the stall counters are published to ``stats`` so its
         # snapshot is exact).
-        watchdog: Watchdog | None = None
         policy = self.policy
         max_stall_cycles = policy.max_stall_cycles
         cycle_limit = policy.cycle_limit
@@ -225,7 +224,7 @@ class AuroraProcessor:
             watchdog.watch(fpu)
             stall_bound = min(max_stall_cycles, cycle_limit)
             poll_at = check_period - 1
-        else:  # no slow path
+        else:  # no record reaches the slow path
             stall_bound = float("inf")
             poll_at = -1
 
@@ -674,13 +673,12 @@ class AuroraProcessor:
                 )
 
             if retire > stall_bound or index == poll_at:
-                if watchdog is not None:
-                    stats.stall_cycles.update(zip(_STALL_KINDS, stall))
-                    watchdog.check_progress(index, last_retire, retire)
-                    if index == poll_at:
-                        poll_at += check_period
-                        watchdog.check_structures(index, retire)
-                    stall_bound = min(retire + max_stall_cycles, cycle_limit)
+                stats.stall_cycles.update(zip(_STALL_KINDS, stall))
+                watchdog.check_progress(index, last_retire, retire)
+                if index == poll_at:
+                    poll_at += check_period
+                    watchdog.check_structures(index, retire)
+                stall_bound = min(retire + max_stall_cycles, cycle_limit)
             last_retire = retire
 
         # ------------------------------------------------------------ drain
