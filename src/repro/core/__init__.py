@@ -30,7 +30,6 @@ from repro.core.stats import (
     SimStats,
     StallKind,
     average_cpi,
-    cpi_range,
 )
 from repro.core.writecache import WriteCache, WriteCacheStats
 
@@ -65,7 +64,6 @@ __all__ = [
     "SimStats",
     "StallKind",
     "average_cpi",
-    "cpi_range",
     "WriteCache",
     "WriteCacheStats",
 ]

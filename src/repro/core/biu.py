@@ -85,9 +85,3 @@ class BusInterfaceUnit:
     def transmit_free(self) -> int:
         """Time at which the transmit path next becomes idle."""
         return self._transmit_free
-
-    def busy_fraction(self, total_cycles: int) -> float:
-        """Fraction of cycles the transmit path was occupied."""
-        if total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.stats.total * self.occupancy / total_cycles)

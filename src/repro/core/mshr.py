@@ -24,10 +24,11 @@ from __future__ import annotations
 class MSHRFile:
     """Fixed pool of MSHR entries tracked as busy-until timestamps.
 
-    The timing loop applies :meth:`allocate` and
-    :meth:`set_release` inline on ``_free_at`` (sharing one ``min`` per
-    memory instruction with its LSU hazard floor) and emits their
-    ``mshr`` telemetry events itself.
+    The timing loop applies the rule on ``_free_at`` inline: each memory
+    instruction takes the earliest-free entry (one ``min``, shared with
+    its LSU hazard floor) and writes the cycle the entry frees, and the
+    loop emits the ``mshr`` telemetry events itself.  The watchdog polls
+    :meth:`assert_capacity`.
     """
 
     def __init__(self, entries: int) -> None:
@@ -35,29 +36,6 @@ class MSHRFile:
             raise ValueError("MSHR file needs at least one entry")
         self._free_at: list[int] = [0] * entries
         self.entries = entries
-        self.allocations = 0
-        self.stall_cycles = 0
-
-    def allocate(self, time: int) -> tuple[int, int]:
-        """Reserve the earliest-free entry at or after ``time``.
-
-        Returns ``(grant, index)``.  The entry is provisionally held until
-        ``grant``; the caller must follow with :meth:`set_release` once the
-        instruction's LSU-residency end time is known.
-        """
-        free_at = self._free_at
-        index = free_at.index(min(free_at))
-        grant = max(time, self._free_at[index])
-        if grant > time:
-            self.stall_cycles += grant - time
-        self._free_at[index] = grant
-        self.allocations += 1
-        return grant, index
-
-    def set_release(self, index: int, release: int) -> None:
-        """Record when the entry at ``index`` frees."""
-        if release > self._free_at[index]:
-            self._free_at[index] = release
 
     @property
     def all_free_at(self) -> int:

@@ -122,9 +122,9 @@ class AuroraProcessor:
     """One configured Aurora III machine, ready to time traces.
 
     ``policy`` tunes the runtime invariant guards
-    (:class:`repro.robustness.guards.RobustnessPolicy`); the default keeps
-    the forward-progress watchdog, occupancy checks and cycle-overflow
-    guard enabled with bounds no legitimate run reaches.
+    (:class:`repro.robustness.guards.RobustnessPolicy`), which are
+    always on: the forward-progress watchdog, occupancy checks and
+    cycle-overflow guard.  The default bounds no legitimate run reaches.
 
     ``telemetry`` optionally attaches an
     :class:`~repro.telemetry.events.EventBus`: every structure then emits
@@ -215,18 +215,12 @@ class AuroraProcessor:
         max_stall_cycles = policy.max_stall_cycles
         cycle_limit = policy.cycle_limit
         check_period = policy.check_period
-        if policy.enabled:
-            watchdog = Watchdog(
-                cfg, policy, stall_source=stats.stall_cycles
-            )
-            watchdog.watch(mshr)
-            watchdog.watch(writecache)
-            watchdog.watch(fpu)
-            stall_bound = min(max_stall_cycles, cycle_limit)
-            poll_at = check_period - 1
-        else:  # no record reaches the slow path
-            stall_bound = float("inf")
-            poll_at = -1
+        watchdog = Watchdog(cfg, policy, stall_source=stats.stall_cycles)
+        watchdog.watch(mshr)
+        watchdog.watch(writecache)
+        watchdog.watch(fpu)
+        stall_bound = min(max_stall_cycles, cycle_limit)
+        poll_at = check_period - 1
 
         line_shift = cfg.line_bytes.bit_length() - 1
         page_shift = cfg.page_bytes.bit_length() - 1

@@ -289,11 +289,3 @@ def average_cpi(stats_list: list[SimStats]) -> float:
     if not stats_list:
         return 0.0
     return sum(s.cpi for s in stats_list) / len(stats_list)
-
-
-def cpi_range(stats_list: list[SimStats]) -> tuple[float, float, float]:
-    """(min, average, max) CPI — the paper's capped-bar presentation."""
-    if not stats_list:
-        return (0.0, 0.0, 0.0)
-    cpis = [s.cpi for s in stats_list]
-    return (min(cpis), sum(cpis) / len(cpis), max(cpis))

@@ -12,7 +12,7 @@ Subcommands::
     aurora-sim trace <workload> [--factor 0.05] [--out trace.ndjson]
     aurora-sim report <trace.ndjson> [--window 1000] [--occupancy-out o.json]
     aurora-sim explore [workload] [--space fig8] [--factor 0.05]
-                       [--budget 0.5] [--jobs 2]
+                       [--budget 0.5]
                        [--validate] [--out explore.json]
                        [--metrics-out m.json] [--trace spans.json]
     aurora-sim spans <sweep-trace.json> [--min-ms 0.1]
@@ -292,7 +292,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 factor=args.factor,
                 budget=args.budget,
                 safety=args.safety,
-                jobs=args.jobs,
                 metrics=registry,
             )
             validation = None
@@ -597,9 +596,6 @@ def main(argv: list[str] | None = None) -> int:
     p_explore.add_argument("--safety", type=positive_float, default=1.5,
                            help="uncertainty-margin multiplier on the "
                                 "worst observed model residual")
-    p_explore.add_argument("--jobs", type=positive_int, default=1,
-                           help="process-pool workers for each "
-                                "refinement round's band")
     p_explore.add_argument("--validate", action="store_true",
                            help="also simulate the whole space; report "
                                 "full-grid model error and exit 1 "

@@ -159,10 +159,6 @@ def design_points() -> list[tuple[str, MachineConfig, str]]:
     return points
 
 
-#: Backwards-compatible alias (the catalogue predates its export).
-_design_points = design_points
-
-
 def run(factor: float = 1.0, workload: str = "espresso") -> Fig8Result:
     trace = scaled_trace(workload, factor)
     result = Fig8Result()

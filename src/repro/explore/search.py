@@ -17,8 +17,7 @@ One round of the loop:
    model is right to within the margin, every true frontier point is
    in some round's band.
 3. **Simulate** — the whole band in one grouped
-   :func:`~repro.core.kernel.simulate_many` call (chunked across a
-   process pool when ``jobs > 1``).
+   :func:`~repro.core.kernel.simulate_many` call.
 
 The loop ends when the band is empty (the simulated frontier is
 stable), the round limit trips, or the simulation budget is exhausted
@@ -29,7 +28,6 @@ recovering it — which is what lets CI assert exact recovery.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 from repro.core.config import MachineConfig
@@ -202,45 +200,6 @@ class ExploreResult:
         }
 
 
-def _simulate_configs_chunk(
-    workload: str, factor: float, configs: list[MachineConfig]
-) -> list[SimStats]:
-    """Process-pool worker: rebuild the trace (on-disk cache) and run."""
-    from repro.experiments.common import scaled_trace
-
-    trace = scaled_trace(workload, factor)
-    return [r.stats for r in simulate_many(trace, configs)]
-
-
-def _run_band(
-    trace,
-    configs: list[MachineConfig],
-    *,
-    jobs: int,
-    workload: str,
-    factor: float,
-) -> list[SimStats]:
-    """One grouped simulation of a round's band, optionally chunked."""
-    if jobs <= 1 or len(configs) < 2:
-        return [r.stats for r in simulate_many(trace, configs)]
-    chunk = (len(configs) + jobs - 1) // jobs
-    chunks = [
-        configs[i : i + chunk] for i in range(0, len(configs), chunk)
-    ]
-    stats: list[SimStats] = []
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=len(chunks)
-    ) as pool:
-        for part in pool.map(
-            _simulate_configs_chunk,
-            [workload] * len(chunks),
-            [factor] * len(chunks),
-            chunks,
-        ):
-            stats.extend(part)
-    return stats
-
-
 def explore(
     candidates: list[Candidate],
     trace,
@@ -251,7 +210,6 @@ def explore(
     safety: float = DEFAULT_SAFETY,
     min_margin: float = DEFAULT_MIN_MARGIN,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    jobs: int = 1,
     metrics=None,
 ) -> ExploreResult:
     """Model-guided Pareto exploration of ``candidates`` on one trace.
@@ -364,16 +322,10 @@ def explore(
             with tracing.span(
                 "explore_round", "explore", round=rounds, band=len(band)
             ):
-                stats_list = _run_band(
-                    trace,
-                    [p.config for p in band],
-                    jobs=jobs,
-                    workload=workload,
-                    factor=factor,
-                )
-            for point, stats in zip(band, stats_list):
-                simulated[point.config] = stats
-                apply_stats(point, stats)
+                runs = simulate_many(trace, [p.config for p in band])
+            for point, run in zip(band, runs):
+                simulated[point.config] = run.stats
+                apply_stats(point, run.stats)
             margin = residual_margin()
             if budget_exhausted:
                 break

@@ -14,9 +14,7 @@ from repro.func.trace import (
     compute_stats,
     is_fp_kind,
     is_memory_kind,
-    load_trace,
     load_trace_array,
-    save_trace,
     save_trace_array,
 )
 
@@ -39,8 +37,6 @@ __all__ = [
     "compute_stats",
     "is_fp_kind",
     "is_memory_kind",
-    "load_trace",
     "load_trace_array",
-    "save_trace",
     "save_trace_array",
 ]

@@ -23,7 +23,6 @@ Unified register-id space (so one scoreboard array covers all namespaces):
 from __future__ import annotations
 
 import itertools
-import zipfile
 import zlib
 from dataclasses import dataclass, field
 
@@ -125,55 +124,8 @@ def records_array(records) -> np.ndarray:
     return array.reshape(count, 6)
 
 
-#: On-disk trace archive format version (bump on incompatible layout change).
-TRACE_FILE_VERSION = 1
-
-
 class TraceIOError(ValueError):
-    """A trace archive is missing, malformed, or from a different format."""
-
-
-def save_trace(path: str, trace: list[TraceRecord]) -> None:
-    """Persist a trace as a compressed, versioned numpy archive."""
-    array = records_array(trace)
-    np.savez_compressed(
-        path,
-        trace=array,
-        version=np.int64(TRACE_FILE_VERSION),
-        count=np.int64(len(trace)),
-    )
-
-
-def load_trace(path: str) -> list[TraceRecord]:
-    """Load a trace saved with :func:`save_trace`.
-
-    Raises :class:`TraceIOError` on unreadable files, a version mismatch,
-    or a malformed record array — callers (the persistent trace cache)
-    treat that as a miss rather than feeding garbage to the timing model.
-    """
-    try:
-        with np.load(path) as archive:
-            names = set(archive.files)
-            version = int(archive["version"]) if "version" in names else None
-            array = archive["trace"] if "trace" in names else None
-    except (OSError, ValueError, zipfile.BadZipFile, EOFError) as error:
-        raise TraceIOError(f"{path}: unreadable trace archive: {error}") from None
-    if array is None:
-        raise TraceIOError(f"{path}: no 'trace' array in archive")
-    if version is not None and version != TRACE_FILE_VERSION:
-        raise TraceIOError(
-            f"{path}: trace format version {version}, "
-            f"expected {TRACE_FILE_VERSION}"
-        )
-    if array.ndim != 2 or (array.size and array.shape[1] != 6):
-        raise TraceIOError(
-            f"{path}: trace array has shape {array.shape}, expected (n, 6)"
-        )
-    if not np.issubdtype(array.dtype, np.integer):
-        raise TraceIOError(
-            f"{path}: trace array dtype {array.dtype} is not integral"
-        )
-    return [tuple(int(v) for v in row) for row in array]
+    """A trace file is missing, malformed, or from a different format."""
 
 
 def save_trace_array(path: str, array: np.ndarray) -> None:
@@ -182,7 +134,7 @@ def save_trace_array(path: str, array: np.ndarray) -> None:
     A plain ``.npy`` file, so readers can map it with
     ``np.load(mmap_mode="r")`` and parallel workers share the pages
     through the OS page cache instead of each re-decompressing a zip
-    archive (the v1 ``save_trace`` format).
+    archive (the retired v1 ``.npz`` format).
     """
     if array.ndim != 2 or (array.size and array.shape[1] != 6):
         raise ValueError(
@@ -195,14 +147,15 @@ def load_trace_array(path: str, *, mmap: bool = True) -> np.ndarray:
     """Load a v2 trace array, memory-mapped read-only by default.
 
     Raises :class:`TraceIOError` on unreadable/truncated files or a
-    malformed array — the trace cache treats that as a miss and deletes
-    the entry (self-healing, same contract as :func:`load_trace`).
+    malformed array (a v1 ``.npz`` archive among them) — the trace cache
+    treats that as a miss and quarantines the entry (self-healing).
     """
     try:
         array = np.load(path, mmap_mode="r" if mmap else None)
     except (OSError, ValueError, EOFError) as error:
         raise TraceIOError(f"{path}: unreadable trace array: {error}") from None
     if not isinstance(array, np.ndarray):
+        array.close()  # an .npz archive (the v1 format) holds its file open
         raise TraceIOError(f"{path}: not a numpy array file")
     if array.ndim != 2 or (array.size and array.shape[1] != 6):
         raise TraceIOError(

@@ -46,27 +46,12 @@ class Program:
     def num_instructions(self) -> int:
         return len(self.text)
 
-    @property
-    def text_bytes(self) -> int:
-        """Static code footprint in bytes (what the I-cache sees)."""
-        return len(self.text) * WORD
-
     def address_of(self, index: int) -> int:
         """Byte address of the instruction at word index ``index``."""
         return TEXT_BASE + WORD * index
-
-    def index_of(self, address: int) -> int:
-        """Word index of the instruction at byte ``address``."""
-        offset = address - TEXT_BASE
-        if offset % WORD != 0 or not 0 <= offset < self.text_bytes:
-            raise ProgramError(f"address {address:#x} is not in the text segment")
-        return offset // WORD
 
     def symbol(self, name: str) -> int:
         try:
             return self.symbols[name]
         except KeyError:
             raise ProgramError(f"undefined symbol {name!r}") from None
-
-    def instruction_at(self, address: int) -> Instruction:
-        return self.text[self.index_of(address)]

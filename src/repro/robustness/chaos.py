@@ -176,11 +176,6 @@ class ChaosPlan:
             raise ChaosError(f"chaos spec {spec!r} names no faults")
         return cls(seed=seed, faults=tuple(faults))
 
-    def describe(self) -> str:
-        return ", ".join(
-            f"{f.kind}:{f.target}" for f in self.faults
-        ) + f" (seed {self.seed})"
-
     # ------------------------------------------------------- compilation
 
     def fault_plan(self, experiment_ids) -> FaultPlan | None:
@@ -334,16 +329,21 @@ def plant_stale_v1(v2_path: str | pathlib.Path) -> pathlib.Path | None:
     silently change.  The cache never reads legacy archives; tests
     assert the archive is not served even when the v2 entry is corrupt.
     """
-    from repro.func.trace import save_trace
+    import numpy as np
 
     v2_path = pathlib.Path(v2_path)
     name = v2_path.name
     if not name.endswith(".v2.npy"):
         return None
     v1_path = v2_path.with_name(name[: -len(".v2.npy")] + ".npz")
-    stale = [(4096 + 4 * i, 0, -1, -1, -1, 0) for i in range(16)]
+    stale = np.array(
+        [(4096 + 4 * i, 0, -1, -1, -1, 0) for i in range(16)], np.int64
+    )
     try:
-        save_trace(str(v1_path), stale)
+        # The v1 layout: the records, the format version and the count.
+        np.savez_compressed(
+            v1_path, trace=stale, version=np.int64(1), count=np.int64(16)
+        )
     except OSError:
         return None
     return v1_path
@@ -381,10 +381,6 @@ def activate(plan: ChaosPlan | None) -> None:
 
 def deactivate() -> None:
     activate(None)
-
-
-def active_plan() -> ChaosPlan | None:
-    return _active_plan
 
 
 @contextlib.contextmanager

@@ -93,10 +93,9 @@ class RobustnessPolicy:
     The defaults are generous enough that no legitimate run trips them
     (the worst observed retire-to-retire gap across the full paper sweep
     is a few thousand cycles, against a one-million default), so guards
-    stay on in production; tests shrink the bounds to provoke trips.
+    are always on; tests shrink the bounds to provoke trips.
     """
 
-    enabled: bool = True
     #: Largest allowed retire-time jump between consecutive instructions.
     max_stall_cycles: int = 1_000_000
     #: Abort when any timestamp exceeds this (cycle-count overflow).
@@ -113,21 +112,15 @@ class RobustnessPolicy:
             raise ValueError("check_period must be >= 1")
 
 
-#: Policy with every guard disabled (for micro-benchmarks of the core loop).
-DISABLED_POLICY = RobustnessPolicy(enabled=False)
-
-
 @dataclass
 class Watchdog:
     """Forward-progress and overflow watchdog for one timing run.
 
-    :meth:`observe` takes every instruction's retire time;
-    occupancy-checked structures are registered and polled every
-    ``policy.check_period`` instructions.  The timing loop keeps one
-    lazily refreshed retire bound and the next poll index inline, and
+    Occupancy-checked structures are registered with :meth:`watch`.
+    The timing loop keeps one lazily refreshed retire bound and the next
+    poll index (every ``policy.check_period`` instructions) inline, and
     calls :meth:`check_progress` and :meth:`check_structures` only when a
-    record reaches either; the errors, indices and snapshots are those
-    :meth:`observe` would give.
+    record reaches either.
     """
 
     config: MachineConfig
@@ -135,23 +128,11 @@ class Watchdog:
     stall_source: object | None = None  # exposes a dict snapshot via dict()
 
     def __post_init__(self) -> None:
-        self._last_retire = 0
         self._structures: list[object] = []
-        self._countdown = self.policy.check_period
 
     def watch(self, structure: object) -> None:
         """Register a structure exposing ``assert_capacity()``."""
         self._structures.append(structure)
-
-    def observe(self, index: int, retire: int) -> None:
-        """Feed one instruction's retire time; raises on violations."""
-        self.check_progress(index, self._last_retire, retire)
-        if retire > self._last_retire:
-            self._last_retire = retire
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = self.policy.check_period
-            self.check_structures(index, retire)
 
     def check_progress(self, index: int, last_retire: int, retire: int) -> None:
         """Forward-progress and overflow tests for one retire time;

@@ -352,7 +352,6 @@ def _pool_initializer(
     cache_root: str,
     cache_enabled: bool,
     cache_max_entries: int,
-    cache_verify: bool = True,
     chaos_plan=None,
     log_destination: str | None = None,
     log_level: str = "INFO",
@@ -384,7 +383,6 @@ def _pool_initializer(
         cache_root,
         enabled=cache_enabled,
         max_entries=cache_max_entries,
-        verify=cache_verify,
     )
     if chaos_plan is not None:
         from repro.robustness import chaos
@@ -419,7 +417,6 @@ def process_pool(
             str(cache.root),
             cache.enabled,
             cache.max_entries,
-            cache.verify,
             chaos_plan,
             log_destination,
             log_level,

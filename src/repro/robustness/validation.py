@@ -184,33 +184,27 @@ class EnvValidationError(ValueError):
 def validate_environment(environ: Mapping[str, str] | None = None) -> None:
     """Eagerly validate the ``REPRO_*`` switches the sweep stack reads.
 
-    Checked: ``REPRO_TRACE_MEMO_MAX`` (in-memory trace-memo bound),
-    ``REPRO_TRACE_CACHE`` / ``REPRO_TRACE_CACHE_VERIFY`` (on/off
-    switches), ``REPRO_TRACE_CACHE_DIR`` (must not name an existing
+    Checked: ``REPRO_TRACE_CACHE`` (an on/off switch),
+    ``REPRO_TRACE_CACHE_DIR`` (must not name an existing
     non-directory), ``REPRO_LOG`` (a writable destination, not a
     directory) and ``REPRO_LOG_LEVEL`` (a known level name).  Unset or
     empty variables are always fine — they mean "use the default".
     """
     from repro.telemetry import logging as structlog
-    from repro.workloads import registry, trace_cache
+    from repro.workloads import trace_cache
 
     env = os.environ if environ is None else environ
     problems: list[str] = []
 
-    try:
-        registry.trace_memo_max(env)
-    except ValueError as error:
-        problems.append(str(error))
-
-    switch_values = trace_cache._ON_VALUES + trace_cache._OFF_VALUES
-    for variable in (trace_cache.ENV_SWITCH, trace_cache.ENV_VERIFY):
-        value = env.get(variable, "")
-        if value and value.lower() not in switch_values:
-            problems.append(
-                f"{variable}={value!r}: expected an on/off value "
-                f"({'/'.join(trace_cache._ON_VALUES)} or "
-                f"{'/'.join(trace_cache._OFF_VALUES)})"
-            )
+    switch = env.get(trace_cache.ENV_SWITCH, "")
+    if switch and switch.lower() not in (
+        trace_cache._ON_VALUES + trace_cache._OFF_VALUES
+    ):
+        problems.append(
+            f"{trace_cache.ENV_SWITCH}={switch!r}: expected an on/off value "
+            f"({'/'.join(trace_cache._ON_VALUES)} or "
+            f"{'/'.join(trace_cache._OFF_VALUES)})"
+        )
 
     cache_dir = env.get(trace_cache.ENV_DIR)
     if cache_dir is not None:

@@ -58,11 +58,11 @@ def synthetic_queries(
     count: int = 64,
 ) -> list[dict]:
     """``count`` seeded queries over the Figure 8 design-space grid."""
-    from repro.experiments.fig8_design_space import _design_points
+    from repro.experiments.fig8_design_space import design_points
     from repro.serve.protocol import config_to_spec
 
     rng = random.Random(seed)
-    points = _design_points()
+    points = design_points()
     queries = []
     for _ in range(count):
         _label, config, _marker = rng.choice(points)

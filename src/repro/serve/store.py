@@ -24,7 +24,9 @@ fields plus the :meth:`SimStats.to_dict` payload::
      "stats": {...}}
 
 A write-through in-memory tier sits in front of the files; ``get``
-order is memory -> disk -> miss.
+order is memory -> disk -> miss.  The memory tier is an LRU of
+``MEMORY_ENTRIES`` stats, so a long-lived server stays bounded; an
+evicted key is answered from disk.
 """
 
 from __future__ import annotations
@@ -35,12 +37,16 @@ import os
 import pathlib
 import tempfile
 import threading
+from collections import OrderedDict
 
 from repro.core.stats import SimStats
 from repro.telemetry.logging import get_logger
 
 #: Default store location, beside the trace cache and checkpoint trees.
 DEFAULT_ROOT = pathlib.Path("results") / ".sim_memo"
+#: Bound on the in-memory tier: well above the distinct keys of a
+#: benchmark run, small beside a server's life of diverse queries.
+MEMORY_ENTRIES = 4096
 
 _log = get_logger("store")
 
@@ -67,7 +73,8 @@ class MemoStore:
         self.code_hash = code_hash
         self._stream = stream
         self._lock = threading.Lock()
-        self._memory: dict[str, SimStats] = {}
+        #: full key -> stats, least recently used first.
+        self._memory: "OrderedDict[str, SimStats]" = OrderedDict()
         # validation_snapshot-style counters, published as serve.memo.*
         self.hits_memory = 0
         self.hits_disk = 0
@@ -111,6 +118,7 @@ class MemoStore:
             stats = self._memory.get(full_key)
             if stats is not None:
                 self.hits_memory += 1
+                self._memory.move_to_end(full_key)
                 return stats
         path = self.path_for(workload, factor, fingerprint)
         try:
@@ -156,8 +164,15 @@ class MemoStore:
             return None
         with self._lock:
             self.hits_disk += 1
-            self._memory[full_key] = stats
+            self._remember(full_key, stats)
         return stats
+
+    def _remember(self, full_key: str, stats: SimStats) -> None:
+        """Insert into the memory tier (lock held), evicting the LRU."""
+        self._memory[full_key] = stats
+        self._memory.move_to_end(full_key)
+        if len(self._memory) > MEMORY_ENTRIES:
+            self._memory.popitem(last=False)
 
     def _heal(self, path: pathlib.Path, why: str) -> None:
         with self._lock:
@@ -186,7 +201,7 @@ class MemoStore:
         """Write-through store (atomic write-then-rename on disk)."""
         full_key = self.key(workload, factor, fingerprint, self.code_hash)
         with self._lock:
-            self._memory[full_key] = stats
+            self._remember(full_key, stats)
             self.stores += 1
         payload = {
             "workload": workload,

@@ -62,7 +62,6 @@ from repro.telemetry.metrics import (  # noqa: F401
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
-    publish_bus_health,
     publish_stats,
 )
 from repro.telemetry.prom import (  # noqa: F401

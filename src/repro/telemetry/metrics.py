@@ -280,30 +280,3 @@ def publish_stats(
     for name, value in gauges:
         registry.gauge(f"{prefix}.{name}").set(value)
     return registry
-
-
-def publish_bus_health(
-    bus, registry: MetricsRegistry, prefix: str = "telemetry"
-) -> MetricsRegistry:
-    """Expose event-bus delivery health as ``<prefix>.*`` metrics.
-
-    Event loss used to be visible only after the fact, when an exact
-    cross-check refused a partial stream with ``PartialTraceError``;
-    these gauges put it on the scrape path instead: ``sinks`` attached,
-    events ``recorded`` by counting sinks, and ring-buffer ``dropped``
-    (evictions past capacity).  Sinks without counters (e.g. a bare
-    NDJSON stream) simply contribute nothing.
-    """
-    sinks = list(getattr(bus, "sinks", ()) or ())
-    registry.gauge(f"{prefix}.sinks").set(float(len(sinks)))
-    recorded = dropped = 0
-    counted = False
-    for sink in sinks:
-        if hasattr(sink, "recorded"):
-            counted = True
-            recorded += sink.recorded
-            dropped += getattr(sink, "dropped", 0)
-    if counted:
-        registry.gauge(f"{prefix}.events_recorded").set(float(recorded))
-        registry.gauge(f"{prefix}.events_dropped").set(float(dropped))
-    return registry

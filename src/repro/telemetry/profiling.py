@@ -156,11 +156,6 @@ class PerfReport:
             return 0.0
         return self.instructions / self.wall_seconds
 
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
     def render(self) -> str:
         lines = [
             f"perf: {self.workload} @ factor {self.factor:g} "

@@ -8,10 +8,8 @@ from repro.workloads.registry import (
     all_specs,
     build_program,
     clear_trace_cache,
-    fp_traces,
     get_spec,
     get_trace,
-    integer_traces,
     workload,
 )
 
@@ -23,9 +21,7 @@ __all__ = [
     "all_specs",
     "build_program",
     "clear_trace_cache",
-    "fp_traces",
     "get_spec",
     "get_trace",
-    "integer_traces",
     "workload",
 ]

@@ -16,7 +16,6 @@ populate both).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
@@ -63,12 +62,10 @@ _REGISTRY: dict[str, WorkloadSpec] = {}
 #: disk cache still answers the next ``get_trace`` with an mmap load.
 _TRACE_CACHE: "OrderedDict[tuple[str, int], PreparedTrace]" = OrderedDict()
 
-#: Environment override for the in-memory trace-memo bound.
-ENV_TRACE_MEMO_MAX = "REPRO_TRACE_MEMO_MAX"
-#: Default memo bound: generous for sweeps (all 15 workloads at two
-#: scales fit), small enough that a serve worker answering diverse
+#: Memo bound: generous for sweeps (all 15 workloads at two scales
+#: fit), small enough that a serve worker answering diverse
 #: (workload, scale) queries stays bounded.
-DEFAULT_TRACE_MEMO_MAX = 32
+TRACE_MEMO_MAX = 32
 
 #: Process-wide memo accounting (mirrors validation_snapshot()):
 #: lookups answered from memory, lookups that had to go to disk/build,
@@ -76,28 +73,6 @@ DEFAULT_TRACE_MEMO_MAX = 32
 _MEMO_HITS = 0
 _MEMO_MISSES = 0
 _MEMO_EVICTIONS = 0
-
-
-def trace_memo_max(environ=None) -> int:
-    """The active trace-memo bound (``REPRO_TRACE_MEMO_MAX`` or default).
-
-    Raises :class:`ValueError` naming the variable for unusable values.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get(ENV_TRACE_MEMO_MAX, "")
-    if not raw:
-        return DEFAULT_TRACE_MEMO_MAX
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_TRACE_MEMO_MAX}={raw!r}: expected a positive integer"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"{ENV_TRACE_MEMO_MAX}={raw!r}: must be >= 1"
-        )
-    return value
 
 
 def memo_snapshot() -> tuple[int, int, int]:
@@ -189,8 +164,7 @@ def get_trace(name: str, scale: int | None = None) -> PreparedTrace:
             trace = prepare_trace(records, workload=name, source="build")
             disk.store(name, effective, trace)
     _TRACE_CACHE[key] = trace
-    bound = trace_memo_max()
-    while len(_TRACE_CACHE) > bound:
+    while len(_TRACE_CACHE) > TRACE_MEMO_MAX:
         _TRACE_CACHE.popitem(last=False)
         _MEMO_EVICTIONS += 1
     return trace
@@ -199,13 +173,3 @@ def get_trace(name: str, scale: int | None = None) -> PreparedTrace:
 def clear_trace_cache() -> None:
     """Drop the in-memory trace memo (the disk tier is untouched)."""
     _TRACE_CACHE.clear()
-
-
-def integer_traces(scale: int | None = None) -> dict[str, PreparedTrace]:
-    """Traces for the whole integer suite, in paper order."""
-    return {name: get_trace(name, scale) for name in INTEGER_SUITE}
-
-
-def fp_traces(scale: int | None = None) -> dict[str, PreparedTrace]:
-    """Traces for the whole FP suite, in paper order."""
-    return {name: get_trace(name, scale) for name in FP_SUITE}

@@ -82,20 +82,6 @@ def unique_label(prefix: str) -> str:
     return f"{prefix}__{_UNIQUE[0]}"
 
 
-def counted_loop(asm: Assembler, counter: str, limit: str, body) -> None:
-    """Emit ``for (counter = counter; counter != limit; )`` around ``body``.
-
-    ``body`` is a callable emitting the loop body; it must advance
-    ``counter`` itself (so strides and pointer walks stay explicit).
-    """
-    top = unique_label("loop")
-    asm.label(top)
-    body()
-    with asm.noreorder():
-        asm.bne(counter, limit, top)
-        asm.nop()
-
-
 _LIB_OPS = ("xor", "addu", "or", "subu", "and")
 #: Byte strides for library scans.  Mostly non-unit *line* strides (a
 #: 32-byte line per step or more) so the accesses defeat next-sequential

@@ -44,9 +44,8 @@ the mmap then reuses) — a mismatch means silent payload corruption
 into wrong simulation results.  Mismatched entries are **quarantined**
 (moved to ``<root>/quarantine/`` for forensics) and counted as misses,
 so the next build rewrites them; entries predating the sidecar are
-verified-and-backfilled on first contact.  Set
-``$REPRO_TRACE_CACHE_VERIFY=off`` to skip verification (factor-1.0
-traces pay one streamed read per process).
+verified-and-backfilled on first contact.  Verification is always on
+(factor-1.0 traces pay one streamed read per process).
 
 Eviction.  The cache holds at most ``max_entries`` files; inserting past
 the bound deletes the oldest files by modification time (sidecars travel
@@ -99,9 +98,8 @@ CACHE_FORMAT_VERSION = 2
 #: Environment overrides (read once per process at first use).
 ENV_DIR = "REPRO_TRACE_CACHE_DIR"
 ENV_SWITCH = "REPRO_TRACE_CACHE"
-ENV_VERIFY = "REPRO_TRACE_CACHE_VERIFY"
 _OFF_VALUES = ("0", "off", "no", "false", "disabled")
-#: Values accepted as "enabled" by the switches above (eager env
+#: Values accepted as "enabled" by the switch above (eager env
 #: validation rejects anything outside either list).
 _ON_VALUES = ("1", "on", "yes", "true", "enabled")
 
@@ -163,14 +161,12 @@ class TraceCache:
         *,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         enabled: bool = True,
-        verify: bool = True,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.root = pathlib.Path(root) if root is not None else DEFAULT_ROOT
         self.max_entries = max_entries
         self.enabled = enabled
-        self.verify = verify
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -235,14 +231,14 @@ class TraceCache:
         self._verified.discard(path)
 
     def _verify_entry(self, path: pathlib.Path) -> bool:
-        """True when ``path`` is safe to load (checksum ok, or verify off).
+        """True when ``path`` is safe to load (its checksum matches).
 
         Verified paths are memoized per process.  A missing sidecar marks
         a legacy entry: it is checksummed and the sidecar backfilled.  A
         mismatch (or malformed sidecar) quarantines the entry and returns
         False — the caller treats that as a miss and rebuilds.
         """
-        if not self.verify or path in self._verified:
+        if path in self._verified:
             return True
         want_crc = want_size = -1
         sidecar = self.sidecar_for(path)
@@ -465,8 +461,7 @@ def default_cache() -> TraceCache:
     if _default is None:
         root = os.environ.get(ENV_DIR) or DEFAULT_ROOT
         enabled = os.environ.get(ENV_SWITCH, "").lower() not in _OFF_VALUES
-        verify = os.environ.get(ENV_VERIFY, "").lower() not in _OFF_VALUES
-        _default = TraceCache(root, enabled=enabled, verify=verify)
+        _default = TraceCache(root, enabled=enabled)
     return _default
 
 
@@ -475,13 +470,10 @@ def configure(
     *,
     enabled: bool = True,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-    verify: bool = True,
 ) -> TraceCache:
     """Replace the process-wide cache (tests; process-pool workers)."""
     global _default
-    _default = TraceCache(
-        root, enabled=enabled, max_entries=max_entries, verify=verify
-    )
+    _default = TraceCache(root, enabled=enabled, max_entries=max_entries)
     return _default
 
 

@@ -50,11 +50,3 @@ class TestBIU:
     def test_negative_time_raises(self):
         with pytest.raises(ValueError):
             BusInterfaceUnit(latency=17).request(-1, "dread")
-
-    def test_busy_fraction(self):
-        biu = BusInterfaceUnit(latency=17, occupancy=4)
-        for _ in range(10):
-            biu.request(0, "dread")
-        assert biu.busy_fraction(100) == pytest.approx(0.4)
-        assert biu.busy_fraction(10) == 1.0  # clamped
-        assert biu.busy_fraction(0) == 0.0

@@ -249,14 +249,6 @@ class TestCacheIntegrity:
         assert reader.load("w", 4) is None
         assert reader.checksum_failures == 1
 
-    def test_verify_off_skips_checksums(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        cache.store("w", 4, _array())
-        chaos.bitflip_file(cache.path_for("w", 4), seed=1)
-        reader = TraceCache(tmp_path, verify=False)
-        assert reader.load("w", 4) is not None  # silently wrong, by request
-        assert reader.checksum_failures == 0
-
     def test_mmap_failure_falls_back_to_eager_load(self, tmp_path, monkeypatch):
         cache = TraceCache(tmp_path)
         original = _array()
@@ -757,7 +749,7 @@ class TestEnvValidation:
         validate_environment(
             {
                 "REPRO_TRACE_CACHE": "off",
-                "REPRO_TRACE_CACHE_VERIFY": "1",
+                "REPRO_LOG_LEVEL": "debug",
                 "REPRO_TRACE_CACHE_DIR": "/tmp/somewhere-new",
             }
         )
@@ -766,14 +758,14 @@ class TestEnvValidation:
         with pytest.raises(EnvValidationError) as caught:
             validate_environment(
                 {
-                    "REPRO_TRACE_CACHE_VERIFY": "bogus",
+                    "REPRO_LOG_LEVEL": "bogus",
                     "REPRO_TRACE_CACHE": "maybe",
                     "REPRO_TRACE_CACHE_DIR": "  ",
                 }
             )
         message = str(caught.value)
         for name in (
-            "REPRO_TRACE_CACHE_VERIFY",
+            "REPRO_LOG_LEVEL",
             "REPRO_TRACE_CACHE",
             "REPRO_TRACE_CACHE_DIR",
         ):
@@ -788,9 +780,9 @@ class TestEnvValidation:
     def test_run_all_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.run_all import main as run_all_main
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE_VERIFY", "bogus")
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "bogus")
         assert run_all_main(["--only", "fig1"]) == EXIT_USAGE
-        assert "REPRO_TRACE_CACHE_VERIFY" in capsys.readouterr().err
+        assert "REPRO_LOG_LEVEL" in capsys.readouterr().err
 
     def test_aurora_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.cli import main as cli_main

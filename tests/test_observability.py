@@ -18,7 +18,6 @@ from repro.telemetry.metrics import (
     LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
-    publish_bus_health,
 )
 from repro.telemetry.prom import (
     PromFormatError,
@@ -307,23 +306,3 @@ class TestRegistryEdgeCases:
         ]["serve.requests"]
         hist = snapshot["histograms"]["serve.latency_seconds"]
         assert doc["samples"]["serve_latency_seconds_count"] == hist["count"]
-
-    def test_publish_bus_health(self):
-        from repro.telemetry.events import (
-            Event,
-            EventBus,
-            EventKind,
-            RingBufferSink,
-        )
-
-        bus = EventBus()
-        sink = RingBufferSink(capacity=2)
-        bus.attach(sink)
-        for cycle in range(5):
-            bus.emit(cycle, "proc", EventKind.RETIRE, index=cycle, issue=0)
-        registry = MetricsRegistry()
-        publish_bus_health(bus, registry)
-        snapshot = registry.as_dict()["gauges"]
-        assert snapshot["telemetry.sinks"] == 1
-        assert snapshot["telemetry.events_recorded"] == 5
-        assert snapshot["telemetry.events_dropped"] == 3

@@ -15,7 +15,6 @@ from repro.core.config import (
     MachineConfig,
 )
 from repro.core.kernel import simulate_many
-from repro.core.mshr import MSHRFile
 from repro.core.processor import (
     CAPACITY_FIELDS,
     AuroraProcessor,
@@ -27,6 +26,7 @@ from repro.func.trace import NO_REG
 from repro.isa.assembler import Assembler
 from repro.isa.instructions import Kind
 from repro.isa.program import TEXT_BASE
+from repro.telemetry.events import EventBus, EventKind
 from repro.workloads.support import Lcg
 
 # ---------------------------------------------------------------- machine
@@ -112,24 +112,6 @@ class TestCacheProperties:
             if not cache.lookup(address):
                 cache.fill(address, 0)
         assert 0 <= cache.hits <= cache.accesses == len(addresses)
-
-
-class TestMshrProperties:
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 100), st.integers(1, 40)),
-            min_size=1,
-            max_size=60,
-        ),
-        st.integers(1, 8),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_grants_never_precede_requests(self, stream, entries):
-        mshr = MSHRFile(entries)
-        for t, hold in stream:
-            grant, slot = mshr.allocate(t)
-            assert grant >= t
-            mshr.set_release(slot, grant + hold)
 
 
 class TestBiuProperties:
@@ -382,6 +364,34 @@ def machine_configs(draw):
     )
 
 
+class _MshrRuleSink:
+    """Checks each ``mshr`` event against the MSHR rule as it arrives:
+    every slot is below the file's size, an entry is never allocated
+    before its previous release, and a release never precedes its
+    allocation (a load's events may interleave with others, but never
+    with another MSHR hold)."""
+
+    def __init__(self, entries: int) -> None:
+        self.free_at = [0] * entries
+        self.open = None
+        self.holds = 0
+
+    def record(self, event) -> None:
+        if event.kind is EventKind.MSHR_ALLOC:
+            slot = event.fields["slot"]
+            assert self.open is None
+            assert 0 <= slot < len(self.free_at)
+            assert event.cycle >= self.free_at[slot]
+            self.open = (slot, event.cycle)
+        elif event.kind is EventKind.MSHR_RELEASE:
+            slot, allocated = self.open
+            assert event.fields["slot"] == slot
+            assert event.cycle >= allocated
+            self.free_at[slot] = event.cycle
+            self.open = None
+            self.holds += 1
+
+
 class TestRandomConfigProperties:
     @given(machine_configs())
     @settings(max_examples=25, deadline=None)
@@ -402,6 +412,16 @@ class TestRandomConfigProperties:
         fast = AuroraProcessor(config).run(trace).stats.cycles
         slow = AuroraProcessor(slower).run(trace).stats.cycles
         assert slow >= fast
+
+    @given(machine_configs(), st.sampled_from(_MIX_TRACES))
+    @settings(max_examples=20, deadline=None)
+    def test_mshr_slots_never_reused_before_release(self, config, name):
+        trace = _mix_trace(name)
+        sink = _MshrRuleSink(config.mshr_entries)
+        stats = AuroraProcessor(config, telemetry=EventBus(sink)).run(
+            trace
+        ).stats
+        assert sink.holds == stats.loads + stats.stores
 
     @given(
         st.lists(machine_configs(), min_size=1, max_size=3),

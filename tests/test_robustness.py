@@ -37,6 +37,10 @@ from repro.robustness.validation import (
 from repro.telemetry.events import EventBus, EventKind, RingBufferSink
 from repro.workloads.registry import get_trace
 
+#: Guards are always on; with these bounds no run trips one, so a run
+#: under this policy is the reference for where a guard fires.
+UNREACHED_BOUNDS = RobustnessPolicy(max_stall_cycles=1 << 62, cycle_limit=1 << 62)
+
 
 @pytest.fixture(scope="module")
 def small_trace():
@@ -288,7 +292,7 @@ class TestWatchdog:
     def test_guards_match_unguarded_numbers(self, small_trace):
         guarded = simulate_trace(small_trace, BASELINE)
         unguarded = simulate_trace(
-            small_trace, BASELINE, policy=RobustnessPolicy(enabled=False)
+            small_trace, BASELINE, policy=UNREACHED_BOUNDS
         )
         assert guarded.stats.cycles == unguarded.stats.cycles
 
@@ -328,7 +332,7 @@ class TestWatchdog:
         index = excinfo.value.instruction_index
         prefix = small_trace[: index + 1]
         unguarded = AuroraProcessor(
-            BASELINE, RobustnessPolicy(enabled=False)
+            BASELINE, UNREACHED_BOUNDS
         ).run(prefix)
         assert excinfo.value.stall_snapshot == unguarded.stats.stall_cycles
         assert any(excinfo.value.stall_snapshot.values())
@@ -353,7 +357,7 @@ class TestWatchdog:
         mshr._free_at.append(0)  # corrupt: 3 entries in a 2-entry file
         watchdog.watch(mshr)
         with pytest.raises(SimulationError) as excinfo:
-            watchdog.observe(0, 10)
+            watchdog.check_structures(0, 10)
         assert excinfo.value.reason == "occupancy"
         assert "MSHR" in str(excinfo.value)
 
@@ -390,7 +394,7 @@ class TestWatchdogSemantics:
         simulate_trace(
             small_trace,
             BASELINE,
-            policy=RobustnessPolicy(enabled=False),
+            policy=UNREACHED_BOUNDS,
             telemetry=EventBus(sink),
         )
         events = [e for e in sink if e.kind is EventKind.RETIRE]
@@ -448,7 +452,7 @@ class TestWatchdogSemantics:
 class TestStructureGuards:
     def test_mshr_healthy(self):
         mshr = MSHRFile(4)
-        mshr.allocate(5)
+        mshr._free_at[0] = 5  # busy until cycle 5, as the loop writes it
         mshr.assert_capacity()
 
     def test_mshr_corrupt_timestamp(self):

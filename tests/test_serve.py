@@ -219,6 +219,24 @@ class TestMemoStore:
 
         assert MemoStore(tmp_path).code_hash == code_fingerprint()
 
+    def test_memory_tier_evicts_to_disk(self, tmp_path, monkeypatch):
+        from repro.serve import store as store_module
+
+        monkeypatch.setattr(store_module, "MEMORY_ENTRIES", 3)
+        store = MemoStore(tmp_path, code_hash="c0de")
+        prints = [f"{i:016x}" for i in range(4)]  # cap + 1 keys
+        for cycles, fingerprint in enumerate(prints, start=90):
+            store.put("espresso", FACTOR, fingerprint, _stats(cycles))
+        assert len(store._memory) == 3
+        # The oldest key left the memory tier: a disk hit, not a miss.
+        assert store.get("espresso", FACTOR, prints[0]) == _stats(90)
+        assert (store.hits_disk, store.hits_memory, store.misses) == (1, 0, 0)
+        # Reading it back made it the newest; the next oldest went.
+        assert len(store._memory) == 3
+        assert store.get("espresso", FACTOR, prints[2]) == _stats(92)
+        assert store.get("espresso", FACTOR, prints[1]) == _stats(91)
+        assert (store.hits_disk, store.hits_memory) == (2, 1)
+
     def test_key_shape_matches_manifest_discipline(self):
         key = MemoStore.key("espresso", 0.05, "abcd", "c0de")
         assert key == "espresso|factor=0.05|config=abcd|code=c0de"
@@ -490,11 +508,11 @@ def server(tmp_path_factory):
 
 def _grid_queries(count: int) -> list[dict]:
     """Distinct-config espresso queries off the Figure 8 grid."""
-    from repro.experiments.fig8_design_space import _design_points
+    from repro.experiments.fig8_design_space import design_points
 
     queries = []
     seen = set()
-    for _label, config, _marker in _design_points():
+    for _label, config, _marker in design_points():
         spec = config_to_spec(config)
         key = json.dumps(spec, sort_keys=True)
         if key in seen:

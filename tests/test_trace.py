@@ -10,9 +10,9 @@ from repro.func.trace import (
     compute_stats,
     is_fp_kind,
     is_memory_kind,
-    load_trace,
+    load_trace_array,
     records_array,
-    save_trace,
+    save_trace_array,
 )
 from repro.isa.instructions import Kind
 
@@ -78,15 +78,15 @@ class TestPersistence:
             rec(0x400000, Kind.ALU, dst=8, s1=9, s2=10),
             rec(0x400004, Kind.LOAD, dst=11, s1=29, addr=0x7FFFFF00),
         ]
-        path = str(tmp_path / "trace.npz")
-        save_trace(path, trace)
-        loaded = load_trace(path)
-        assert loaded == trace
+        path = str(tmp_path / "trace.npy")
+        save_trace_array(path, records_array(trace))
+        loaded = load_trace_array(path)
+        assert [tuple(int(v) for v in row) for row in loaded] == trace
 
     def test_empty_roundtrip(self, tmp_path):
-        path = str(tmp_path / "empty.npz")
-        save_trace(path, [])
-        assert load_trace(path) == []
+        path = str(tmp_path / "empty.npy")
+        save_trace_array(path, records_array([]))
+        assert load_trace_array(path).shape == (0, 6)
 
 
 class TestRecordsArray:

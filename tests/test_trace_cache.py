@@ -1,8 +1,14 @@
 """Tests for the persistent on-disk trace cache and its registry tier."""
 
+import numpy as np
 import pytest
 
-from repro.func.trace import TraceIOError, save_trace
+from repro.func.trace import (
+    TraceIOError,
+    load_trace_array,
+    records_array,
+    save_trace_array,
+)
 from repro.isa.instructions import Kind
 from repro.workloads import registry, trace_cache
 from repro.workloads.trace_cache import TraceCache, trace_fingerprint
@@ -12,6 +18,16 @@ ALU = int(Kind.ALU)
 
 def _trace(n=50):
     return [(4096 + 4 * i, ALU, 8, 9, -1, 0) for i in range(n)]
+
+
+def _save_v1(path, trace):
+    """Write ``trace`` in the retired v1 layout: a compressed archive."""
+    np.savez_compressed(
+        path,
+        trace=records_array(trace),
+        version=np.int64(1),
+        count=np.int64(len(trace)),
+    )
 
 
 class TestTraceCache:
@@ -111,7 +127,7 @@ class TestCacheMigration:
     def test_lone_legacy_archive_is_a_miss_and_left_on_disk(self, tmp_path):
         cache = TraceCache(tmp_path)
         legacy = _legacy_path(cache, "sc", 8)
-        save_trace(str(legacy), _trace())
+        _save_v1(legacy, _trace())
         assert cache.load("sc", 8) is None
         assert cache.hits == 0 and cache.misses == 1
         assert legacy.exists()
@@ -132,7 +148,7 @@ class TestCacheMigration:
         cache = TraceCache(tmp_path)
         legacy = _legacy_path(cache, "sc", 8)
         legacy.parent.mkdir(parents=True, exist_ok=True)
-        save_trace(str(legacy), _trace(10))
+        _save_v1(legacy, _trace(10))
         cache.store("sc", 8, _trace(20))
         assert len(cache.load("sc", 8)) == 20  # v2 wins
 
@@ -141,7 +157,7 @@ class TestCacheMigration:
         # neither may be consulted.
         cache = TraceCache(tmp_path)
         cache.store("sc", 8, _trace())
-        save_trace(str(_legacy_path(cache, "li", 8)), _trace())
+        _save_v1(_legacy_path(cache, "li", 8), _trace())
         monkeypatch.setenv(trace_cache.ENV_SWITCH, "0")
         monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path))
         monkeypatch.setattr(trace_cache, "_default", None)
@@ -234,64 +250,43 @@ class TestRegistryDiskTier:
 
 
 class TestTraceIOValidation:
-    def test_unreadable_archive_raises(self, tmp_path):
-        from repro.func.trace import load_trace
+    """``load_trace_array`` refuses every file that is not a v2 trace."""
 
-        bad = tmp_path / "bad.npz"
+    def test_unreadable_archive_raises(self, tmp_path):
+        bad = tmp_path / "bad.npy"
         bad.write_bytes(b"\x00\x01\x02")
         with pytest.raises(TraceIOError, match="unreadable"):
-            load_trace(bad)
+            load_trace_array(bad)
 
     def test_missing_trace_array_raises(self, tmp_path):
-        import numpy as np
-
-        from repro.func.trace import load_trace
-
         path = tmp_path / "empty.npz"
         np.savez_compressed(path, other=np.zeros(3))
-        with pytest.raises(TraceIOError, match="no 'trace' array"):
-            load_trace(path)
+        with pytest.raises(TraceIOError, match="not a numpy array file"):
+            load_trace_array(path, mmap=False)
 
     def test_version_mismatch_raises(self, tmp_path):
-        import numpy as np
-
-        from repro.func.trace import load_trace
-
         path = tmp_path / "vers.npz"
-        np.savez_compressed(
-            path,
-            trace=np.zeros((2, 6), dtype=np.int64),
-            version=np.int64(999),
-        )
-        with pytest.raises(TraceIOError, match="version 999"):
-            load_trace(path)
+        _save_v1(path, _trace())
+        with pytest.raises(TraceIOError, match="not a numpy array file"):
+            load_trace_array(path, mmap=False)
 
     def test_wrong_shape_raises(self, tmp_path):
-        import numpy as np
-
-        from repro.func.trace import load_trace
-
-        path = tmp_path / "shape.npz"
-        np.savez_compressed(path, trace=np.zeros((4, 5), dtype=np.int64))
+        path = tmp_path / "shape.npy"
+        np.save(path, np.zeros((4, 5), dtype=np.int64))
         with pytest.raises(TraceIOError, match="shape"):
-            load_trace(path)
+            load_trace_array(path)
 
     def test_non_integral_dtype_raises(self, tmp_path):
-        import numpy as np
-
-        from repro.func.trace import load_trace
-
-        path = tmp_path / "dtype.npz"
-        np.savez_compressed(path, trace=np.zeros((4, 6)))
+        path = tmp_path / "dtype.npy"
+        np.save(path, np.zeros((4, 6)))
         with pytest.raises(TraceIOError, match="dtype"):
-            load_trace(path)
+            load_trace_array(path)
 
     def test_trace_io_error_is_value_error(self):
         assert issubclass(TraceIOError, ValueError)
 
     def test_versioned_roundtrip(self, tmp_path):
-        from repro.func.trace import load_trace
-
-        path = tmp_path / "t.npz"
-        save_trace(str(path), _trace())
-        assert load_trace(path) == _trace()
+        path = tmp_path / "t.v2.npy"
+        save_trace_array(str(path), records_array(_trace()))
+        loaded = load_trace_array(path)
+        assert [tuple(int(v) for v in row) for row in loaded] == _trace()

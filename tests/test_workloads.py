@@ -70,7 +70,7 @@ class TestTraceMemoLRU:
     def test_bound_evicts_least_recently_used(self, monkeypatch):
         from repro.workloads import registry
 
-        monkeypatch.setenv(registry.ENV_TRACE_MEMO_MAX, "2")
+        monkeypatch.setattr(registry, "TRACE_MEMO_MAX", 2)
         registry.clear_trace_cache()
         evicted_before = registry.memo_snapshot()[2]
         get_trace("sc", 8)
@@ -92,25 +92,6 @@ class TestTraceMemoLRU:
         hits, misses, _ = registry.memo_snapshot()
         assert hits == hits_before + 1
         assert misses == misses_before + 1
-
-    def test_bad_env_value_is_named(self, monkeypatch):
-        from repro.workloads import registry
-
-        monkeypatch.setenv(registry.ENV_TRACE_MEMO_MAX, "zero")
-        with pytest.raises(ValueError, match="REPRO_TRACE_MEMO_MAX"):
-            registry.trace_memo_max()
-        monkeypatch.setenv(registry.ENV_TRACE_MEMO_MAX, "0")
-        with pytest.raises(ValueError, match="REPRO_TRACE_MEMO_MAX"):
-            registry.trace_memo_max()
-
-    def test_validate_environment_reports_bad_bound(self):
-        from repro.robustness.validation import (
-            EnvValidationError,
-            validate_environment,
-        )
-
-        with pytest.raises(EnvValidationError, match="REPRO_TRACE_MEMO_MAX"):
-            validate_environment({"REPRO_TRACE_MEMO_MAX": "-3"})
 
 
 @pytest.mark.parametrize("name", INTEGER_SUITE + FP_SUITE)
