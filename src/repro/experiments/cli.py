@@ -7,7 +7,7 @@ Subcommands::
     aurora-sim experiments [--only fig4 table6 ...] [--factor 0.5] [--out d/]
                            [--timeout 600] [--retries 2] [--jobs 4]
                            [--no-resume] [--manifest path.json]
-                           [--no-trace-cache] [--trace sweep-trace.json]
+                           [--trace sweep-trace.json]
                            [--chaos SPEC] [--chaos-seed N]
     aurora-sim trace <workload> [--factor 0.05] [--out trace.ndjson]
     aurora-sim report <trace.ndjson> [--window 1000] [--occupancy-out o.json]
@@ -184,7 +184,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             retries=args.retries,
             jobs=args.jobs,
-            use_trace_cache=not args.no_trace_cache,
             trace_out=args.trace,
             chaos=args.chaos,
             chaos_seed=args.chaos_seed,
@@ -530,8 +529,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="retries for transient failures")
     p_exp.add_argument("--jobs", type=positive_int, default=1,
                        help="worker processes for parallel execution")
-    p_exp.add_argument("--no-trace-cache", action="store_true",
-                       help="disable the persistent on-disk trace cache")
     p_exp.add_argument("--no-resume", action="store_true",
                        help="ignore the checkpoint manifest")
     p_exp.add_argument("--manifest", default=None,

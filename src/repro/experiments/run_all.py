@@ -12,8 +12,7 @@ for faster turnarounds; 1.0 reproduces the shipped EXPERIMENTS.md runs.
 ``--jobs N`` runs up to N experiments at once in N worker processes;
 the default ``--jobs 1`` runs them one after another in this process.
 Both go through the same scheduling loop, so results and reports are
-identical (see docs/PERFORMANCE.md).  ``--no-trace-cache`` disables the
-persistent on-disk trace cache for this run.
+identical (see docs/PERFORMANCE.md).
 
 Execution goes through :class:`repro.robustness.runner.ResilientRunner`:
 each experiment is isolated (a crash or timeout in one no longer aborts
@@ -30,11 +29,13 @@ docs/ROBUSTNESS.md).
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import pathlib
 import sys
 from dataclasses import dataclass
 
+from repro.robustness import chaos as chaos_mod
 from repro.robustness.runner import MANIFEST_NAME, ResilientRunner, RunReport
 from repro.robustness.validation import validate_factor
 from repro.workloads import trace_cache
@@ -87,10 +88,7 @@ def run_resilient(
     manifest: str | None = None,
     timeout: float | None = None,
     retries: int = 2,
-    backoff: float = 0.25,
-    fault_plan=None,
     jobs: int = 1,
-    use_trace_cache: bool = True,
     trace_out: str | None = None,
     chaos: str | None = None,
     chaos_seed: int = 0,
@@ -103,37 +101,25 @@ def run_resilient(
     neither ``manifest`` nor ``out_dir`` is given there is nowhere to
     checkpoint, so every experiment runs fresh.  ``jobs=1`` runs the
     experiments in this process, ``jobs > 1`` on a pool of that many
-    worker processes; ``use_trace_cache=False`` disables
-    the persistent trace cache for this process (it never force-enables
-    a cache switched off via the environment).  ``trace_out`` switches
-    on host-side span tracing for the sweep and exports the merged span
-    tree as Chrome trace-event JSON to that path (view with
-    ``aurora-sim spans`` or Perfetto); without it no tracer exists and
-    the sweep runs exactly as before.
+    worker processes.  ``trace_out`` switches on host-side span tracing
+    for the sweep and exports the merged span tree as Chrome trace-event
+    JSON to that path (view with ``aurora-sim spans`` or Perfetto);
+    without it no tracer exists and the sweep runs exactly as before.
 
     ``chaos`` takes a :class:`repro.robustness.chaos.ChaosPlan` spec
     (``kind[:target[:count[:seconds]]],...``) seeded by ``chaos_seed``:
     disk faults are applied to the trace cache and manifest before the
     sweep, filesystem faults are armed at their sites (in the parent
-    and every pool worker), and pool faults compile into the fault
-    plan.  Mutually exclusive with an explicit ``fault_plan``.
+    and every pool worker), and pool faults are injected into the
+    attempts of the experiments they target.
     """
     validate_factor(factor, where="--factor")
-    if not use_trace_cache:
-        trace_cache.set_enabled(False)
     effective_stream = stream if stream is not None else sys.stdout
     chaos_plan = None
+    scope = contextlib.nullcontext()
     if chaos is not None:
-        from repro.robustness import chaos as chaos_mod
-
-        if fault_plan is not None:
-            raise ValueError(
-                "chaos and fault_plan are mutually exclusive: a chaos "
-                "plan compiles its own pool faults"
-            )
         chaos_plan = chaos_mod.ChaosPlan.parse(chaos, seed=chaos_seed)
-        selected = list(only) if only else list(EXPERIMENTS)
-        fault_plan = chaos_plan.fault_plan(selected)
+        scope = chaos_mod.active(chaos_plan)
         manifest_path = manifest
         if manifest_path is None and out_dir is not None:
             manifest_path = pathlib.Path(out_dir) / MANIFEST_NAME
@@ -151,25 +137,11 @@ def run_resilient(
         manifest_path=manifest,
         timeout=timeout,
         retries=retries,
-        backoff=backoff,
-        fault_plan=fault_plan,
         jobs=jobs,
         tracer=tracer,
         chaos_plan=chaos_plan,
     )
-    if chaos_plan is None:
-        return runner.run(
-            EXPERIMENTS,
-            factor=factor,
-            only=only,
-            resume=resume,
-            stream=effective_stream,
-            out_dir=out_dir,
-            trace_out=trace_out,
-        )
-    from repro.robustness import chaos as chaos_mod
-
-    with chaos_mod.active(chaos_plan):
+    with scope:
         return runner.run(
             EXPERIMENTS,
             factor=factor,

@@ -315,12 +315,12 @@ _DECODERS["mfhi"] = _DECODERS["mflo"] = _move_from_hilo
 # -- loads and stores -------------------------------------------------------------
 
 
-def _make_load(reader_name: str, kind: Kind = Kind.LOAD, **reader_kwargs):
+def _make_load(reader, kind: Kind = Kind.LOAD, **reader_kwargs):
     fp = kind is Kind.FP_LOAD
 
     def decode(machine: Machine, ins: Instruction, pc: int, append):
         regs = machine.regs
-        read = getattr(machine.memory, reader_name)
+        read = reader.__get__(machine.memory)
         if reader_kwargs:
             read = partial(read, **reader_kwargs)
         if fp:
@@ -339,12 +339,12 @@ def _make_load(reader_name: str, kind: Kind = Kind.LOAD, **reader_kwargs):
     return decode
 
 
-def _make_store(writer_name: str, kind: Kind = Kind.STORE):
+def _make_store(writer, kind: Kind = Kind.STORE):
     fp = kind is Kind.FP_STORE
 
     def decode(machine: Machine, ins: Instruction, pc: int, append):
         regs = machine.regs
-        write = getattr(machine.memory, writer_name)
+        write = writer.__get__(machine.memory)
         values, rt = (machine.fregs, ins.ft) if fp else (regs, ins.rt)
         rs, imm, code = ins.rs, ins.imm, int(kind)
         src1, src2 = _reg(rs), _fp_id(rt) if fp else _reg(rt)
@@ -359,18 +359,18 @@ def _make_store(writer_name: str, kind: Kind = Kind.STORE):
     return decode
 
 
-_DECODERS["lw"] = _make_load("read_word")
-_DECODERS["lh"] = _make_load("read_half", signed=True)
-_DECODERS["lhu"] = _make_load("read_half", signed=False)
-_DECODERS["lb"] = _make_load("read_byte", signed=True)
-_DECODERS["lbu"] = _make_load("read_byte", signed=False)
-_DECODERS["lwc1"] = _make_load("read_float", Kind.FP_LOAD)
-_DECODERS["ldc1"] = _make_load("read_double", Kind.FP_LOAD)
-_DECODERS["sw"] = _make_store("write_word")
-_DECODERS["sh"] = _make_store("write_half")
-_DECODERS["sb"] = _make_store("write_byte")
-_DECODERS["swc1"] = _make_store("write_float", Kind.FP_STORE)
-_DECODERS["sdc1"] = _make_store("write_double", Kind.FP_STORE)
+_DECODERS["lw"] = _make_load(SparseMemory.read_word)
+_DECODERS["lh"] = _make_load(SparseMemory.read_half, signed=True)
+_DECODERS["lhu"] = _make_load(SparseMemory.read_half, signed=False)
+_DECODERS["lb"] = _make_load(SparseMemory.read_byte, signed=True)
+_DECODERS["lbu"] = _make_load(SparseMemory.read_byte, signed=False)
+_DECODERS["lwc1"] = _make_load(SparseMemory.read_float, Kind.FP_LOAD)
+_DECODERS["ldc1"] = _make_load(SparseMemory.read_double, Kind.FP_LOAD)
+_DECODERS["sw"] = _make_store(SparseMemory.write_word)
+_DECODERS["sh"] = _make_store(SparseMemory.write_half)
+_DECODERS["sb"] = _make_store(SparseMemory.write_byte)
+_DECODERS["swc1"] = _make_store(SparseMemory.write_float, Kind.FP_STORE)
+_DECODERS["sdc1"] = _make_store(SparseMemory.write_double, Kind.FP_STORE)
 
 
 # -- control flow -------------------------------------------------------------------

@@ -15,11 +15,14 @@ trustworthy.  This package hardens the simulation layer in three tiers:
   with per-experiment isolation, timeouts, bounded-backoff retries and a
   checkpoint manifest so partial sweeps resume instead of restarting.
 
-:mod:`repro.robustness.faults` provides deterministic fault injection used
-by the tests to exercise all of the above, and
-:mod:`repro.robustness.chaos` extends it into a chaos harness attacking
-every I/O and process boundary (cache corruption, filesystem faults,
-worker kills, torn manifests) behind ``aurora-sim experiments --chaos``.
+:mod:`repro.robustness.chaos` holds the one fault plan,
+:class:`ChaosPlan`: a chaos harness attacking every I/O and process
+boundary (cache corruption, filesystem faults, worker kills, torn
+manifests) and the experiment boundary (crashes, transient failures,
+hangs, corrupt results), behind ``aurora-sim experiments --chaos`` and
+``run_resilient(chaos=...)``.  :mod:`repro.robustness.faults` injects
+the experiment-boundary faults deterministically, which is how the
+tests exercise all of the above.
 
 See ``docs/ROBUSTNESS.md`` for the full contract and the
 failure-mode matrix.
@@ -39,8 +42,6 @@ from repro.robustness.runner import (  # noqa: F401
     RunReport,
 )
 from repro.robustness.faults import (  # noqa: F401
-    FaultPlan,
-    FaultSpec,
     TransientFault,
     corrupt_trace,
 )

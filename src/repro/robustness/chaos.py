@@ -1,10 +1,11 @@
 """Chaos-engineering harness: deterministic failure injection at every
 I/O and process boundary of the sweep stack.
 
-:mod:`repro.robustness.faults` injects failures at the *experiment*
-boundary (a callable crashes, wedges, or returns garbage).  This module
-attacks everything underneath it — the surfaces a multi-hour production
-sweep actually dies on:
+A :class:`ChaosPlan` is the one fault plan of the sweep.  It names
+failures at the *experiment* boundary (a callable crashes, wedges, or
+returns garbage; :mod:`repro.robustness.faults` injects them) and at
+everything underneath it — the surfaces a multi-hour production sweep
+actually dies on:
 
 * **Trace-cache corruption** — bit-flips inside ``.v2.npy`` payloads,
   truncation mid-record, stale v1 archives planted next to v2 entries.
@@ -18,12 +19,14 @@ sweep actually dies on:
   and the checkpoint-manifest writer call before touching disk.  Each
   degrades (in-memory-only cache, un-checkpointed progress) instead of
   failing the sweep.
-* **Pool faults** — worker ``SIGKILL`` at a chosen experiment
-  (``kill``), worker hang past the wall-clock budget (``hang``), and
-  slow stragglers (``straggler``), compiled into a
-  :class:`~repro.robustness.faults.FaultPlan`; the runner injects
-  them through :class:`~repro.robustness.faults.InjectedFault`, so
-  they replay deterministically in either executor.
+* **Pool faults** — failures at the experiment boundary: a crash
+  (``crash``), a retried transient failure (``transient``), a hang past
+  the wall-clock budget (``hang``), a result whose rendering fails
+  (``corrupt-result``), a worker ``SIGKILL`` (``kill``) and a slow
+  straggler (``straggler``).  The runner looks up each experiment's
+  fault with :meth:`ChaosPlan.pool_fault` and injects it through
+  :class:`~repro.robustness.faults.InjectedFault`, so it replays
+  deterministically in either executor.
 * **Torn checkpoint manifests** — the manifest JSON truncated
   mid-entry, as a crash between ``write`` and ``rename`` would leave it
   without the write-then-rename discipline.  Recovery salvages the
@@ -51,12 +54,10 @@ import os
 import pathlib
 from dataclasses import dataclass, field
 
-from repro.robustness.faults import FaultPlan
-
 #: kind -> (category, description).  Categories: "disk" faults are
 #: applied to on-disk state before the sweep starts; "fs" faults raise
-#: OSErrors at a named fault site during the sweep; "pool" faults
-#: compile into a FaultPlan and fire at the experiment boundary.
+#: OSErrors at a named fault site during the sweep; "pool" faults fire
+#: at the experiment boundary (see repro.robustness.faults).
 CHAOS_KINDS = {
     "bitflip": ("disk", "flip one payload bit in matching .v2.npy cache "
                         "entries (target: workload name or '*')"),
@@ -70,6 +71,12 @@ CHAOS_KINDS = {
                      "cache.store | cache.load | manifest.save)"),
     "eacces": ("fs", "raise EACCES at a fault site"),
     "eio": ("fs", "raise EIO at a fault site"),
+    "crash": ("pool", "raise RuntimeError on every attempt of the target "
+                      "experiment (a permanent failure)"),
+    "transient": ("pool", "raise TransientFault on the target experiment's "
+                          "first `count` attempts (retried with backoff)"),
+    "corrupt-result": ("pool", "run the target experiment, then return a "
+                               "result whose render() raises"),
     "kill": ("pool", "SIGKILL the worker running the target experiment "
                      "on its first `count` executions"),
     "hang": ("pool", "wedge the target experiment for `seconds` "
@@ -176,36 +183,22 @@ class ChaosPlan:
             raise ChaosError(f"chaos spec {spec!r} names no faults")
         return cls(seed=seed, faults=tuple(faults))
 
-    # ------------------------------------------------------- compilation
+    # ------------------------------------------------------- lookups
 
-    def fault_plan(self, experiment_ids) -> FaultPlan | None:
-        """Compile pool-category faults into a :class:`FaultPlan`.
+    def pool_fault(self, exp_id: str) -> ChaosFault | None:
+        """The pool fault injected into ``exp_id``, or ``None``.
 
-        ``kill``/``straggler`` map to the fault kinds of the same name;
-        ``hang`` maps to the existing ``timeout`` kind (a hang *is* a
-        sleep past the budget).  A ``*`` target expands to every
-        selected experiment.  Returns ``None`` when the plan has no
-        pool faults.
+        A ``*`` target matches every experiment; when several pool
+        faults match, the last one in spec order wins.
         """
-        plan = FaultPlan()
-        mapped = {"kill": "kill", "straggler": "straggler", "hang": "timeout"}
+        found = None
         for chaos_fault in self.faults:
-            kind = mapped.get(chaos_fault.kind)
-            if kind is None:
-                continue
-            targets = (
-                list(experiment_ids)
-                if chaos_fault.target == "*"
-                else [chaos_fault.target]
-            )
-            for exp_id in targets:
-                plan.add(
-                    exp_id,
-                    kind,
-                    count=chaos_fault.count,
-                    seconds=chaos_fault.seconds,
-                )
-        return plan if plan.faults else None
+            if chaos_fault.category == "pool" and chaos_fault.target in (
+                "*",
+                exp_id,
+            ):
+                found = chaos_fault
+        return found
 
     def fs_budgets(self) -> dict[str, dict]:
         """Per-site mutable budgets for :func:`fs_check` (one process)."""

@@ -1,37 +1,38 @@
 """Deterministic fault injection for exercising the robustness layers.
 
 Nothing here fires in a normal run: faults are injected only when a
-:class:`FaultPlan` is explicitly passed to
-:class:`~repro.robustness.runner.ResilientRunner` (or when
-:func:`corrupt_trace` is called on a trace).  Everything is deterministic
-— fault kinds and counts come from the plan, trace corruption from a
-seeded LCG — so the failure paths are testable byte-for-byte.
+:class:`~repro.robustness.chaos.ChaosPlan` naming pool faults is passed
+to :class:`~repro.robustness.runner.ResilientRunner` (or when
+:func:`corrupt_trace` is called on a trace).  Everything is
+deterministic — fault kinds and counts come from the plan, trace
+corruption from a seeded LCG — so the failure paths are testable
+byte-for-byte.
 
 The runner wraps each attempt of a planned experiment in an
 :class:`InjectedFault`, the one injector for both executors: it pickles
 into a pool worker, and it takes the attempt and execution numbers from
 the runner's loop, so no counter lives in the plan or in a worker.
 
-Supported fault kinds (``FaultSpec.kind``):
+Pool fault kinds (``ChaosFault.kind``, see
+:data:`~repro.robustness.chaos.CHAOS_KINDS`):
 
 * ``"crash"`` — raise :class:`RuntimeError` on every attempt (a permanent
   failure: exercises containment and the failure report),
 * ``"transient"`` — raise :class:`TransientFault` on the first
-  ``FaultSpec.count`` attempts, then let the experiment run (exercises
+  ``count`` attempts, then let the experiment run (exercises
   bounded-backoff retry),
-* ``"timeout"`` — sleep ``FaultSpec.seconds`` before running (exercises
-  the per-experiment wall-clock timeout; a worker *hang* is this fault
-  with a timeout set),
+* ``"hang"`` — sleep ``seconds`` before running (exercises the
+  per-experiment wall-clock timeout),
 * ``"corrupt-result"`` — run the experiment, then return an object whose
   ``render()`` raises (exercises containment of post-processing errors),
-* ``"kill"`` — ``SIGKILL`` the worker process on the first
-  ``FaultSpec.count`` executions (exercises pool-break containment,
-  quarantine attribution and recovery).  Fired in the sweep's own
-  process (``jobs=1``) it would kill the sweep, so there it raises
-  :class:`RuntimeError` instead and is contained as a crash,
-* ``"straggler"`` — sleep ``FaultSpec.seconds`` before running on the
-  first ``count`` executions, then succeed (exercises slow-worker
-  tolerance: the sweep completes with identical results, just later).
+* ``"kill"`` — ``SIGKILL`` the worker process on the first ``count``
+  executions (exercises pool-break containment, quarantine attribution
+  and recovery).  Fired in the sweep's own process (``jobs=1``) it
+  would kill the sweep, so there it raises :class:`RuntimeError`
+  instead and is contained as a crash,
+* ``"straggler"`` — sleep ``seconds`` before running on the first
+  ``count`` executions, then succeed (exercises slow-worker tolerance:
+  the sweep completes with identical results, just later).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field
 
 
 class TransientFault(RuntimeError):
@@ -53,44 +53,8 @@ class _CorruptResult:
         raise RuntimeError("injected corrupt result: render() failed")
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One experiment's injected fault."""
-
-    kind: str  # see _KINDS
-    count: int = 1  # transient/kill/straggler: how many executions fault
-    seconds: float = 3600.0  # timeout: wedge length; straggler: delay
-
-    _KINDS = (
-        "crash", "transient", "timeout", "corrupt-result", "kill",
-        "straggler",
-    )
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of "
-                f"{', '.join(self._KINDS)}"
-            )
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.seconds <= 0:
-            raise ValueError("seconds must be > 0")
-
-
-@dataclass
-class FaultPlan:
-    """Maps experiment ids to the fault injected into their execution."""
-
-    faults: dict[str, FaultSpec] = field(default_factory=dict)
-
-    def add(self, exp_id: str, kind: str, **kwargs) -> "FaultPlan":
-        self.faults[exp_id] = FaultSpec(kind=kind, **kwargs)
-        return self
-
-
 class InjectedFault:
-    """One attempt of ``fn`` with ``spec``'s fault injected (picklable).
+    """One attempt of ``fn`` with ``fault`` injected (picklable).
 
     ``attempt`` counts the attempts the retry ledger bills; ``execution``
     also ticks on re-runs it does not bill (quarantine re-runs,
@@ -101,29 +65,30 @@ class InjectedFault:
     """
 
     def __init__(
-        self, fn, exp_id: str, spec: FaultSpec, attempt: int, execution: int
+        self, fn, exp_id: str, fault, attempt: int, execution: int
     ) -> None:
         self.fn = fn
         self.exp_id = exp_id
-        self.spec = spec
+        #: A pool-category :class:`~repro.robustness.chaos.ChaosFault`.
+        self.fault = fault
         self.attempt = attempt
         self.execution = execution
         #: The sweep's own process: a kill firing here must not kill it.
         self.home_pid = os.getpid()
 
     def __call__(self, factor: float):
-        spec = self.spec
-        if spec.kind == "crash":
+        fault = self.fault
+        if fault.kind == "crash":
             raise RuntimeError(
                 f"injected crash in experiment {self.exp_id!r} "
                 f"(attempt {self.attempt})"
             )
-        if spec.kind == "transient" and self.attempt <= spec.count:
+        if fault.kind == "transient" and self.attempt <= fault.count:
             raise TransientFault(
                 f"injected transient fault in experiment {self.exp_id!r} "
-                f"(attempt {self.attempt}/{spec.count})"
+                f"(attempt {self.attempt}/{fault.count})"
             )
-        if spec.kind == "kill" and self.execution <= spec.count:
+        if fault.kind == "kill" and self.execution <= fault.count:
             if os.getpid() == self.home_pid:
                 raise RuntimeError(
                     f"injected worker kill in experiment {self.exp_id!r} "
@@ -133,12 +98,12 @@ class InjectedFault:
             # A real worker death: the runner sees a BrokenProcessPool
             # and must attribute it.
             os.kill(os.getpid(), signal.SIGKILL)
-        if spec.kind == "timeout":
-            time.sleep(spec.seconds)
-        if spec.kind == "straggler" and self.execution <= spec.count:
-            time.sleep(spec.seconds)
+        if fault.kind == "hang":
+            time.sleep(fault.seconds)
+        if fault.kind == "straggler" and self.execution <= fault.count:
+            time.sleep(fault.seconds)
         result = self.fn(factor)
-        if spec.kind == "corrupt-result":
+        if fault.kind == "corrupt-result":
             return _CorruptResult()
         return result
 

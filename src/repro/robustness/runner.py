@@ -20,10 +20,11 @@ finished experiment and a hung one blocked the sweep forever.
   experiments hold the main executor at once, so every submitted
   attempt is running and its timeout clock starts at submission; at
   ``jobs=1`` each experiment is checkpointed before the next starts.
-* **Retry** — failures classified as transient (by default
-  :class:`~repro.robustness.faults.TransientFault` and :class:`OSError`)
-  are retried with bounded exponential backoff; permanent failures are
-  not retried, they are reported.
+* **Retry** — failures classified as transient
+  (:class:`~repro.robustness.faults.TransientFault` and
+  :class:`OSError`) are retried with bounded exponential backoff
+  (:data:`RETRY_BACKOFF_S` doubling up to :data:`RETRY_BACKOFF_MAX_S`);
+  permanent failures are not retried, they are reported.
 * **Checkpointing** — every completed experiment's rendered report is
   written to a JSON manifest keyed by ``(experiment id, factor, code
   hash)``.  A re-run with the same key skips finished work and re-runs
@@ -58,11 +59,11 @@ and each experiment gets ``<out>/metrics/<exp_id>.json``.  When span
 tracing is on and a Chrome trace export was requested, a top-level
 ``trace`` key records where that file lands.
 
-Deterministic fault injection (:class:`~repro.robustness.faults.FaultPlan`)
-wraps each attempt in a picklable
-:class:`~repro.robustness.faults.InjectedFault` carrying the loop's
-attempt and execution numbers, which is how the tests exercise every
-path above without flaky sleeps.
+Deterministic fault injection (the pool faults of a
+:class:`~repro.robustness.chaos.ChaosPlan`) wraps each attempt in a
+picklable :class:`~repro.robustness.faults.InjectedFault` carrying the
+loop's attempt and execution numbers, which is how the tests exercise
+every path above without flaky sleeps.
 
 Worker-death attribution.  When a worker process dies (segfault, OOM
 kill, ``SIGKILL``), ``ProcessPoolExecutor`` breaks the *whole* pool and
@@ -95,7 +96,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from repro.core.kernel import reuse_snapshot
 from repro.func.prepared import prepare_snapshot
-from repro.robustness.faults import FaultPlan, InjectedFault, TransientFault
+from repro.robustness.faults import InjectedFault, TransientFault
 from repro.robustness.signals import GRACEFUL_SIGNALS, GracefulSignals
 from repro.telemetry import tracing
 from repro.telemetry import logging as structlog
@@ -109,6 +110,10 @@ _log = get_logger("runner")
 MANIFEST_VERSION = 1
 #: Default manifest location (relative to ``out_dir`` when one is given).
 MANIFEST_NAME = "manifest.json"
+#: Retry ``n`` of a transient failure waits
+#: ``min(RETRY_BACKOFF_S * 2**(n-1), RETRY_BACKOFF_MAX_S)`` seconds.
+RETRY_BACKOFF_S = 0.25
+RETRY_BACKOFF_MAX_S = 2.0
 
 
 def _chaos_check(site: str) -> None:
@@ -248,7 +253,8 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-def _default_is_transient(error: BaseException) -> bool:
+def _retryable(error: BaseException) -> bool:
+    """True for a failure worth retrying (a transient one)."""
     return isinstance(error, (TransientFault, OSError))
 
 
@@ -350,8 +356,6 @@ def _exit_with_parent(parent_pid: int) -> None:
 def _pool_initializer(
     parent_pid: int,
     cache_root: str,
-    cache_enabled: bool,
-    cache_max_entries: int,
     chaos_plan=None,
     log_destination: str | None = None,
     log_level: str = "INFO",
@@ -379,11 +383,7 @@ def _pool_initializer(
         name="parent-watch",
         daemon=True,
     ).start()
-    trace_cache.configure(
-        cache_root,
-        enabled=cache_enabled,
-        max_entries=cache_max_entries,
-    )
+    trace_cache.configure(cache_root)
     if chaos_plan is not None:
         from repro.robustness import chaos
 
@@ -406,7 +406,6 @@ def process_pool(
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else methods[0]
     )
-    cache = trace_cache.default_cache()
     log_destination, log_level = structlog.current_config() or (None, "INFO")
     return concurrent.futures.ProcessPoolExecutor(
         max_workers=jobs,
@@ -414,9 +413,7 @@ def process_pool(
         initializer=_pool_initializer,
         initargs=(
             os.getpid(),
-            str(cache.root),
-            cache.enabled,
-            cache.max_entries,
+            str(trace_cache.default_cache().root),
             chaos_plan,
             log_destination,
             log_level,
@@ -479,10 +476,6 @@ class ResilientRunner:
         *,
         timeout: float | None = None,
         retries: int = 2,
-        backoff: float = 0.25,
-        max_backoff: float = 2.0,
-        fault_plan: FaultPlan | None = None,
-        is_transient: Callable[[BaseException], bool] = _default_is_transient,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         jobs: int = 1,
@@ -493,8 +486,6 @@ class ResilientRunner:
             raise ValueError("retries must be >= 0")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be > 0 (or None)")
-        if backoff < 0 or max_backoff < 0:
-            raise ValueError("backoff values must be >= 0")
         if not isinstance(jobs, int) or jobs < 1:
             raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
         self.manifest_path = (
@@ -502,18 +493,15 @@ class ResilientRunner:
         )
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
-        self.fault_plan = fault_plan
-        self.is_transient = is_transient
         self.jobs = jobs
         #: Optional host-side span tracer (see repro.telemetry.tracing);
         #: ``None`` keeps every span site a single falsy check.
         self.tracer = tracer
-        #: Optional chaos plan (see repro.robustness.chaos), shipped to
-        #: pool workers through the initializer so filesystem-fault
-        #: budgets replay per process.  The caller activates it in the
-        #: parent; the runner only forwards it.
+        #: Optional chaos plan (see repro.robustness.chaos).  Its pool
+        #: faults are injected into the attempts of their experiments;
+        #: the whole plan ships to pool workers through the initializer
+        #: so filesystem-fault budgets replay per process.  The caller
+        #: activates it in the parent.
         self.chaos_plan = chaos_plan
         self._sleep = sleep
         self._clock = clock
@@ -935,14 +923,11 @@ class ResilientRunner:
             started_at.setdefault(exp_id, self._clock())
             tallies.setdefault(exp_id, dict(_TALLY))
             fn = fns[exp_id]
-            faults = self.fault_plan.faults if self.fault_plan else {}
-            if exp_id in faults:
+            plan = self.chaos_plan
+            fault = plan.pool_fault(exp_id) if plan is not None else None
+            if fault is not None:
                 fn = InjectedFault(
-                    fn,
-                    exp_id,
-                    faults[exp_id],
-                    attempts[exp_id],
-                    executions[exp_id],
+                    fn, exp_id, fault, attempts[exp_id], executions[exp_id]
                 )
             span = None
             if tracer is not None:
@@ -1091,13 +1076,10 @@ class ResilientRunner:
                     error = envelope["error"]
                     cause = f"{type(error).__name__}: {error}"
                     close_attempt(flight, "failed", envelope, cause)
-                    if (
-                        self.is_transient(error)
-                        and attempts[exp_id] <= self.retries
-                    ):
+                    if _retryable(error) and attempts[exp_id] <= self.retries:
                         delay = min(
-                            self.backoff * (2 ** (attempts[exp_id] - 1)),
-                            self.max_backoff,
+                            RETRY_BACKOFF_S * (2 ** (attempts[exp_id] - 1)),
+                            RETRY_BACKOFF_MAX_S,
                         )
                         waiting.append((self._clock() + delay, exp_id))
                         continue

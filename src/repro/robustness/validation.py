@@ -22,8 +22,8 @@ garbage-in paths the experiment layer feeds the simulator:
   would silently produce nonsense workload sizes deep inside
   ``scaled_trace``.
 * **Environment** — :func:`validate_environment` eagerly checks every
-  ``REPRO_*`` switch the sweep stack reads, so a typo like
-  ``REPRO_TRACE_CACHE=of`` fails at CLI startup with a field-named
+  ``REPRO_*`` setting the sweep stack reads, so a typo like
+  ``REPRO_LOG_LEVEL=debgu`` fails at CLI startup with a field-named
   usage error instead of mid-sweep (or worse, silently falling back).
 """
 
@@ -182,29 +182,18 @@ class EnvValidationError(ValueError):
 
 
 def validate_environment(environ: Mapping[str, str] | None = None) -> None:
-    """Eagerly validate the ``REPRO_*`` switches the sweep stack reads.
+    """Eagerly validate the ``REPRO_*`` settings the sweep stack reads.
 
-    Checked: ``REPRO_TRACE_CACHE`` (an on/off switch),
-    ``REPRO_TRACE_CACHE_DIR`` (must not name an existing
+    Checked: ``REPRO_TRACE_CACHE_DIR`` (must not name an existing
     non-directory), ``REPRO_LOG`` (a writable destination, not a
-    directory) and ``REPRO_LOG_LEVEL`` (a known level name).  Unset or
-    empty variables are always fine — they mean "use the default".
+    directory) and ``REPRO_LOG_LEVEL`` (a known level name).  Unset
+    variables are always fine — they mean "use the default".
     """
     from repro.telemetry import logging as structlog
     from repro.workloads import trace_cache
 
     env = os.environ if environ is None else environ
     problems: list[str] = []
-
-    switch = env.get(trace_cache.ENV_SWITCH, "")
-    if switch and switch.lower() not in (
-        trace_cache._ON_VALUES + trace_cache._OFF_VALUES
-    ):
-        problems.append(
-            f"{trace_cache.ENV_SWITCH}={switch!r}: expected an on/off value "
-            f"({'/'.join(trace_cache._ON_VALUES)} or "
-            f"{'/'.join(trace_cache._OFF_VALUES)})"
-        )
 
     cache_dir = env.get(trace_cache.ENV_DIR)
     if cache_dir is not None:

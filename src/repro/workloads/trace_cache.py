@@ -5,8 +5,8 @@ dies with the process, so every fresh CLI run — and every process-pool
 worker — used to re-execute the functional simulator for every workload
 it touched.  This module gives traces a second, durable tier: numpy
 files under ``results/.trace_cache/`` (override with
-``$REPRO_TRACE_CACHE_DIR``; disable with ``$REPRO_TRACE_CACHE=off`` or
-``--no-trace-cache``).
+``$REPRO_TRACE_CACHE_DIR``, or :func:`configure`; the directory is the
+cache's only setting).
 
 Format v2 (current).  A cache entry is an **uncompressed** ``.npy``
 array named ``<workload>-s<scale>-<fingerprint>.v2.npy``, loaded with
@@ -47,7 +47,7 @@ so the next build rewrites them; entries predating the sidecar are
 verified-and-backfilled on first contact.  Verification is always on
 (factor-1.0 traces pay one streamed read per process).
 
-Eviction.  The cache holds at most ``max_entries`` files; inserting past
+Eviction.  The cache holds at most ``MAX_ENTRIES`` files; inserting past
 the bound deletes the oldest files by modification time (sidecars travel
 with their entries).  Orphaned ``.tmp`` files older than
 ``TMP_REAP_SECONDS`` — the debris of a writer killed mid-store — are
@@ -89,19 +89,14 @@ _log = get_logger("trace_cache")
 
 #: Default cache location (relative to the working directory).
 DEFAULT_ROOT = pathlib.Path("results") / ".trace_cache"
-#: Default bound on the number of cached trace files.
-DEFAULT_MAX_ENTRIES = 128
+#: Bound on the number of cached trace files.
+MAX_ENTRIES = 128
 
 #: On-disk cache format version (encoded in the v2 file suffix).
 CACHE_FORMAT_VERSION = 2
 
-#: Environment overrides (read once per process at first use).
+#: Environment override of the root (read once per process at first use).
 ENV_DIR = "REPRO_TRACE_CACHE_DIR"
-ENV_SWITCH = "REPRO_TRACE_CACHE"
-_OFF_VALUES = ("0", "off", "no", "false", "disabled")
-#: Values accepted as "enabled" by the switch above (eager env
-#: validation rejects anything outside either list).
-_ON_VALUES = ("1", "on", "yes", "true", "enabled")
 
 #: Glob patterns covering every cache generation (eviction, clear) —
 #: legacy ``.npz`` archives are never read, but they are still reaped.
@@ -155,18 +150,8 @@ class TraceCache:
     metrics.
     """
 
-    def __init__(
-        self,
-        root: str | pathlib.Path | None = None,
-        *,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        enabled: bool = True,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, root: str | pathlib.Path | None = None) -> None:
         self.root = pathlib.Path(root) if root is not None else DEFAULT_ROOT
-        self.max_entries = max_entries
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -278,16 +263,12 @@ class TraceCache:
     def load(self, name: str, scale: int) -> PreparedTrace | None:
         """Cached prepared trace for ``(name, scale)``, or None (a miss).
 
-        A disabled cache always misses.  A checksum-failed entry is
-        quarantined and counted as a miss; an entry that maps but fails
-        numpy validation falls back to an eager load, and only if that
-        fails too is it quarantined.  Legacy ``.npz`` archives are never
-        read.  A filesystem fault here (injected or real) degrades to a
-        miss — the trace is rebuilt.
+        A checksum-failed entry is quarantined and counted as a miss; an
+        entry that maps but fails numpy validation falls back to an eager
+        load, and only if that fails too is it quarantined.  Legacy
+        ``.npz`` archives are never read.  A filesystem fault here
+        (injected or real) degrades to a miss — the trace is rebuilt.
         """
-        if not self.enabled:
-            self.misses += 1
-            return None
         try:
             _chaos_check("cache.load")
         except OSError as error:
@@ -328,8 +309,6 @@ class TraceCache:
         Never raises on I/O failure — a read-only or full disk degrades
         to an unpopulated cache, not a failed experiment.
         """
-        if not self.enabled:
-            return
         from repro.telemetry import tracing
 
         if isinstance(trace, PreparedTrace):
@@ -385,7 +364,7 @@ class TraceCache:
     def _evict(self) -> None:
         """Enforce the entry bound and sweep debris.
 
-        Oldest entries (by mtime) past ``max_entries`` are deleted with
+        Oldest entries (by mtime) past ``MAX_ENTRIES`` are deleted with
         their sidecars.  The same pass reaps orphaned temp files older
         than ``TMP_REAP_SECONDS`` — a writer killed mid-store leaves
         both ``<stem>XXXX.tmp`` and ``<stem>XXXX.tmp.npy``, and the
@@ -415,7 +394,7 @@ class TraceCache:
                     sidecar.unlink(missing_ok=True)
         except OSError:
             return
-        excess = len(entries) - self.max_entries
+        excess = len(entries) - MAX_ENTRIES
         if excess <= 0:
             return
         entries.sort(key=lambda pair: pair[0])
@@ -459,27 +438,15 @@ def default_cache() -> TraceCache:
     """The process-wide cache (created from the environment on first use)."""
     global _default
     if _default is None:
-        root = os.environ.get(ENV_DIR) or DEFAULT_ROOT
-        enabled = os.environ.get(ENV_SWITCH, "").lower() not in _OFF_VALUES
-        _default = TraceCache(root, enabled=enabled)
+        _default = TraceCache(os.environ.get(ENV_DIR) or DEFAULT_ROOT)
     return _default
 
 
-def configure(
-    root: str | pathlib.Path | None = None,
-    *,
-    enabled: bool = True,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> TraceCache:
+def configure(root: str | pathlib.Path | None = None) -> TraceCache:
     """Replace the process-wide cache (tests; process-pool workers)."""
     global _default
-    _default = TraceCache(root, enabled=enabled, max_entries=max_entries)
+    _default = TraceCache(root)
     return _default
-
-
-def set_enabled(enabled: bool) -> None:
-    """Flip the process-wide cache on or off (``--no-trace-cache``)."""
-    default_cache().enabled = enabled
 
 
 def snapshot() -> tuple[int, int]:

@@ -31,7 +31,6 @@ from repro.experiments.exit_codes import (
 )
 from repro.robustness import chaos
 from repro.robustness.chaos import ChaosError, ChaosFault, ChaosPlan
-from repro.robustness.faults import FaultPlan
 from repro.robustness.runner import ExperimentOutcome, ResilientRunner, RunReport
 from repro.robustness.validation import (
     EnvValidationError,
@@ -95,20 +94,41 @@ class TestChaosPlan:
         with pytest.raises(ChaosError, match="cache.store"):
             ChaosFault(kind="eio", target="*")
 
-    def test_pool_faults_compile_to_fault_plan(self):
-        plan = ChaosPlan.parse("kill:a, straggler:b:1:0.5, hang:c:1:30")
-        compiled = plan.fault_plan(["a", "b", "c", "d"])
-        assert compiled.faults["a"].kind == "kill"
-        assert compiled.faults["b"].kind == "straggler"
-        assert compiled.faults["c"].kind == "timeout"  # hang IS a sleep
-        assert "d" not in compiled.faults
+    def test_pool_fault_lookup(self):
+        plan = ChaosPlan.parse(
+            "kill:a, straggler:b:1:0.5, hang:c:1:30, enospc:cache.store"
+        )
+        assert plan.pool_fault("a").kind == "kill"
+        assert plan.pool_fault("b").kind == "straggler"
+        assert plan.pool_fault("b").seconds == 0.5
+        assert plan.pool_fault("c").kind == "hang"
+        assert plan.pool_fault("d") is None  # fs faults are not pool faults
+        # A '*' target matches every experiment; the last matching pool
+        # fault in spec order wins.
+        plan = ChaosPlan.parse("crash:*, transient:a:2, bitflip:*")
+        assert plan.pool_fault("a").kind == "transient"
+        assert plan.pool_fault("a").count == 2
+        assert plan.pool_fault("b").kind == "crash"
+        plan = ChaosPlan.parse("transient:a:2, crash:*")
+        assert plan.pool_fault("a").kind == "crash"
+
+    def test_every_experiment_boundary_kind_parses_as_a_pool_fault(self):
+        plan = ChaosPlan.parse(
+            "crash:a, transient:b:2, hang:c:1:5, corrupt-result:d, "
+            "kill:e, straggler:f:1:0.1"
+        )
+        assert [f.category for f in plan.faults] == ["pool"] * 6
+        assert [plan.pool_fault(e).kind for e in "abcdef"] == [
+            "crash", "transient", "hang", "corrupt-result", "kill",
+            "straggler",
+        ]
 
     def test_star_target_expands_to_all_experiments(self):
-        compiled = ChaosPlan.parse("straggler:*:1:0.1").fault_plan(["x", "y"])
-        assert set(compiled.faults) == {"x", "y"}
+        plan = ChaosPlan.parse("straggler:*:1:0.1")
+        assert plan.pool_fault("x") == plan.pool_fault("y") == plan.faults[0]
 
     def test_disk_only_plan_has_no_fault_plan(self):
-        assert ChaosPlan.parse("bitflip:*").fault_plan(["a"]) is None
+        assert ChaosPlan.parse("bitflip:*").pool_fault("a") is None
 
     def test_plan_is_picklable_for_pool_workers(self):
         plan = ChaosPlan.parse("kill:a,enospc:cache.store", seed=3)
@@ -441,10 +461,7 @@ class TestPoolChaos:
         plan = ChaosPlan.parse("kill:a")
         chaos_out = tmp_path / "chaos"
         runner = ResilientRunner(
-            tmp_path / "chaos.json",
-            jobs=2,
-            fault_plan=plan.fault_plan(list(experiments)),
-            chaos_plan=plan,
+            tmp_path / "chaos.json", jobs=2, chaos_plan=plan
         )
         _r, report = runner.run(experiments, out_dir=chaos_out)
         # Killed once, re-run in the quarantine pool, recovered fully.
@@ -456,12 +473,7 @@ class TestPoolChaos:
 
     def test_kill_every_execution_convicts_the_victim(self, tmp_path):
         plan = ChaosPlan.parse("kill:a:99")
-        runner = ResilientRunner(
-            tmp_path / "m.json",
-            jobs=2,
-            fault_plan=plan.fault_plan(["a", "b"]),
-            chaos_plan=plan,
-        )
+        runner = ResilientRunner(tmp_path / "m.json", jobs=2, chaos_plan=plan)
         _r, report = runner.run({"a": _det_a, "b": _det_b})
         outcomes = {o.exp_id: o for o in report.outcomes}
         assert outcomes["a"].status == "failed"
@@ -471,11 +483,7 @@ class TestPoolChaos:
     def test_serial_kill_is_contained_as_crash(self, tmp_path):
         plan = ChaosPlan.parse("kill:alpha")
         calls = []
-        runner = ResilientRunner(
-            tmp_path / "m.json",
-            fault_plan=plan.fault_plan(["alpha", "beta"]),
-            backoff=0.0,
-        )
+        runner = ResilientRunner(tmp_path / "m.json", chaos_plan=plan)
         _r, report = runner.run(_local_experiments(calls))
         outcomes = {o.exp_id: o for o in report.outcomes}
         assert outcomes["alpha"].status == "failed"
@@ -486,9 +494,7 @@ class TestPoolChaos:
         plan = ChaosPlan.parse("straggler:alpha:1:0.2")
         calls = []
         started = time.monotonic()
-        runner = ResilientRunner(
-            tmp_path / "m.json", fault_plan=plan.fault_plan(["alpha"])
-        )
+        runner = ResilientRunner(tmp_path / "m.json", chaos_plan=plan)
         _r, report = runner.run(_local_experiments(calls))
         assert report.ok
         assert time.monotonic() - started >= 0.2
@@ -497,11 +503,7 @@ class TestPoolChaos:
         manifest = tmp_path / "m.json"
         plan = ChaosPlan.parse("hang:a:1:60")
         runner = ResilientRunner(
-            manifest,
-            jobs=2,
-            timeout=0.5,
-            fault_plan=plan.fault_plan(["a", "b"]),
-            chaos_plan=plan,
+            manifest, jobs=2, timeout=0.5, chaos_plan=plan
         )
         _r, wedged = runner.run({"a": _det_a, "b": _det_b})
         outcomes = {o.exp_id: o for o in wedged.outcomes}
@@ -726,6 +728,28 @@ class TestExitCodes:
         )
         assert sweep_exit_code(stopped) == EXIT_INTERRUPTED
 
+    @staticmethod
+    def _fig4(out, *chaos):
+        from repro.experiments.cli import main as cli_main
+
+        argv = ["experiments", "--only", "fig4", "--factor", "0.01"]
+        return cli_main([*argv, "--no-resume", "--out", str(out), *chaos])
+
+    def test_cli_transient_fault_is_retried(self, tmp_path, capsys):
+        assert self._fig4(tmp_path / "ref") == EXIT_OK
+        out = tmp_path / "chaos"
+        assert self._fig4(out, "--chaos", "transient:fig4:1") == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["metrics"]["counters"]["runner.attempts"] == 2
+        assert (out / "fig4.txt").read_text() == (
+            tmp_path / "ref" / "fig4.txt"
+        ).read_text()
+
+    def test_cli_crash_exits_partial(self, tmp_path, capsys):
+        code = self._fig4(tmp_path, "--chaos", "crash:fig4")
+        assert code == EXIT_PARTIAL
+        assert "injected crash" in capsys.readouterr().out
+
     def test_cli_rejects_bad_chaos_spec(self, capsys):
         from repro.experiments.cli import main as cli_main
 
@@ -748,7 +772,6 @@ class TestEnvValidation:
     def test_defaults_and_valid_values_pass(self):
         validate_environment(
             {
-                "REPRO_TRACE_CACHE": "off",
                 "REPRO_LOG_LEVEL": "debug",
                 "REPRO_TRACE_CACHE_DIR": "/tmp/somewhere-new",
             }
@@ -759,15 +782,15 @@ class TestEnvValidation:
             validate_environment(
                 {
                     "REPRO_LOG_LEVEL": "bogus",
-                    "REPRO_TRACE_CACHE": "maybe",
                     "REPRO_TRACE_CACHE_DIR": "  ",
+                    "REPRO_LOG": "  ",
                 }
             )
         message = str(caught.value)
         for name in (
             "REPRO_LOG_LEVEL",
-            "REPRO_TRACE_CACHE",
             "REPRO_TRACE_CACHE_DIR",
+            "REPRO_LOG ",
         ):
             assert name in message
 
@@ -787,9 +810,9 @@ class TestEnvValidation:
     def test_aurora_cli_exits_usage_on_bad_env(self, monkeypatch, capsys):
         from repro.experiments.cli import main as cli_main
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "sometimes")
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", " ")
         assert cli_main(["list"]) == EXIT_USAGE
-        assert "REPRO_TRACE_CACHE" in capsys.readouterr().err
+        assert "REPRO_TRACE_CACHE_DIR" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -799,9 +822,11 @@ class TestEnvValidation:
 _EVICTOR = """
 import sys
 import numpy as np
+from repro.workloads import trace_cache
 from repro.workloads.trace_cache import TraceCache
 root, which = sys.argv[1], int(sys.argv[2])
-cache = TraceCache(root, max_entries=4)
+trace_cache.MAX_ENTRIES = 4
+cache = TraceCache(root)
 for i in range(25):
     arr = np.full((8, 6), which * 100 + i, dtype=np.int64)
     arr[:, 3:5] = -1
@@ -812,7 +837,9 @@ print("done", which)
 
 
 class TestConcurrentEviction:
-    def test_two_processes_never_crash_or_orphan_tmp(self, tmp_path):
+    def test_two_processes_never_crash_or_orphan_tmp(
+        self, tmp_path, monkeypatch
+    ):
         src = os.path.dirname(
             os.path.dirname(os.path.dirname(trace_cache.__file__))
         )
@@ -838,7 +865,8 @@ class TestConcurrentEviction:
         ]
         assert leftovers == []
         # A final sweep restores the bound no matter how the races fell.
-        cache = TraceCache(tmp_path, max_entries=4)
+        monkeypatch.setattr(trace_cache, "MAX_ENTRIES", 4)
+        cache = TraceCache(tmp_path)
         cache._evict()
         entries = [
             entry
@@ -851,7 +879,7 @@ class TestConcurrentEviction:
             assert sidecar.with_name(sidecar.name[: -len(".crc")]).exists()
 
     def test_stale_tmp_debris_is_reaped(self, tmp_path):
-        cache = TraceCache(tmp_path, max_entries=2)
+        cache = TraceCache(tmp_path)
         debris = tmp_path / "w-s1-deadbeefdeadbeefXXXX.tmp"
         debris_npy = tmp_path / "w-s1-deadbeefdeadbeefXXXX.tmp.npy"
         debris.write_bytes(b"")
@@ -864,7 +892,7 @@ class TestConcurrentEviction:
         assert not debris_npy.exists()
 
     def test_fresh_tmp_files_are_left_alone(self, tmp_path):
-        cache = TraceCache(tmp_path, max_entries=2)
+        cache = TraceCache(tmp_path)
         live = tmp_path / "w-s1-deadbeefdeadbeefYYYY.tmp.npy"
         live.write_bytes(b"in-flight write")
         cache.store("w", 1, _array())

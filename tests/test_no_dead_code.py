@@ -57,16 +57,6 @@ ALLOWED = {
     "Program.num_instructions": "tests read an assembled program's size",
     "Program.symbol": "tests resolve a label's address",
     "SparseMemory.resident_bytes": "tests read the memory's footprint",
-    "SparseMemory.read_word": "tests read memory word by word",
-    "SparseMemory.write_word": "tests write memory word by word",
-    "SparseMemory.read_half": "tests read halfwords",
-    "SparseMemory.write_half": "tests write halfwords",
-    "SparseMemory.read_byte": "tests read bytes",
-    "SparseMemory.write_byte": "tests write bytes",
-    "SparseMemory.read_float": "tests read singles",
-    "SparseMemory.write_float": "tests write singles",
-    "SparseMemory.read_double": "tests read doubles",
-    "SparseMemory.write_double": "tests write doubles",
     "TraceStats.fp_ops": "tests read a trace's FP mix",
     "TraceStats.code_footprint_bytes": "tests read a trace's code footprint",
     "TraceStats.data_footprint_bytes": "tests read a trace's data footprint",

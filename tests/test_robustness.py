@@ -15,7 +15,8 @@ from repro.core.fpu import DecoupledFPU
 from repro.core.mshr import MSHRFile
 from repro.core.processor import AuroraProcessor, simulate_trace
 from repro.experiments.common import CpiSummary, scaled_trace
-from repro.robustness.faults import FaultPlan, FaultSpec, TransientFault, corrupt_trace
+from repro.robustness.chaos import ChaosError, ChaosFault, ChaosPlan
+from repro.robustness.faults import TransientFault, corrupt_trace
 from repro.robustness.guards import (
     GuardViolation,
     RobustnessPolicy,
@@ -45,6 +46,12 @@ UNREACHED_BOUNDS = RobustnessPolicy(max_stall_cycles=1 << 62, cycle_limit=1 << 6
 @pytest.fixture(scope="module")
 def small_trace():
     return get_trace("espresso", 12)
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry transient failures at once (the real delays are constants)."""
+    monkeypatch.setattr("repro.robustness.runner.RETRY_BACKOFF_S", 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -516,10 +523,8 @@ def _experiments(calls):
 class TestResilientRunner:
     def test_crash_is_contained_and_reported(self, tmp_path):
         calls = []
-        plan = FaultPlan().add("alpha", "crash")
-        runner = ResilientRunner(
-            tmp_path / "m.json", fault_plan=plan, backoff=0.0
-        )
+        plan = ChaosPlan.parse("crash:alpha")
+        runner = ResilientRunner(tmp_path / "m.json", chaos_plan=plan)
         results, report = runner.run(_experiments(calls), factor=0.5)
         assert not report.ok
         assert [o.status for o in report.outcomes] == ["failed", "ok"]
@@ -534,33 +539,53 @@ class TestResilientRunner:
             delays.append(seconds)
             now[0] += seconds
 
-        plan = FaultPlan().add("alpha", "transient", count=2)
+        plan = ChaosPlan.parse("transient:alpha:5")
         runner = ResilientRunner(
             tmp_path / "m.json",
-            fault_plan=plan,
-            retries=2,
-            backoff=0.25,
-            max_backoff=0.4,
+            chaos_plan=plan,
+            retries=5,
             sleep=sleep,
             clock=lambda: now[0],
         )
         _results, report = runner.run(_experiments(calls), factor=1.0)
         assert report.ok
         alpha = report.outcomes[0]
-        assert alpha.status == "ok" and alpha.attempts == 3
-        assert delays == [0.25, 0.4]  # exponential, capped at max_backoff
+        assert alpha.status == "ok" and alpha.attempts == 6
+        # Exponential from RETRY_BACKOFF_S, capped at RETRY_BACKOFF_MAX_S.
+        assert delays == [0.25, 0.5, 1.0, 2.0, 2.0]
         # jobs=1: alpha's retries finish before beta starts.
         assert calls == ["alpha", "beta"]
 
-    def test_transient_fault_exhausts_retries(self, tmp_path):
+    def test_transient_fault_exhausts_retries(self, tmp_path, no_backoff):
         calls = []
-        plan = FaultPlan().add("alpha", "transient", count=5)
+        plan = ChaosPlan.parse("transient:alpha:5")
         runner = ResilientRunner(
-            tmp_path / "m.json", fault_plan=plan, retries=1, backoff=0.0
+            tmp_path / "m.json", chaos_plan=plan, retries=1
         )
         _results, report = runner.run(_experiments(calls), factor=1.0)
         assert report.outcomes[0].status == "failed"
         assert "TransientFault" in report.outcomes[0].error
+
+    def test_only_transient_failures_retry(self, tmp_path, no_backoff):
+        # The retry rule: TransientFault and OSError retry, any other
+        # failure is permanent and runs once.
+        failures = {"disk": [OSError("EIO")], "bug": [ValueError("bug")]}
+
+        def make(exp_id):
+            def run(factor):
+                if failures[exp_id]:
+                    raise failures[exp_id].pop()
+                return _FakeResult(exp_id)
+
+            return run
+
+        _results, report = ResilientRunner(tmp_path / "m.json").run(
+            {"disk": make("disk"), "bug": make("bug")}
+        )
+        disk, bug = report.outcomes
+        assert disk.status == "ok" and disk.attempts == 2
+        assert bug.status == "failed" and bug.attempts == 1
+        assert "ValueError: bug" in bug.error
 
     def test_timeout_abandons_hung_experiment(self, tmp_path):
         def hung(factor):
@@ -575,8 +600,8 @@ class TestResilientRunner:
         assert [o.status for o in report.outcomes[1:]] == ["ok", "ok"]
 
     def test_render_failure_is_contained(self, tmp_path):
-        plan = FaultPlan().add("alpha", "corrupt-result")
-        runner = ResilientRunner(tmp_path / "m.json", fault_plan=plan)
+        plan = ChaosPlan.parse("corrupt-result:alpha")
+        runner = ResilientRunner(tmp_path / "m.json", chaos_plan=plan)
         _results, report = runner.run(_experiments([]), factor=1.0)
         assert report.outcomes[0].status == "failed"
         assert "render" in report.outcomes[0].error
@@ -584,8 +609,8 @@ class TestResilientRunner:
     def test_checkpoint_resume_skips_finished_work(self, tmp_path):
         manifest = tmp_path / "m.json"
         calls = []
-        plan = FaultPlan().add("beta", "crash")
-        ResilientRunner(manifest, fault_plan=plan, backoff=0.0).run(
+        plan = ChaosPlan.parse("crash:beta")
+        ResilientRunner(manifest, chaos_plan=plan).run(
             _experiments(calls), factor=0.5
         )
         assert calls == ["alpha"]
@@ -645,9 +670,9 @@ class TestResilientRunner:
             )
 
     def test_report_renders_causes(self, tmp_path):
-        plan = FaultPlan().add("alpha", "crash")
+        plan = ChaosPlan.parse("crash:alpha")
         _results, report = ResilientRunner(
-            tmp_path / "m.json", fault_plan=plan, backoff=0.0
+            tmp_path / "m.json", chaos_plan=plan
         ).run(_experiments([]), factor=1.0)
         text = report.render()
         assert "1 failed" in text
@@ -660,10 +685,10 @@ class TestResilientRunner:
         assert (out / "manifest.json").exists()
 
     def test_fault_spec_validation(self):
-        with pytest.raises(ValueError, match="fault kind"):
-            FaultSpec(kind="explode")
-        with pytest.raises(ValueError):
-            FaultSpec(kind="transient", count=0)
+        with pytest.raises(ChaosError, match="chaos kind"):
+            ChaosFault(kind="explode")
+        with pytest.raises(ChaosError):
+            ChaosFault(kind="transient", count=0)
 
     def test_code_fingerprint_is_stable(self):
         assert code_fingerprint() == code_fingerprint()
@@ -680,15 +705,13 @@ class TestRunAllIntegration:
         from repro.experiments.run_all import run_resilient
 
         out = tmp_path / "results"
-        plan = FaultPlan().add("table2", "crash")
         stream = io.StringIO()
         _results, report = run_resilient(
             factor=0.1,
             out_dir=str(out),
             only=["fig1", "table2"],
             stream=stream,
-            fault_plan=plan,
-            backoff=0.0,
+            chaos="crash:table2",
         )
         # The crash did not abort the sweep; it is reported with cause.
         assert not report.ok
@@ -837,6 +860,11 @@ def _par_repeat_sweep(factor):
     return _FakeResult("swept twice")
 
 
+def _par_repeat_sweep_then_fail(factor):
+    _par_repeat_sweep(factor)
+    raise TransientFault("swept twice, then failed")
+
+
 class TestParallelRunner:
     def test_jobs_validation(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -869,14 +897,12 @@ class TestParallelRunner:
         assert [o.exp_id for o in parallel.outcomes] == ["z", "a", "m"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_transient_fault_retries_across_processes(self, tmp_path, jobs):
-        plan = FaultPlan().add("flaky", "transient", count=2)
+    def test_transient_fault_retries_across_processes(
+        self, tmp_path, jobs, no_backoff
+    ):
+        plan = ChaosPlan.parse("transient:flaky:2")
         runner = ResilientRunner(
-            tmp_path / "m.json",
-            jobs=jobs,
-            fault_plan=plan,
-            retries=2,
-            backoff=0.0,
+            tmp_path / "m.json", jobs=jobs, chaos_plan=plan, retries=2
         )
         _results, report = runner.run({"flaky": _par_pid, "b": _par_pid})
         outcomes = {o.exp_id: o for o in report.outcomes}
@@ -886,9 +912,9 @@ class TestParallelRunner:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_injected_crash_contained_in_parallel(self, tmp_path, jobs):
-        plan = FaultPlan().add("bad", "crash")
+        plan = ChaosPlan.parse("crash:bad")
         runner = ResilientRunner(
-            tmp_path / "m.json", jobs=jobs, fault_plan=plan, backoff=0.0
+            tmp_path / "m.json", jobs=jobs, chaos_plan=plan
         )
         results, report = runner.run({"bad": _par_pid, "ok": _par_shared})
         outcomes = {o.exp_id: o for o in report.outcomes}
@@ -974,19 +1000,11 @@ class TestParallelRunner:
         assert report.metrics.counter("runner.sim_reused").value == 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_counters_sum_over_attempts(self, tmp_path, jobs):
-        # Both attempts simulate (each reuses 2 configs), then fail in
-        # render(): the outcome bills the work of every attempt.
-        plan = FaultPlan().add("r", "corrupt-result")
-        runner = ResilientRunner(
-            tmp_path / "m.json",
-            jobs=jobs,
-            fault_plan=plan,
-            retries=1,
-            backoff=0.0,
-            is_transient=lambda error: True,
-        )
-        _results, report = runner.run({"r": _par_repeat_sweep})
+    def test_counters_sum_over_attempts(self, tmp_path, jobs, no_backoff):
+        # Both attempts simulate (each reuses 2 configs), then fail
+        # transiently: the outcome bills the work of every attempt.
+        runner = ResilientRunner(tmp_path / "m.json", jobs=jobs, retries=1)
+        _results, report = runner.run({"r": _par_repeat_sweep_then_fail})
         (outcome,) = report.outcomes
         assert outcome.status == "failed" and outcome.attempts == 2
         assert outcome.sim_reused == 4

@@ -77,10 +77,11 @@ class TestTraceCache:
         )
         assert cache.load("sc", 8) is None
 
-    def test_eviction_keeps_newest(self, tmp_path):
+    def test_eviction_keeps_newest(self, tmp_path, monkeypatch):
         import os
 
-        cache = TraceCache(tmp_path, max_entries=2)
+        monkeypatch.setattr(trace_cache, "MAX_ENTRIES", 2)
+        cache = TraceCache(tmp_path)
         for i, name in enumerate(("a", "b", "c", "d")):
             cache.store(name, 8, _trace(10))
             # mtime resolution can be coarse; force a strict ordering
@@ -92,17 +93,6 @@ class TestTraceCache:
         assert cache.load("c", 8) is not None
         assert cache.load("d", 8) is not None
         assert cache.load("a", 8) is None
-
-    def test_disabled_cache_never_touches_disk(self, tmp_path):
-        cache = TraceCache(tmp_path, enabled=False)
-        cache.store("sc", 8, _trace())
-        assert list(tmp_path.iterdir()) == []
-        assert cache.load("sc", 8) is None
-        assert cache.misses == 1 and cache.stores == 0
-
-    def test_max_entries_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="max_entries"):
-            TraceCache(tmp_path, max_entries=0)
 
     def test_fingerprint_is_stable(self):
         assert trace_fingerprint() == trace_fingerprint()
@@ -152,37 +142,13 @@ class TestCacheMigration:
         cache.store("sc", 8, _trace(20))
         assert len(cache.load("sc", 8)) == 20  # v2 wins
 
-    def test_env_switch_bypasses_both_formats(self, tmp_path, monkeypatch):
-        # Populate entries in both formats, then flip the kill switch:
-        # neither may be consulted.
-        cache = TraceCache(tmp_path)
-        cache.store("sc", 8, _trace())
-        _save_v1(_legacy_path(cache, "li", 8), _trace())
-        monkeypatch.setenv(trace_cache.ENV_SWITCH, "0")
-        monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path))
-        monkeypatch.setattr(trace_cache, "_default", None)
-        disabled = trace_cache.default_cache()
-        assert not disabled.enabled
-        assert disabled.load("sc", 8) is None
-        assert disabled.load("li", 8) is None
-        assert _legacy_path(disabled, "li", 8).exists()  # untouched
-
 
 class TestDefaultCache:
-    def test_env_switch_disables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace_cache.ENV_SWITCH, "off")
+    def test_env_dir_sets_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv(trace_cache.ENV_DIR, str(tmp_path))
         monkeypatch.setattr(trace_cache, "_default", None)
         cache = trace_cache.default_cache()
-        assert not cache.enabled
         assert cache.root == tmp_path
-
-    def test_set_enabled_flips_default(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            trace_cache, "_default", TraceCache(tmp_path)
-        )
-        trace_cache.set_enabled(False)
-        assert not trace_cache.default_cache().enabled
 
     def test_snapshot_counts_default_cache(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.config import BASELINE
 from repro.experiments import cli
-from repro.robustness.faults import FaultPlan
+from repro.robustness.chaos import ChaosPlan
 from repro.robustness.runner import ResilientRunner
 from repro.telemetry import tracing
 from repro.telemetry.profiling import PerfReport, profile_workload
@@ -219,15 +219,16 @@ def _par_slow(factor):
 
 class TestRunnerSpans:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_sweep_records_retry_attempt_siblings(self, tmp_path, jobs):
+    def test_sweep_records_retry_attempt_siblings(
+        self, tmp_path, jobs, monkeypatch
+    ):
+        monkeypatch.setattr("repro.robustness.runner.RETRY_BACKOFF_S", 0.0)
         tracer = SpanTracer()
-        plan = FaultPlan().add("flaky", "transient", count=1)
         runner = ResilientRunner(
             tmp_path / "m.json",
             jobs=jobs,
-            fault_plan=plan,
+            chaos_plan=ChaosPlan.parse("transient:flaky:1"),
             retries=2,
-            backoff=0.0,
             tracer=tracer,
         )
         trace_path = tmp_path / "sweep.json"
@@ -343,15 +344,14 @@ class TestRunnerSpans:
         restored = load_chrome_trace(trace_path)
         assert len(restored) == len(spans)
 
-    def test_parallel_retry_attempts_are_siblings(self, tmp_path):
+    def test_parallel_retry_attempts_are_siblings(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.robustness.runner.RETRY_BACKOFF_S", 0.0)
         tracer = SpanTracer()
-        plan = FaultPlan().add("flaky", "transient", count=1)
         runner = ResilientRunner(
             tmp_path / "m.json",
             jobs=2,
-            fault_plan=plan,
+            chaos_plan=ChaosPlan.parse("transient:flaky:1"),
             retries=2,
-            backoff=0.0,
             tracer=tracer,
         )
         _results, report = runner.run({"flaky": _ok, "solid": _ok})
